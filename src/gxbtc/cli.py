@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 
 from . import category, compose, consistency, constructions, equivalence, torsor
 from .errors import (
@@ -371,10 +372,6 @@ def build_parser():
     def common(p):
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--root-order", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved; every algorithm here is deterministic")
-        p.add_argument("--json", action="store_true",
-                       help="accepted for compatibility; output is always JSON")
         p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("check", help="run consistency equations on a theory")
@@ -459,6 +456,10 @@ def main(argv=None):
     except GxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -9,10 +9,9 @@ on the twist lines.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
-from .category import abelian_subgroup, monodromy
+from .category import monodromy
 from .equivalence import GaugeTransform
 from .errors import InvalidInput, NotAbelianMonodromy
 from .groups import DEFAULT_TOL, Cochain, U1Module
@@ -22,6 +21,7 @@ from .torsor import (
     _r2,
     _u2,
     charge_transfer,
+    default_root_order,
     torsored_action,
     torsored_fusion,
     validate_two_cocycle,
@@ -67,7 +67,7 @@ def correction_coefficients(theory, t1, t2, root_order=None):
     entries = {}
     for args in itertools.product(grp.elements(), repeat=3):
         entries[args] = value(*args)
-    order = root_order or math.lcm(grp.order, max(abelian_subgroup(theory).order, 1), 8)
+    order = root_order or default_root_order(theory)
     return Cochain(grp, 3, U1Module(order), entries)
 
 
@@ -153,7 +153,7 @@ def commutator_class(theory, t1, t2, tol=DEFAULT_TOL, root_order=None):
     validate_two_cocycle(theory, t1, tol)
     validate_two_cocycle(theory, t2, tol)
     grp = theory.group
-    order = root_order or math.lcm(grp.order, max(abelian_subgroup(theory).order, 1), 8)
+    order = root_order or default_root_order(theory)
 
     def mono(a, b):
         try:

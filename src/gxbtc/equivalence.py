@@ -10,11 +10,10 @@ inequivalence rather than a search failure.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from . import intlin
-from .category import GxTheory, abelian_subgroup
+from .category import GxTheory
 from .errors import (
     BudgetExceeded,
     GradeViolation,
@@ -31,7 +30,7 @@ from .groups import (
     turn_phase,
     validate_cocycle,
 )
-from .torsor import _f3, _r2, _u2, apply_torsor
+from .torsor import _f3, _r2, _u2, apply_torsor, default_root_order
 
 
 @dataclass
@@ -366,7 +365,7 @@ def boundary_coefficients(theory, z):
     entries = {}
     for args in itertools.product(grp.elements(), repeat=3):
         entries[args] = value(*args)
-    order = math.lcm(theory.group.order, max(abelian_subgroup(theory).order, 1), 8)
+    order = default_root_order(theory)
     return Cochain(grp, 3, U1Module(order), entries)
 
 
@@ -417,7 +416,7 @@ def cocycle_relabel_class(theory, z, tol=DEFAULT_TOL):
     entries = {}
     for args in itertools.product(grp.elements(), repeat=3):
         entries[args] = value(*args)
-    order = math.lcm(theory.group.order, max(abelian_subgroup(theory).order, 1), 8)
+    order = default_root_order(theory)
     out = Cochain(grp, 3, U1Module(order), entries)
     validate_cocycle(out, max(tol, 1e-7), degree=3)
     return out

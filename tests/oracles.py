@@ -131,3 +131,20 @@ def spectral_radius_2x2(a, b, c, d):
     tr, det = a + d, a * d - b * c
     disc = (tr * tr - 4 * det) ** 0.5
     return max(abs((tr + disc) / 2), abs((tr - disc) / 2))
+
+
+def dense_fusion_violations(n, triples):
+    """Every (a, b, c, d) over ``range(n)`` where sum_e N_ab^e N_ec^d differs
+    from sum_f N_bc^f N_af^d, in lexicographic order; O(n^5)."""
+    fusion = set(triples)
+
+    def mult(a, b, c):
+        return 1 if (a, b, c) in fusion else 0
+
+    out = []
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        lhs = sum(mult(a, b, e) * mult(e, c, d) for e in range(n))
+        rhs = sum(mult(b, c, f) * mult(a, f, d) for f in range(n))
+        if lhs != rhs:
+            out.append((a, b, c, d))
+    return out

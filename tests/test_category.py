@@ -1,11 +1,17 @@
+import cmath
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gxbtc import category as cat
 from gxbtc import constructions as cons
 from gxbtc.errors import InadmissibleTuple, InvalidInput, NotAbelianMonodromy
 from gxbtc.groups import FiniteGroup
+from oracles import dense_fusion_violations
 
 GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0
 
@@ -48,6 +54,41 @@ class TestValidate:
         msgs = cat.validate(broken)
         assert any("associative" in m for m in msgs)
 
+    def test_broken_extension_notes_pinned(self, toric_z2):
+        # 4 x 5 rerouted to the wrong channel, one F entry scaled off U(1)
+        triples = [(4, 5, 2) if t == (4, 5, 1) else t
+                   for t in toric_z2.fusion_triples()]
+        f = dict(toric_z2.f_entries())
+        f[(0, 5, 0, 5, 5, 5)] *= 1.01
+        broken = toric_z2.replace(fusion=triples, f=f)
+        expected = [f"fusion not associative at ({a},{b},{c};{d})"
+                    for a, b, c, d in dense_fusion_violations(8, triples)]
+        assert len(expected) == 52
+        expected += [
+            "F block (0, 5, 0, 5) is not unitary",
+            "missing F entry at (0, 4, 5, 2, 4, 2)",
+            "missing F entry at (4, 0, 5, 2, 4, 5)",
+            "missing F entry at (4, 5, 0, 2, 2, 5)",
+            "missing R entry at (4,5,2)",
+            "missing U entry at (0,4,5,2)",
+            "missing U entry at (1,4,5,2)",
+        ]
+        assert cat.validate(broken) == expected
+
+    @pytest.mark.parametrize("value", [
+        1.0, cmath.exp(0.3j), math.sqrt(1 + 0.99e-5), math.sqrt(1 + 1.01e-5),
+        math.sqrt(1 - 1.01e-5), 1.001j, complex("nan"), complex("inf")])
+    def test_scalar_unitarity_matches_allclose(self, toric, value):
+        key = (1, 2, 1, 0, 3, 3)
+        f = dict(toric.f_entries())
+        f[key] = value
+        flagged = "F block (1, 2, 1, 0) is not unitary" in cat.validate(
+            toric.replace(f=f))
+        mat = np.array([[value]])
+        with np.errstate(invalid="ignore"):
+            unitary = np.allclose(mat @ mat.conj().T, np.eye(1), atol=1e-9)
+        assert flagged == (not unitary)
+
     def test_spt_fixture_valid(self):
         from gxbtc.groups import Cochain, U1Module
 
@@ -55,6 +96,48 @@ class TestValidate:
         alpha = Cochain(z2, 3, U1Module(2), {(1, 1, 1): complex(-1.0)})
         theory = cons.build_spt(z2, alpha)
         assert cat.validate(theory) == []
+
+
+@st.composite
+def fusion_sets(draw):
+    """Fusion triples of a random abelian group of order at most 6, under a
+    random labelling, possibly with one triple dropped or one added."""
+    factors = draw(st.sampled_from(
+        [(1,), (2,), (3,), (4,), (5,), (6,), (2, 2), (2, 3)]))
+    elements = list(itertools.product(*[range(m) for m in factors]))
+    n = len(elements)
+    label = dict(zip(elements, draw(st.permutations(range(n)))))
+    triples = sorted(
+        (label[x], label[y],
+         label[tuple((p + q) % m for p, q, m in zip(x, y, factors))])
+        for x in elements for y in elements)
+    change = draw(st.sampled_from(["none", "drop", "add"]))
+    if change == "drop":
+        triples.pop(draw(st.integers(0, len(triples) - 1)))
+    elif change == "add":
+        extra = draw(st.tuples(*[st.integers(0, n - 1)] * 3))
+        if extra not in triples:
+            triples.append(extra)
+    return n, triples
+
+
+class TestFusionViolations:
+    @settings(max_examples=80, deadline=None)
+    @given(fusion_sets())
+    def test_matches_dense_definition(self, case):
+        n, triples = case
+        outcomes = {}
+        for a, b, c in triples:
+            outcomes.setdefault((a, b), []).append(c)
+        assert list(cat.fusion_violations(n, outcomes)) == \
+            dense_fusion_violations(n, triples)
+
+    def test_out_of_range_outcomes_ignored(self):
+        # the dense definition only sums over charges 0..n-1
+        outcomes = {(0, 0): [0], (0, 1): [1], (1, 0): [1, -1], (1, 1): [0, 5]}
+        triples = [(a, b, c) for (a, b), cs in outcomes.items() for c in cs]
+        assert list(cat.fusion_violations(2, outcomes)) == \
+            dense_fusion_violations(2, triples)
 
 
 class TestQuantumDimensions:

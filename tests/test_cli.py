@@ -58,6 +58,22 @@ class TestCheck:
     def test_usage_error_exits_64(self):
         assert main(["check"]) == 64
 
+    @pytest.mark.parametrize("flag", [["--seed", "1"], ["--json"]])
+    def test_removed_flags_are_usage_errors(self, toric_file, flag):
+        assert main(["check", toric_file, *flag]) == 64
+
+    def test_internal_error_exits_70(self, tmp_path, toric_z2, toric_z2_file,
+                                     monkeypatch, capsys):
+        from gxbtc import torsor
+
+        def broken(first, second):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(torsor, "cohomologous", broken)
+        t = write_twist(tmp_path, toric_z2, 1)
+        assert main(["torsor", toric_z2_file, "--t", t]) == 70
+        assert "internal error: ZeroDivisionError: bug" in capsys.readouterr().err
+
 
 class TestTorsorCommands:
     def test_torsor_solve_and_check(self, tmp_path, toric_z2, toric_z2_file,

@@ -4,8 +4,9 @@ from gxbtc import category as cat
 from gxbtc import consistency as con
 from gxbtc import constructions as cons
 from gxbtc import torsor
-from gxbtc.errors import NotACocycle
+from gxbtc.errors import NotACocycle, SnapFailure
 from gxbtc.groups import Cochain, FiniteGroup, U1Module, is_cocycle
+from oracles import dense_fusion_violations
 
 Z2 = FiniteGroup.cyclic(2)
 TOL = 1e-9
@@ -56,6 +57,14 @@ class TestTorsoredFusion:
         # vacuum defect (charge 4) now squares to e instead of the vacuum
         assert (4, 4, E) in triples
         assert (4, 4, 0) not in triples
+
+    def test_non_associative_input_rejected_at_first_tuple(self, toric_z2):
+        triples = [(4, 5, 2) if t == (4, 5, 1) else t
+                   for t in toric_z2.fusion_triples()]
+        broken = toric_z2.replace(fusion=triples)
+        first = dense_fusion_violations(broken.num_charges, triples)[0]
+        with pytest.raises(NotACocycle, match=r"at \(%d,%d,%d;%d\)" % first):
+            torsor.torsored_fusion(broken, torsor.trivial_twist(broken))
 
     def test_identity_sector_unchanged(self, toric_z2):
         t = twist(toric_z2, F)
@@ -233,9 +242,40 @@ class TestEndToEnd:
         assert cat.tables_distance(out, glued) == 0.0
 
     def test_obstruction_metadata_recorded(self, toric_z2):
-        out = torsor.apply_torsor(toric_z2, twist(toric_z2, E))
-        meta = out.metadata["obstruction"]
-        assert meta["trivial_class"] is True
+        for value in (0, E, M, F):
+            out = torsor.apply_torsor(toric_z2, twist(toric_z2, value))
+            meta = out.metadata["obstruction"]
+            assert meta["trivial_class"] is True
+
+    def test_undecidable_class_recorded_as_null(self, toric_z2, monkeypatch):
+        def undecidable(first, second):
+            raise SnapFailure("off every root")
+
+        monkeypatch.setattr(torsor, "cohomologous", undecidable)
+        ones = torsor.trivial_coefficients(toric_z2)
+        out = torsor.apply_torsor(toric_z2, twist(toric_z2, E), ones)
+        assert out.metadata["obstruction"]["trivial_class"] is None
+
+    def test_class_check_bug_propagates(self, toric_z2, monkeypatch):
+        def broken(first, second):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(torsor, "cohomologous", broken)
+        ones = torsor.trivial_coefficients(toric_z2)
+        with pytest.raises(ZeroDivisionError):
+            torsor.apply_torsor(toric_z2, twist(toric_z2, E), ones)
+
+    def test_twisted_fusion_built_once(self, toric_z2, monkeypatch):
+        calls = []
+        real = torsor.torsored_fusion
+
+        def counting(theory, t):
+            calls.append(t)
+            return real(theory, t)
+
+        monkeypatch.setattr(torsor, "torsored_fusion", counting)
+        torsor.apply_torsor(toric_z2, twist(toric_z2, F))
+        assert len(calls) == 1
 
 
 class TestSptBaseTorsor:
