@@ -121,13 +121,6 @@ class GxTheory:
                 f"translation by {x} of {a} is not unique: outcomes {out}")
         return out[0]
 
-    def translate_right(self, a, x):
-        out = self._outcomes.get((a, x), ())
-        if len(out) != 1:
-            raise InadmissibleTuple(
-                f"right translation of {a} by {x} is not unique: outcomes {out}")
-        return out[0]
-
     def fuse_abelian(self, *xs):
         """Iterated fusion of abelian charges."""
         acc = self.vacuum
@@ -164,6 +157,24 @@ class GxTheory:
             return self._eta[key]
         except KeyError:
             raise InadmissibleTuple(f"eta{key} is not an admissible tuple") from None
+
+    # -- scalar symbols on lines with unique fusion channels -----------------
+
+    def f_line(self, a, b, c, d=None):
+        """Scalar F symbol with all labels forced by fusion uniqueness."""
+        e = self.translate(a, b)
+        f = self.translate(b, c)
+        if d is None:
+            d = self.translate(e, c)
+        return self.f_symbol(a, b, c, d, e, f)
+
+    def r_line(self, a, b):
+        """Scalar R symbol on the unique channel of (a, b)."""
+        return self.r_symbol(a, b, self.translate(a, b))
+
+    def u_line(self, k, a, b):
+        """Scalar U symbol on the unique channel of (a, b)."""
+        return self.u_symbol(k, a, b, self.translate(a, b))
 
     def f_or_zero(self, a, b, c, d, e, f):
         return self._f.get((a, b, c, d, e, f), 0j)
@@ -421,14 +432,18 @@ def _cyclic_decomposition(theory, charges):
     if not charges:
         return (), (), {}
     vac = theory.vacuum
+    total = len(charges)
+    members = set(charges)
     orders = {}
     for c in charges:
         n, x = 1, c
         while x != vac:
+            if n > total:  # in a group of ``total`` charges, c^total = 1
+                raise InvalidInput(
+                    "abelian charges do not form a group under fusion")
             x = theory.translate(x, c)
             n += 1
         orders[c] = n
-    total = len(charges)
     candidates = sorted(charges, key=lambda c: (-orders[c], c))
 
     def search(span, basis):
@@ -437,7 +452,8 @@ def _cyclic_decomposition(theory, charges):
             return basis, span
         for c in candidates:
             m = orders[c]
-            if len(span) * m > total or total % (len(span) * m) != 0:
+            # the vacuum (m = 1) never grows the span
+            if m == 1 or total % (len(span) * m) != 0:
                 continue
             new_span = {}
             for coords, elem in span.items():
@@ -446,7 +462,8 @@ def _cyclic_decomposition(theory, charges):
                 for p in range(1, m):
                     x = theory.translate(x, c)
                     new_span[coords + (p,)] = x
-            if len(set(new_span.values())) == len(span) * m:
+            image = set(new_span.values())
+            if len(image) == len(span) * m and image <= members:
                 found = search(new_span, basis + [c])
                 if found is not None:
                     return found

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 check failed / not equivalent, 2 inconclusive,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -86,9 +87,10 @@ def _load_twist(path, theory):
 
 
 def _load_coefficients(path, theory, root_order):
-    blob = _load_json(path)
-    module = U1Module(root_order)
-    return cochain_from_json(blob, theory.group, module)
+    """Coefficients from ``path``, or the trivial ones without a path."""
+    if not path:
+        return torsor.trivial_coefficients(theory, root_order)
+    return cochain_from_json(_load_json(path), theory.group, U1Module(root_order))
 
 
 def _root_order(args, theory):
@@ -135,12 +137,10 @@ def _cmd_torsor(args):
     theory = _load_theory(args.theory)
     t = _load_twist(args.t, theory)
     order = _root_order(args, theory)
-    if args.x:
-        x = _load_coefficients(args.x, theory, order)
-    elif args.solve_x:
+    if args.solve_x and not args.x:
         x = None
     else:
-        x = torsor.trivial_coefficients(theory, order)
+        x = _load_coefficients(args.x, theory, order)
     out = torsor.apply_torsor(theory, t, x, tol=args.tol, root_order=order)
     _emit(category.theory_to_json(out), args.output)
     return 0
@@ -164,16 +164,12 @@ def _cmd_obstruction(args):
 def _cmd_compose(args):
     theory = _load_theory(args.theory)
     order = _root_order(args, theory)
-    first = torsor.TorsorInput(
-        _load_twist(args.t1, theory),
-        _load_coefficients(args.x1, theory, order) if args.x1
-        else torsor.trivial_coefficients(theory, order))
-    second = torsor.TorsorInput(
-        _load_twist(args.t2, theory),
-        _load_coefficients(args.x2, theory, order) if args.x2
-        else torsor.trivial_coefficients(theory, order))
+    first = torsor.TorsorInput(_load_twist(args.t1, theory),
+                               _load_coefficients(args.x1, theory, order))
+    second = torsor.TorsorInput(_load_twist(args.t2, theory),
+                                _load_coefficients(args.x2, theory, order))
     composite, gauge = compose.compose_torsors(theory, first, second,
-                                               args.tol, order)
+                                               root_order=order)
     payload = {
         "t": cochain_to_json(composite.t),
         "x": cochain_to_json(composite.x),
@@ -303,10 +299,10 @@ def _cmd_enumerate(args):
 
 def _collapse_classes(base, module, theories, tol):
     """Group unobstructed outputs under 1-cochain relabel equivalence."""
-    zs = []
     grp = base.group
-    for values in _cochain_value_grid(module, grp):
-        zs.append(Cochain(grp, 1, module, values))
+    slots = [(g,) for g in grp.nonidentity()]
+    zs = [Cochain(grp, 1, module, dict(zip(slots, combo)))
+          for combo in itertools.product(module.charges, repeat=len(slots))]
     results = []
     labels = {}
     for idx, (entry, theory) in enumerate(theories):
@@ -318,11 +314,12 @@ def _collapse_classes(base, module, theories, tol):
             if jdx in labels:
                 continue
             other = theories[jdx][1]
-            verdict = _one_cochain_equivalent(base, theory, other, zs, tol)
-            if verdict is True:
+            witness, undecided = equivalence.first_gauge_match(
+                _relabeled_by_cochains(theory, zs), other, tol)
+            if witness is not None:
                 labels[jdx] = idx
                 group_members.append(jdx)
-            elif verdict is None:
+            elif undecided:
                 results.append({"pair": [idx, jdx], "verdict": "inconclusive"})
         results.append({"class_representative": idx, "members": group_members,
                         "verdict": "collapsed" if len(group_members) > 1
@@ -330,35 +327,13 @@ def _collapse_classes(base, module, theories, tol):
     return results
 
 
-def _cochain_value_grid(module, grp):
-    import itertools as it
-
-    slots = grp.nonidentity()
-    for combo in it.product(module.charges, repeat=len(slots)):
-        yield dict(zip([(s,) for s in slots], combo))
-
-
-def _one_cochain_equivalent(base, first, second, zs, tol):
-    from .equivalence import _NonRootRatio, relabel_by_1cochain, solve_gauge_matching
-
-    inconclusive = False
+def _relabeled_by_cochains(theory, zs):
     for z in zs:
         try:
-            moved = relabel_by_1cochain(first, z)
+            moved = equivalence.relabel_by_1cochain(theory, z)
         except GxError:
             continue
-        if set(moved.fusion_triples()) != set(second.fusion_triples()):
-            continue
-        if moved.action != second.action:
-            continue
-        try:
-            gauge = solve_gauge_matching(moved, second, tol)
-        except _NonRootRatio:
-            inconclusive = True
-            continue
-        if gauge is not None:
-            return True
-    return None if inconclusive else False
+        yield z, moved
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,12 @@ from dataclasses import dataclass
 from .category import monodromy
 from .equivalence import GaugeTransform
 from .errors import InvalidInput, NotAbelianMonodromy
-from .groups import DEFAULT_TOL, Cochain, U1Module
+from .groups import Cochain, U1Module
 from .torsor import (
     TorsorInput,
-    _f3,
-    _r2,
-    _u2,
-    charge_transfer,
+    Twist,
     default_root_order,
     torsored_action,
-    torsored_fusion,
     validate_two_cocycle,
 )
 
@@ -44,24 +40,25 @@ def correction_coefficients(theory, t1, t2, root_order=None):
     grp = theory.group
     act = theory.act
     tr = theory.translate
+    f3, r2, u2 = theory.f_line, theory.r_line, theory.u_line
 
     def value(g, h, k):
         gh = grp.op(g, h)
         hk = grp.op(h, k)
         t2_hk_g = act(g, t2(h, k))
         t1_hk_g = act(g, t1(h, k))
-        val = 1.0 / _u2(theory, g, t2_hk_g, t1_hk_g)
+        val = 1.0 / u2(g, t2_hk_g, t1_hk_g)
         # the phantom reordering braids clockwise: inverse braid symbols
-        val = val * (_r2(theory, t2(g, h), t1(gh, k))
-                     / _r2(theory, t2_hk_g, t1(g, hk))).conjugate()
-        num1 = _f3(theory, t2(gh, k), t1(gh, k), t2(g, h))
-        den1 = _f3(theory, tr(t2(gh, k), t1(gh, k)), t2(g, h), t1(g, h))
-        num2 = (_f3(theory, tr(t2(g, h), t2(gh, k)), t1(gh, k), t1(g, h))
-                * _f3(theory, t2(g, hk), t2_hk_g, t1(g, hk))
-                * _f3(theory, tr(t2(g, hk), t1(g, hk)), t2_hk_g, t1_hk_g))
-        den2 = (_f3(theory, t2(gh, k), t2(g, h), t1(gh, k))
-                * _f3(theory, tr(t2(g, h), t2(gh, k)), t1(g, hk), t1_hk_g)
-                * _f3(theory, t2(g, hk), t1(g, hk), t2_hk_g))
+        val = val * (r2(t2(g, h), t1(gh, k))
+                     / r2(t2_hk_g, t1(g, hk))).conjugate()
+        num1 = f3(t2(gh, k), t1(gh, k), t2(g, h))
+        den1 = f3(tr(t2(gh, k), t1(gh, k)), t2(g, h), t1(g, h))
+        num2 = (f3(tr(t2(g, h), t2(gh, k)), t1(gh, k), t1(g, h))
+                * f3(t2(g, hk), t2_hk_g, t1(g, hk))
+                * f3(tr(t2(g, hk), t1(g, hk)), t2_hk_g, t1_hk_g))
+        den2 = (f3(t2(gh, k), t2(g, h), t1(gh, k))
+                * f3(tr(t2(g, h), t2(gh, k)), t1(g, hk), t1_hk_g)
+                * f3(t2(g, hk), t1(g, hk), t2_hk_g))
         return val * (num1 / den1) * (num2 / den2)
 
     entries = {}
@@ -71,24 +68,25 @@ def correction_coefficients(theory, t1, t2, root_order=None):
     return Cochain(grp, 3, U1Module(order), entries)
 
 
-def composition_gauge(theory, t1, t2):
-    """Gauge conjugating the single composite twist into the sequence."""
+def composition_gauge(first, second, composite):
+    """Gauge conjugating the single composite twist into the sequence.
+
+    ``first`` and ``second`` are the twists applied in order; ``composite``
+    is the twist by their pointwise product.
+    """
+    theory = first.theory
     grp = theory.group
     tr = theory.translate
     dual = theory.dual
-    t = _twist_product(theory, t1, t2)
-    q = {(g, h): charge_transfer(theory, t, g, h)
-         for g in grp.elements() for h in grp.elements()}
-    q1 = {(g, h): charge_transfer(theory, t1, g, h)
-          for g in grp.elements() for h in grp.elements()}
-    q2 = {(g, h): charge_transfer(theory, t2, g, h)
-          for g in grp.elements() for h in grp.elements()}
+    f3 = theory.f_line
+    t1, t2, t = first.t, second.t, composite.t
+    q, q1, q2 = composite.transfer, first.transfer, second.transfer
     vertex = {}
-    for a, b, e in torsored_fusion(theory, t):
+    for a, b, e in composite.fusion[0]:
         g, h = theory.grade(a), theory.grade(b)
         shifted = tr(dual(t(g, h)), e)
         ee = tr(t2(g, h), tr(t1(g, h), shifted))
-        val = _f3(theory, t2(g, h), t1(g, h), shifted, d=ee)
+        val = f3(t2(g, h), t1(g, h), shifted, d=ee)
         vertex[(a, b, e)] = val.conjugate()
     sheet = {}
     for a in theory.charges():
@@ -96,11 +94,11 @@ def composition_gauge(theory, t1, t2):
         for h in grp.elements():
             hgh = grp.prod(grp.inverse(h), g, h)
             # same clockwise phantom braid chirality as in the correction
-            val = 1.0 / _r2(theory, q2[(g, h)], t1(g, h)).conjugate()
-            num = (_f3(theory, t2(g, h), q2[(g, h)], t1(g, h))
-                   * _f3(theory, t(g, h), q2[(g, h)], q1[(g, h)]))
-            den = (_f3(theory, t2(h, hgh), t1(g, h), q1[(g, h)])
-                   * _f3(theory, t2(g, h), t1(g, h), q2[(g, h)]))
+            val = 1.0 / theory.r_line(q2[(g, h)], t1(g, h)).conjugate()
+            num = (f3(t2(g, h), q2[(g, h)], t1(g, h))
+                   * f3(t(g, h), q2[(g, h)], q1[(g, h)]))
+            den = (f3(t2(h, hgh), t1(g, h), q1[(g, h)])
+                   * f3(t2(g, h), t1(g, h), q2[(g, h)]))
             shifted = tr(dual(q[(g, h)]), a)
             e_lab = tr(q2[(g, h)], q1[(g, h)])
             f_lab = tr(q1[(g, h)], shifted)
@@ -110,7 +108,7 @@ def composition_gauge(theory, t1, t2):
     return GaugeTransform(vertex, sheet)
 
 
-def compose_torsors(theory, first, second, tol=DEFAULT_TOL, root_order=None):
+def compose_torsors(theory, first, second, root_order=None):
     """Composite input and gauge for two twist functors applied in order.
 
     ``first`` is applied to ``theory``; ``second`` to the result.  The
@@ -119,20 +117,19 @@ def compose_torsors(theory, first, second, tol=DEFAULT_TOL, root_order=None):
     twisting never changes; checking against the base action is therefore
     exact, not an approximation.  The restriction is asserted anyway.
     """
-    validate_two_cocycle(theory, first.t, tol)
-    validate_two_cocycle(theory, second.t, tol)
-    mid_action = torsored_action(theory, first.t)
+    one, two = Twist(theory, first.t), Twist(theory, second.t)
+    mid_action = torsored_action(one)
     for a in second.t.module.charges:
         for g in theory.group.elements():
             if mid_action[g][a] != theory.act(g, a):
                 raise InvalidInput(
                     "intermediate action moved an abelian identity-sector "
                     "charge; the composite twist is ill-defined")
-    t = _twist_product(theory, first.t, second.t)
+    both = Twist(theory, _twist_product(theory, first.t, second.t))
     correction = correction_coefficients(theory, first.t, second.t, root_order)
     x = first.x.combine(second.x).combine(correction)
-    gauge = composition_gauge(theory, first.t, second.t)
-    return TorsorInput(t, x), gauge
+    gauge = composition_gauge(one, two, both)
+    return TorsorInput(both.t, x), gauge
 
 
 @dataclass
@@ -144,14 +141,14 @@ class CommutatorResult:
     residual: float
 
 
-def commutator_class(theory, t1, t2, tol=DEFAULT_TOL, root_order=None):
+def commutator_class(theory, t1, t2, root_order=None):
     """Monodromy 3-cocycle comparing the two orders of twist application.
 
     Verifies that swapping the order shifts the correction coefficients by
     this cocycle times the coboundary of the pairwise-monodromy 1-witness.
     """
-    validate_two_cocycle(theory, t1, tol)
-    validate_two_cocycle(theory, t2, tol)
+    validate_two_cocycle(theory, t1)
+    validate_two_cocycle(theory, t2)
     grp = theory.group
     order = root_order or default_root_order(theory)
 

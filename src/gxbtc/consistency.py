@@ -15,8 +15,13 @@ from .errors import RepresentativeDependent
 from .groups import DEFAULT_TOL, Cochain, U1Module, validate_cocycle
 
 
+MAX_FAILURES = 32
+
+
 @dataclass
 class ConsistencyReport:
+    """One checker sweep; keeps only the first ``MAX_FAILURES`` failures."""
+
     equation: str
     worst_residual: float = 0.0
     failures: list = field(default_factory=list)
@@ -27,7 +32,7 @@ class ConsistencyReport:
         residual = abs(lhs - rhs)
         if residual > self.worst_residual:
             self.worst_residual = residual
-        if residual > tol:
+        if residual > tol and len(self.failures) < MAX_FAILURES:
             self.failures.append((index, lhs, rhs))
 
     def passed(self, tol=DEFAULT_TOL):
@@ -41,7 +46,7 @@ class ConsistencyReport:
             "failures": [
                 {"index": list(map(str, idx)), "lhs": [lhs.real, lhs.imag],
                  "rhs": [rhs.real, rhs.imag]}
-                for idx, lhs, rhs in self.failures[:32]
+                for idx, lhs, rhs in self.failures
             ],
         }
 
@@ -196,18 +201,6 @@ def check_kappa_sliding(theory, tol=DEFAULT_TOL):
     return rep
 
 
-def run_all_checks(theory, tol=DEFAULT_TOL, max_nontrivial_defects=4):
-    """All checkers in one sweep, keyed by equation name."""
-    reports = {"pentagon": check_pentagon(theory, max_nontrivial_defects, tol),
-               "hexagon": check_hexagon(theory, tol)}
-    hep_plus, hep_minus = check_heptagons(theory, tol)
-    reports["heptagon+"] = hep_plus
-    reports["heptagon-"] = hep_minus
-    reports["eta-assoc"] = check_eta_associativity(theory, tol)
-    reports["kappa-sliding"] = check_kappa_sliding(theory, tol)
-    return reports
-
-
 _TORSORABLE_CACHE = weakref.WeakKeyDictionary()
 
 
@@ -278,14 +271,3 @@ def defectification_obstruction(theory, tol=DEFAULT_TOL, rep_tol=None,
     validate_cocycle(cochain, max(tol, 1e-7), degree=4)
     return cochain
 
-
-def worst_residual(reports):
-    if isinstance(reports, dict):
-        reports = reports.values()
-    worst = 0.0
-    for rep in reports:
-        if isinstance(rep, list):
-            worst = max(worst, worst_residual(rep))
-        else:
-            worst = max(worst, rep.worst_residual)
-    return worst

@@ -12,13 +12,7 @@ import itertools
 from fractions import Fraction
 
 from .errors import InvalidInput
-from .groups import (
-    Cochain,
-    FiniteGroup,
-    U1Module,
-    turn_phase,
-    validate_cocycle,
-)
+from .groups import FiniteGroup, turn_phase, validate_cocycle
 from .category import GxTheory
 
 ONE = complex(1.0)
@@ -294,216 +288,3 @@ def trivial_extension(c0, group):
     meta = {"name": (c0.metadata.get("name", "c0")) + f"_x_{g.name or 'G'}"}
     return GxTheory(g, grades, c0.vacuum, fusion, f, r, u, eta, action,
                     metadata=meta)
-
-
-# ---------------------------------------------------------------------------
-# closed forms for trivially acting symmetry
-
-def _q_trivial(theory, t, group, g, h):
-    hgh = group.prod(group.inverse(h), g, h)
-    return theory.translate(theory.dual(t(g, h)), t(h, hgh))
-
-
-def trivial_action_closed_forms(c0, group, t, x):
-    """Twisted extension data written directly in the base-sector symbols.
-
-    Independent of the generic torsor pipeline: every table is produced by
-    the closed-form contractions special to a trivially acting symmetry, so
-    it can serve as an oracle for apply_torsor on trivial extensions.
-    ``t`` is a 2-cocycle valued in the abelian charges of ``c0`` (charge
-    indices of ``c0``); ``x`` is a U(1) 3-cochain on ``group``.
-    """
-    if c0.group.order != 1:
-        raise InvalidInput("base theory must be identity-graded")
-    n0 = c0.num_charges
-    g = group
-
-    def idx(a, gg):
-        return a + gg * n0
-
-    tr = c0.translate
-    dual = c0.dual
-    fz = c0.f_symbol
-
-    def f3(a, b, c, d=None):
-        e = tr(a, b)
-        f = tr(b, c)
-        if d is None:
-            d = tr(e, c)
-        return fz(a, b, c, d, e, f)
-
-    def r2(a, b):
-        return c0.r_symbol(a, b, tr(a, b))
-
-    def q(gg, hh):
-        return _q_trivial(c0, t, g, gg, hh)
-
-    grades = [0] * (n0 * g.order)
-    for gg in g.elements():
-        for a in range(n0):
-            grades[idx(a, gg)] = gg
-
-    fusion = []
-    for gg in g.elements():
-        for hh in g.elements():
-            shift = t(gg, hh)
-            for a, b, c in c0.fusion_triples():
-                fusion.append((idx(a, gg), idx(b, hh),
-                               idx(tr(shift, c), g.op(gg, hh))))
-
-    action = {}
-    for kk in g.elements():
-        perm = [0] * (n0 * g.order)
-        for gg in g.elements():
-            shift = dual(q(gg, g.inverse(kk)))
-            for a in range(n0):
-                perm[idx(a, gg)] = idx(tr(shift, a), g.conj(gg, kk))
-        action[kk] = tuple(perm)
-
-    fusion_set = set(fusion)
-    outcomes = {}
-    for a, b, c in fusion:
-        outcomes.setdefault((a, b), []).append(c)
-
-    new_f = {}
-    for gg, hh, kk in itertools.product(g.elements(), repeat=3):
-        gh = g.op(gg, hh)
-        hk = g.op(hh, kk)
-        t_gh = t(gg, hh)
-        t_hk = t(hh, kk)
-        t_gh_k = t(gh, kk)
-        t_g_hk = t(gg, hk)
-        for a, b, c in itertools.product(range(n0), repeat=3):
-            ia, ib, ic = idx(a, gg), idx(b, hh), idx(c, kk)
-            for e in [e0 for e0 in range(n0)
-                      if (ia, ib, idx(e0, gh)) in fusion_set]:
-                e1 = tr(dual(t_gh), e)
-                for d in outcomes.get((idx(e, gh), ic), ()):
-                    dd = d % n0
-                    d1 = tr(dual(t_gh_k), dd)
-                    d2 = tr(dual(t_gh), d1)
-                    d3 = tr(dual(t_g_hk), dd)
-                    for f in [f0 for f0 in range(n0)
-                              if (ib, ic, idx(f0, hk)) in fusion_set
-                              and (ia, idx(f0, hk), idx(dd, g.op(gh, kk))) in fusion_set]:
-                        f1 = tr(dual(t_hk), f)
-                        a1 = tr(t_hk, a)
-                        val = fz(t_gh, e1, c, d1, e, d2)
-                        val = val * fz(a, b, c, d2, e1, f1)
-                        val = val * fz(t_gh_k, t_gh, d2, dd,
-                                       tr(t_gh_k, t_gh), d1).conjugate()
-                        val = val * fz(t_g_hk, t_hk, d2, dd,
-                                       tr(t_g_hk, t_hk), tr(t_hk, d2))
-                        val = val * fz(t_hk, a, f1, d3, a1, d2).conjugate()
-                        val = val * c0.r_symbol(t_hk, a, a1).conjugate()
-                        val = val * fz(a, t_hk, f1, d3, a1, f)
-                        val = val * x(gg, hh, kk)
-                        new_f[(ia, ib, ic, idx(dd, g.op(gh, kk)),
-                               idx(e, gh), idx(f, hk))] = val
-
-    new_r = {}
-    for gg, hh in itertools.product(g.elements(), repeat=2):
-        hgh = g.prod(g.inverse(hh), gg, hh)
-        q_gh = q(gg, hh)
-        t_gh = t(gg, hh)
-        for a, b in itertools.product(range(n0), repeat=2):
-            ia, ib = idx(a, gg), idx(b, hh)
-            for c in [c0_ for c0_ in range(n0)
-                      if (ia, ib, idx(c0_, g.op(gg, hh))) in fusion_set]:
-                a1 = tr(dual(q_gh), a)
-                c1 = tr(dual(t(hh, hgh)), c)
-                c2 = tr(dual(t_gh), c)
-                val = c0.r_symbol(a1, b, tr(a1, b))
-                val = val * fz(t_gh, q_gh, c1, c, tr(t_gh, q_gh), tr(q_gh, c1))
-                val = val * fz(q_gh, a1, b, c2, a, c1).conjugate()
-                new_r[(ia, ib, idx(c, g.op(gg, hh)))] = val
-
-    new_u = {}
-    for kk, gg, hh in itertools.product(g.elements(), repeat=3):
-        kbar = g.inverse(kk)
-        kgk = g.prod(kbar, gg, kk)
-        khk = g.prod(kbar, hh, kk)
-        gh = g.op(gg, hh)
-        gk = g.op(gg, kk)
-        q_gk, q_hk, q_ghk = q(gg, kk), q(hh, kk), q(gh, kk)
-        t_gh = t(gg, hh)
-        kt = t(kgk, khk)
-        for a, b in itertools.product(range(n0), repeat=2):
-            ia, ib = idx(a, gg), idx(b, hh)
-            for c in [c0_ for c0_ in range(n0)
-                      if (ia, ib, idx(c0_, gh)) in fusion_set]:
-                a1 = tr(dual(q_gk), a)
-                b1 = tr(dual(q_hk), b)
-                c1 = tr(dual(q_ghk), c)
-                c2 = tr(dual(t_gh), c)
-                c3 = tr(dual(kt), c1)
-                c4 = tr(dual(q_hk), c2)
-                qa = tr(q_hk, a)
-                val = c0.r_symbol(q_hk, a, qa).conjugate()
-                val = val * fz(q_gk, a1, b1, c4, a, c3).conjugate()
-                val = val * fz(q_hk, a, b1, c2, qa, c4).conjugate()
-                val = val * fz(a, q_hk, b1, c2, qa, b)
-                num = (f3(tr(t(gk, khk), t(gg, kk)), q_gk, c3)
-                       * f3(t(gg, g.op(hh, kk)), t(hh, kk), q_hk)
-                       * f3(tr(t(hh, kk), t(gg, g.op(hh, kk))), q_hk, c4)
-                       * f3(t(gh, kk), t_gh, c2))
-                den = (f3(t(kk, g.prod(kbar, gh, kk)), kt, c3)
-                       * f3(t(gk, khk), t(gg, kk), q_gk)
-                       * f3(t(gh, kk), q_ghk, c1))
-                val = val * (num / den)
-                val = val * (x(gg, kk, khk) / (x(gg, hh, kk) * x(kk, kgk, khk)))
-                new_u[(kk, ia, ib, idx(c, gh))] = val
-
-    new_eta = {}
-    for kk, gg, hh in itertools.product(g.elements(), repeat=3):
-        gh = g.op(gg, hh)
-        gkg = g.prod(g.inverse(gg), kk, gg)
-        hgkgh = g.prod(g.inverse(hh), gkg, hh)
-        t_gh = t(gg, hh)
-        q_kgh, q_kg, q_gkgh = q(kk, gh), q(kk, gg), q(gkg, hh)
-        for xc in range(n0):
-            x1 = tr(dual(q_kgh), xc)
-            x2 = tr(dual(q_kg), xc)
-            x3 = tr(t_gh, x1)
-            val = r2(t_gh, xc)
-            val = val * r2(x1, t_gh)
-            num = (f3(t(g.op(kk, gg), hh), t(kk, gg), q_kg)
-                   * f3(t(gg, g.op(gkg, hh)), t(gkg, hh), q_gkgh)
-                   * f3(t(gh, hgkgh), t_gh, x1)
-                   * f3(t(kk, gh), q_kgh, x3))
-            den = (f3(t(kk, gh), t_gh, xc)
-                   * f3(tr(t(g.op(kk, gg), hh), t(kk, gg)), q_kg, x2)
-                   * f3(tr(t(gg, g.op(gkg, hh)), t(gkg, hh)), q_gkgh, x1)
-                   * f3(q_kgh, x1, t_gh))
-            val = val * (num / den)
-            val = val * (x(gg, gkg, hh) / (x(gg, hh, hgkgh) * x(kk, gg, hh)))
-            new_eta[(idx(xc, kk), gg, hh)] = val
-
-    meta = {"name": (c0.metadata.get("name", "c0")) + "_closed_form_twist"}
-    return GxTheory(g, grades, c0.vacuum, fusion, new_f, new_r, new_u, new_eta,
-                    action, metadata=meta)
-
-
-def trivial_action_obstruction(c0, group, t, root_order=8):
-    """Closed-form pentagon-defect phase for a trivially acting symmetry."""
-    g = group
-    tr = c0.translate
-
-    def f3(a, b, c):
-        e = tr(a, b)
-        f = tr(b, c)
-        return c0.f_symbol(a, b, c, tr(e, c), e, f)
-
-    entries = {}
-    for gg, hh, kk, ll in itertools.product(g.elements(), repeat=4):
-        gh, hk, kl = g.op(gg, hh), g.op(hh, kk), g.op(kk, ll)
-        hkl, ghk = g.op(hh, kl), g.op(gg, hk)
-        t_gh, t_kl = t(gg, hh), t(kk, ll)
-        val = c0.r_symbol(t_kl, t_gh, tr(t_kl, t_gh))
-        val = val * (f3(t(gh, kl), t_gh, t_kl) / f3(t(gh, kl), t_kl, t_gh))
-        val = val * (f3(t(gg, hkl), t(hk, ll), t(hh, kk))
-                     / f3(t(gg, hkl), t(hh, kl), t_kl))
-        val = val * (f3(t(ghk, ll), t(gh, kk), t_gh)
-                     / f3(t(ghk, ll), t(gg, hk), t(hh, kk)))
-        entries[(gg, hh, kk, ll)] = val
-    return Cochain(group, 4, U1Module(root_order), entries)

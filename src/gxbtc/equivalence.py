@@ -30,7 +30,7 @@ from .groups import (
     turn_phase,
     validate_cocycle,
 )
-from .torsor import _f3, _r2, _u2, apply_torsor, default_root_order
+from .torsor import apply_torsor, default_root_order
 
 
 @dataclass
@@ -69,10 +69,6 @@ class GaugeTransform:
     def is_trivial(self, tol=DEFAULT_TOL):
         return all(abs(v - 1.0) <= tol for v in self.vertex.values()) and \
             all(abs(v - 1.0) <= tol for v in self.sheet.values())
-
-
-def identity_gauge():
-    return GaugeTransform()
 
 
 def apply_gauge(theory, gauge, tol=DEFAULT_TOL):
@@ -351,15 +347,15 @@ def boundary_coefficients(theory, z):
         zhk_zghk = tr(act(g, z(hk)), dual(z(ghk)))
         zh_zgh = act(g, tr(z(h), dual(z(gh))))
         val = theory.eta_symbol(ghzbar_k, g, h)
-        val = val * _u2(theory, g, gdz_hk, act(g, dual(z(h))))
-        val = val * _u2(theory, g, zk_zhk, ghzbar_k)
-        val = val * _r2(theory, gdz_hk, zbar_g)
-        num = (_f3(theory, dz(gh, k), zh_zgh, gzbar_h)
-               * _f3(theory, dz(gh, k), dz(g, h), zbar_g)
-               * _f3(theory, dz(g, hk), zbar_g, gdz_hk))
-        den = (_f3(theory, dz(g, hk), gdz_hk, zbar_g)
-               * _f3(theory, zhk_zghk, gdz_hk, gzbar_h)
-               * _f3(theory, zhk_zghk, zk_zhk, ghzbar_k))
+        val = val * theory.u_line(g, gdz_hk, act(g, dual(z(h))))
+        val = val * theory.u_line(g, zk_zhk, ghzbar_k)
+        val = val * theory.r_line(gdz_hk, zbar_g)
+        num = (theory.f_line(dz(gh, k), zh_zgh, gzbar_h)
+               * theory.f_line(dz(gh, k), dz(g, h), zbar_g)
+               * theory.f_line(dz(g, hk), zbar_g, gdz_hk))
+        den = (theory.f_line(dz(g, hk), gdz_hk, zbar_g)
+               * theory.f_line(zhk_zghk, gdz_hk, gzbar_h)
+               * theory.f_line(zhk_zghk, zk_zhk, ghzbar_k))
         return val * (num / den)
 
     entries = {}
@@ -410,8 +406,8 @@ def cocycle_relabel_class(theory, z, tol=DEFAULT_TOL):
         zk_zhk = act(g, tr(z(k), dual(z(hk))))
         zhk_zghk = tr(act(g, z(hk)), dual(z(ghk)))
         val = theory.eta_symbol(ghzbar_k, g, h)
-        val = val * _u2(theory, g, zk_zhk, ghzbar_k)
-        return val / _f3(theory, zhk_zghk, zk_zhk, ghzbar_k)
+        val = val * theory.u_line(g, zk_zhk, ghzbar_k)
+        return val / theory.f_line(zhk_zghk, zk_zhk, ghzbar_k)
 
     entries = {}
     for args in itertools.product(grp.elements(), repeat=3):
@@ -440,6 +436,31 @@ def _grade_preserving_permutations(theory):
         yield Relabeling(tuple(perm))
 
 
+def first_gauge_match(candidates, target, tol=DEFAULT_TOL):
+    """First relabeled candidate that a gauge carries onto ``target``.
+
+    ``candidates`` lazily yields (key, relabeled theory) pairs; one is tried
+    when its vacuum, fusion and action equal the target's.  Returns the
+    witness (key, gauge) or None, and the number of candidates left
+    undecided because a table ratio was off the root-of-unity lattice.
+    """
+    undecided = 0
+    triples = set(target.fusion_triples())
+    for key, moved in candidates:
+        if moved.vacuum != target.vacuum \
+                or set(moved.fusion_triples()) != triples \
+                or moved.action != target.action:
+            continue
+        try:
+            gauge = solve_gauge_matching(moved, target, tol)
+        except _NonRootRatio:
+            undecided += 1
+            continue
+        if gauge is not None:
+            return (key, gauge), undecided
+    return None, undecided
+
+
 def theories_equivalent(first, second, budget=10000, tol=DEFAULT_TOL):
     """Search for (relabeling, gauge) making the theories identical.
 
@@ -455,32 +476,21 @@ def theories_equivalent(first, second, budget=10000, tol=DEFAULT_TOL):
         (g, len(second.charges_of_grade(g))) for g in second.group.elements())
     if per_grade_first != per_grade_second:
         return None
-    examined = 0
-    inconclusive = 0
-    for relabeling in _grade_preserving_permutations(first):
-        if examined >= budget:
-            raise BudgetExceeded(
-                f"examined {examined} relabelings without a verdict")
-        examined += 1
-        try:
-            moved = relabel(first, relabeling)
-        except InvalidInput:
-            continue
-        if moved.vacuum != second.vacuum:
-            continue
-        if set(moved.fusion_triples()) != set(second.fusion_triples()):
-            continue
-        if moved.action != second.action:
-            continue
-        try:
-            gauge = solve_gauge_matching(moved, second, tol)
-        except _NonRootRatio:
-            inconclusive += 1
-            continue
-        if gauge is not None:
-            return relabeling, gauge
-    if inconclusive:
+
+    def candidates():
+        for examined, relabeling in enumerate(_grade_preserving_permutations(first)):
+            if examined >= budget:
+                raise BudgetExceeded(
+                    f"examined {examined} relabelings without a verdict")
+            try:
+                moved = relabel(first, relabeling)
+            except InvalidInput:
+                continue
+            yield relabeling, moved
+
+    witness, undecided = first_gauge_match(candidates(), second, tol)
+    if witness is None and undecided:
         raise BudgetExceeded(
-            f"{inconclusive} candidate relabelings were undecidable "
+            f"{undecided} candidate relabelings were undecidable "
             "(phases off the root-of-unity lattice)")
-    return None
+    return witness

@@ -405,12 +405,16 @@ def turn_phase(turns):
 
 
 def snap_turns(value, max_denominator=96, snap_tol=1e-12):
-    """Express a phase as an exact fraction of a turn when possible."""
-    t = cmath.phase(value) / TAU
-    for den in range(1, max_denominator + 1):
-        p = round(t * den)
-        if abs(value - turn_phase(Fraction(p, den))) <= snap_tol:
-            return Fraction(p, den) % 1
+    """Express a phase as an exact fraction of a turn when possible.
+
+    The candidate is the best approximation of the phase's turn with
+    denominator at most ``max_denominator``.  For a ``snap_tol`` far below
+    1/max_denominator^2 no other such fraction is in reach, so this agrees
+    with trying every denominator in turn.
+    """
+    turns = Fraction(cmath.phase(value) / TAU).limit_denominator(max_denominator)
+    if abs(value - turn_phase(turns)) <= snap_tol:
+        return turns % 1
     return None
 
 
@@ -570,7 +574,7 @@ def _boundary_lattice_abelian(group, degree, module):
     return gens, n_coords
 
 
-def cohomology(group, degree, module, check_root_order=True):
+def cohomology(group, degree, module):
     """H^degree of ``group`` with coefficients in ``module``.
 
     For :class:`U1Module` this is honest U(1)-coefficient cohomology with
@@ -583,7 +587,7 @@ def cohomology(group, degree, module, check_root_order=True):
         return CohomologyGroup(group, degree, module, [], [])
     if isinstance(module, U1Module):
         result = _cohomology_u1(group, degree, module.order)
-        if check_root_order and module.order % group.exponent() != 0:
+        if module.order % group.exponent() != 0:
             canonical = _cohomology_u1(
                 group, degree, math.lcm(module.order, group.exponent()))
             if math.prod(canonical.orders or [1]) != math.prod(result.orders or [1]):

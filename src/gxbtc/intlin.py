@@ -2,7 +2,7 @@
 
 Everything here works on plain Python ints (no overflow) and small dense
 matrices represented as lists of row lists.  The central primitive is the
-Smith normal form with all four transformation matrices tracked, from which
+Smith normal form with U, V and the inverse of U tracked, from which
 kernels, integer solves, solves modulo N, and solves over the circle group
 (rational turns) are derived.
 """
@@ -21,18 +21,17 @@ class SmithForm:
     """Decomposition U @ A @ V = D with U, V unimodular and D diagonal.
 
     ``diag`` holds the nonnegative diagonal entries, each dividing the next.
-    ``uinv`` and ``vinv`` are the inverses of the transforms, accumulated
-    during the reduction so no separate inversion step is needed.
+    ``uinv`` is the inverse of ``u``, accumulated during the reduction so
+    no separate inversion step is needed.
     """
 
-    def __init__(self, rows, cols, diag, u, uinv, v, vinv):
+    def __init__(self, rows, cols, diag, u, uinv, v):
         self.rows = rows
         self.cols = cols
         self.diag = diag
         self.u = u
         self.uinv = uinv
         self.v = v
-        self.vinv = vinv
 
     def apply_u(self, b):
         """Left transform of a length-``rows`` vector."""
@@ -56,7 +55,6 @@ def smith_normal_form(matrix, rows=None, cols=None):
     u = identity_matrix(rows)
     uinv = identity_matrix(rows)
     v = identity_matrix(cols)
-    vinv = identity_matrix(cols)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -69,7 +67,6 @@ def smith_normal_form(matrix, rows=None, cols=None):
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(dst, src, c):
         # row_dst += c * row_src
@@ -88,9 +85,6 @@ def smith_normal_form(matrix, rows=None, cols=None):
             r[dst] += c * r[src]
         for r in v:
             r[dst] += c * r[src]
-        ri, rs = vinv[dst], vinv[src]
-        for k in range(cols):
-            rs[k] -= c * ri[k]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
@@ -177,7 +171,7 @@ def smith_normal_form(matrix, rows=None, cols=None):
                 if d[i + 1][i + 1] < 0:
                     negate_row(i + 1)
     diag = [d[i][i] for i in range(limit)]
-    return SmithForm(rows, cols, diag, u, uinv, v, vinv)
+    return SmithForm(rows, cols, diag, u, uinv, v)
 
 
 def integer_kernel(matrix, rows=None, cols=None):

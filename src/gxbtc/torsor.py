@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import consistency
 from .category import GxTheory, abelian_subgroup, fusion_violations, monodromy
@@ -45,16 +46,8 @@ class TorsorInput:
     t: Cochain
     x: Cochain
 
-    def validate_for(self, theory, tol=DEFAULT_TOL):
-        validate_two_cocycle(theory, self.t, tol)
-        if self.x.degree != 3 or self.x.module.kind != "u1":
-            raise InvalidInput("phase coefficients must be a U(1) 3-cochain")
-        if self.x.group.mult != theory.group.mult:
-            raise InvalidInput("coefficient cochain lives on the wrong group")
-        return self
 
-
-def validate_two_cocycle(theory, t, tol=DEFAULT_TOL):
+def validate_two_cocycle(theory, t):
     """Check t is a normalized 2-cochain in A with twisted coboundary 1."""
     if t.degree != 2 or t.module.kind != "charges":
         raise InvalidInput("fusion twist must be a 2-cochain valued in abelian charges")
@@ -77,27 +70,6 @@ def trivial_coefficients(theory, root_order=None):
     return Cochain.identity(theory.group, 3, U1Module(order))
 
 
-# ---------------------------------------------------------------------------
-# scalar symbol helpers on lines with unique fusion channels
-
-
-def _f3(theory, a, b, c, d=None):
-    """Scalar F symbol with all labels forced by fusion uniqueness."""
-    e = theory.translate(a, b)
-    f = theory.translate(b, c)
-    if d is None:
-        d = theory.translate(e, c)
-    return theory.f_symbol(a, b, c, d, e, f)
-
-
-def _r2(theory, a, b):
-    return theory.r_symbol(a, b, theory.translate(a, b))
-
-
-def _u2(theory, k, a, b):
-    return theory.u_symbol(k, a, b, theory.translate(a, b))
-
-
 def charge_transfer(theory, t, g, h):
     """Abelian charge moved through a braid of the twist line."""
     grp = theory.group
@@ -105,10 +77,34 @@ def charge_transfer(theory, t, g, h):
     return theory.translate(theory.dual(t(g, h)), t(h, hgh))
 
 
-def _transfer_table(theory, t):
-    grp = theory.group
-    return {(g, h): charge_transfer(theory, t, g, h)
-            for g in grp.elements() for h in grp.elements()}
+@dataclass(frozen=True, eq=False)
+class Twist:
+    """A fusion twist ``t`` of ``theory``, validated once, and the data it fixes.
+
+    Constructing one checks that ``t`` is a normalized twisted 2-cocycle in
+    the abelian charges (:func:`validate_two_cocycle`).  The charge-transfer
+    table and the twisted fusion are derived from it on first use, once
+    each; every twisted table, the relative obstruction and the composition
+    gauge read them from here.
+    """
+
+    theory: GxTheory
+    t: Cochain
+
+    def __post_init__(self):
+        validate_two_cocycle(self.theory, self.t)
+
+    @cached_property
+    def transfer(self):
+        """(g, h) -> :func:`charge_transfer` of the twist line."""
+        grp = self.theory.group
+        return {(g, h): charge_transfer(self.theory, self.t, g, h)
+                for g in grp.elements() for h in grp.elements()}
+
+    @cached_property
+    def fusion(self):
+        """Sorted twisted triples and their outcome map (see torsored_fusion)."""
+        return torsored_fusion(self.theory, self.t)
 
 
 # ---------------------------------------------------------------------------
@@ -116,37 +112,37 @@ def _transfer_table(theory, t):
 
 
 def torsored_fusion(theory, t):
-    """Fusion triples of the twisted theory; associativity is re-verified.
+    """Fusion of the twisted theory; associativity is re-verified.
 
-    The check is sparse: O(n^3 k^2) dictionary operations for n charges with
-    at most k fusion outcomes per pair (see
+    ``t`` must already be validated; :class:`Twist` calls this once per
+    twist.  Returns the sorted triples and the outcome map (a, b) -> [c, ...]
+    built from them.  The check is sparse: O(n^3 k^2) dictionary operations
+    for n charges with at most k fusion outcomes per pair (see
     :func:`gxbtc.category.fusion_violations`).
     """
-    validate_two_cocycle(theory, t)
-    triples = set()
-    for a, b, c0 in theory.fusion_triples():
-        g, h = theory.grade(a), theory.grade(b)
-        triples.add((a, b, theory.translate(t(g, h), c0)))
+    triples = sorted({
+        (a, b, theory.translate(t(theory.grade(a), theory.grade(b)), c0))
+        for a, b, c0 in theory.fusion_triples()})
     outcomes = {}
     for a, b, c in triples:
-        outcomes.setdefault((a, b), set()).add(c)
+        outcomes.setdefault((a, b), []).append(c)
     for a, b, c, d in fusion_violations(theory.num_charges, outcomes):
         raise NotACocycle(
             f"twisted fusion is not associative at ({a},{b},{c};{d})")
-    return sorted(triples)
+    return triples, outcomes
 
 
-def torsored_action(theory, t, triples=None):
+def torsored_action(twist):
     """Symmetry action on the twisted theory.
 
     The identity-graded restriction is untouched; defect charges are moved
     by the transported inverse charge transfer.  Compatibility with twisted
     fusion, the homomorphism property, and crossed commutativity are all
-    verified before returning.  ``triples`` are the twisted fusion triples
-    when the caller already has them.
+    verified before returning.
     """
+    theory = twist.theory
     grp = theory.group
-    q = _transfer_table(theory, t)
+    q = twist.transfer
     action = {}
     for k in grp.elements():
         kbar = grp.inverse(k)
@@ -163,9 +159,7 @@ def torsored_action(theory, t, triples=None):
                     "the twist is not a valid cocycle for this action")
             perm.append(moved)
         action[k] = tuple(perm)
-    if triples is None:
-        triples = torsored_fusion(theory, t)
-    triples = set(triples)
+    triples = set(twist.fusion[0])
     ident = grp.identity
     for a in theory.charges():
         if theory.grade(a) == ident:
@@ -215,35 +209,29 @@ def _torsored_f_value(theory, t, x, a, b, c, d, e, f):
     return value * x(g, h, k)
 
 
-def torsored_f(theory, t, x, triples=None):
+def torsored_f(twist, x):
     """F table of the twisted theory, keyed on twisted fusion tuples."""
-    if triples is None:
-        triples = torsored_fusion(theory, t)
-    triple_set = set(triples)
-    outcomes = {}
-    for a, b, c in triples:
-        outcomes.setdefault((a, b), []).append(c)
+    theory, t = twist.theory, twist.t
+    triples, outcomes = twist.fusion
     table = {}
     for a, b, e in triples:
         for c in theory.charges():
             for d in outcomes.get((e, c), ()):
                 for f in outcomes.get((b, c), ()):
-                    if (a, f, d) in triple_set:
+                    if d in outcomes.get((a, f), ()):
                         table[(a, b, c, d, e, f)] = _torsored_f_value(
                             theory, t, x, a, b, c, d, e, f)
     return table
 
 
-def torsored_r(theory, t, triples=None):
+def torsored_r(twist):
     """R table of the twisted theory."""
-    if triples is None:
-        triples = torsored_fusion(theory, t)
+    theory, t, q = twist.theory, twist.t, twist.transfer
     grp = theory.group
-    q = _transfer_table(theory, t)
     dual = theory.dual
     tr = theory.translate
     table = {}
-    for a, b, c in triples:
+    for a, b, c in twist.fusion[0]:
         g, h = theory.grade(a), theory.grade(b)
         hgh = grp.prod(grp.inverse(h), g, h)
         q_gh = q[(g, h)]
@@ -269,6 +257,7 @@ def _torsored_u_value(theory, t, x, q, k, a, b, c):
     gk = grp.op(g, k)
     dual = theory.dual
     tr = theory.translate
+    f3 = theory.f_line
     t_gh = t(g, h)
     kt = theory.act(k, t(kgk, khk))
     gt_hk = theory.act(g, t(h, k))
@@ -282,29 +271,27 @@ def _torsored_u_value(theory, t, x, q, k, a, b, c):
     qa = tr(gq_hk, a)
     value = theory.u_symbol(k, a1, b1, c3)
     value = value * theory.u_symbol(k, kt, c3, c1)
-    value = value * _u2(theory, g, gt_hk, gq_hk)
-    value = value * _r2(theory, gq_hk, a).conjugate()
+    value = value * theory.u_line(g, gt_hk, gq_hk)
+    value = value * theory.r_line(gq_hk, a).conjugate()
     value = value * theory.f_symbol(q[(g, k)], a1, b1, c4, a, c3).conjugate()
     value = value * theory.f_symbol(gq_hk, a, b1, c2, qa, c4).conjugate()
     value = value * theory.f_symbol(a, q[(h, k)], b1, c2, qa, b)
-    num = (_f3(theory, theory.fuse_abelian(t(gk, khk), t(g, k)), q[(g, k)], c3)
-           * _f3(theory, t(g, grp.op(h, k)), gt_hk, gq_hk)
-           * _f3(theory, theory.fuse_abelian(gt_hk, t(g, grp.op(h, k))), gq_hk, c4)
-           * _f3(theory, t(gh, k), t_gh, c2))
-    den = (_f3(theory, t(k, grp.prod(kbar, gh, k)), kt, c3)
-           * _f3(theory, t(gk, khk), t(g, k), q[(g, k)])
-           * _f3(theory, t(gh, k), q[(gh, k)], c1))
+    num = (f3(theory.fuse_abelian(t(gk, khk), t(g, k)), q[(g, k)], c3)
+           * f3(t(g, grp.op(h, k)), gt_hk, gq_hk)
+           * f3(theory.fuse_abelian(gt_hk, t(g, grp.op(h, k))), gq_hk, c4)
+           * f3(t(gh, k), t_gh, c2))
+    den = (f3(t(k, grp.prod(kbar, gh, k)), kt, c3)
+           * f3(t(gk, khk), t(g, k), q[(g, k)])
+           * f3(t(gh, k), q[(gh, k)], c1))
     value = value * (num / den)
     return value * (x(g, k, khk) / (x(g, h, k) * x(k, kgk, khk)))
 
 
-def torsored_u(theory, t, x, triples=None):
+def torsored_u(twist, x):
     """Sheet-over-vertex table of the twisted theory."""
-    if triples is None:
-        triples = torsored_fusion(theory, t)
-    q = _transfer_table(theory, t)
+    theory, t, q = twist.theory, twist.t, twist.transfer
     return {(k, a, b, c): _torsored_u_value(theory, t, x, q, k, a, b, c)
-            for k in theory.group.elements() for a, b, c in triples}
+            for k in theory.group.elements() for a, b, c in twist.fusion[0]}
 
 
 def _torsored_eta_value(theory, t, x, q, xc, g, h):
@@ -315,6 +302,7 @@ def _torsored_eta_value(theory, t, x, q, xc, g, h):
     hgkgh = grp.prod(grp.inverse(h), gkg, h)
     dual = theory.dual
     tr = theory.translate
+    f3 = theory.f_line
     t_gh = t(g, h)
     x1 = tr(dual(q[(k, gh)]), xc)
     x2 = tr(dual(q[(k, g)]), xc)
@@ -323,31 +311,30 @@ def _torsored_eta_value(theory, t, x, q, xc, g, h):
     gq = theory.act(g, q[(gkg, h)])
     value = theory.eta_symbol(x1, g, h)
     value = value * theory.u_symbol(g, gq, x1, tr(gq, x1))
-    value = value / _u2(theory, g, gt, gq)
-    value = value * _r2(theory, theory.act(k, t_gh), xc)
-    value = value * _r2(theory, x1, t_gh)
-    num = (_f3(theory, t(grp.op(k, g), h), t(k, g), q[(k, g)])
-           * _f3(theory, t(g, grp.op(gkg, h)), gt, gq)
-           * _f3(theory, t(gh, hgkgh), t_gh, x1)
-           * _f3(theory, t(k, gh), q[(k, gh)], x3))
-    den = (_f3(theory, t(k, gh), theory.act(k, t_gh), xc)
-           * _f3(theory, theory.fuse_abelian(t(grp.op(k, g), h), t(k, g)),
-                 q[(k, g)], x2)
-           * _f3(theory, theory.fuse_abelian(t(g, grp.op(gkg, h)), gt), gq, x1)
-           * _f3(theory, q[(k, gh)], x1, t_gh))
+    value = value / theory.u_line(g, gt, gq)
+    value = value * theory.r_line(theory.act(k, t_gh), xc)
+    value = value * theory.r_line(x1, t_gh)
+    num = (f3(t(grp.op(k, g), h), t(k, g), q[(k, g)])
+           * f3(t(g, grp.op(gkg, h)), gt, gq)
+           * f3(t(gh, hgkgh), t_gh, x1)
+           * f3(t(k, gh), q[(k, gh)], x3))
+    den = (f3(t(k, gh), theory.act(k, t_gh), xc)
+           * f3(theory.fuse_abelian(t(grp.op(k, g), h), t(k, g)), q[(k, g)], x2)
+           * f3(theory.fuse_abelian(t(g, grp.op(gkg, h)), gt), gq, x1)
+           * f3(q[(k, gh)], x1, t_gh))
     value = value * (num / den)
     return value * (x(g, gkg, h) / (x(g, h, hgkgh) * x(k, g, h)))
 
 
-def torsored_eta(theory, t, x, tol=DEFAULT_TOL):
+def torsored_eta(twist, x, tol=DEFAULT_TOL):
     """Local projective phases of the twisted theory.
 
     Identity-graded charges take the closed form eta * monodromy with the
     twist value; the general contraction is still evaluated there and must
     agree within ``tol``.
     """
+    theory, t, q = twist.theory, twist.t, twist.transfer
     grp = theory.group
-    q = _transfer_table(theory, t)
     ident = grp.identity
     table = {}
     for xc in theory.charges():
@@ -372,21 +359,29 @@ def torsored_eta(theory, t, x, tol=DEFAULT_TOL):
 # obstruction
 
 
-def relative_obstruction(theory, t, root_order=None, tol=DEFAULT_TOL,
-                         check_preconditions=True):
+def _require_torsorable(theory, tol):
+    worst = consistency.base_theory_torsorable(theory, tol)
+    if worst > tol:
+        raise InvalidInput(
+            f"theory is not consistent enough to twist (residual {worst})")
+
+
+def relative_obstruction(theory, t, root_order=None, tol=DEFAULT_TOL):
     """Failure phase of the four-defect pentagon induced by the twist.
 
     Returns a normalized U(1) 4-cochain, verified to be closed.
     """
-    validate_two_cocycle(theory, t)
-    if check_preconditions:
-        worst = consistency.base_theory_torsorable(theory, tol)
-        if worst > tol:
-            raise InvalidInput(
-                f"theory is not consistent enough to twist (residual {worst})")
+    twist = Twist(theory, t)
+    _require_torsorable(theory, tol)
+    return _obstruction(twist, root_order or default_root_order(theory), tol)
+
+
+def _obstruction(twist, order, tol):
+    """Body of :func:`relative_obstruction` for a validated twist."""
+    theory, t = twist.theory, twist.t
     grp = theory.group
-    order = root_order or default_root_order(theory)
-    q = _transfer_table(theory, t)
+    f3 = theory.f_line
+    u2 = theory.u_line
 
     def value(g, h, k, l):
         gh = grp.op(g, h)
@@ -397,16 +392,14 @@ def relative_obstruction(theory, t, root_order=None, tol=DEFAULT_TOL,
         t_gh = t(g, h)
         ght_kl = theory.act(gh, t(k, l))
         val = theory.eta_symbol(ght_kl, g, h)
-        val = val * _u2(theory, g, theory.act(g, t(h, kl)), ght_kl)
-        val = val / _u2(theory, g, theory.act(g, t(hk, l)), theory.act(g, t(h, k)))
-        val = val * _r2(theory, ght_kl, t_gh)
-        val = val * (_f3(theory, t(gh, kl), t_gh, ght_kl)
-                     / _f3(theory, t(gh, kl), ght_kl, t_gh))
-        val = val * (_f3(theory, t(g, hkl), theory.act(g, t(hk, l)),
-                         theory.act(g, t(h, k)))
-                     / _f3(theory, t(g, hkl), theory.act(g, t(h, kl)), ght_kl))
-        val = val * (_f3(theory, t(ghk, l), t(gh, k), t_gh)
-                     / _f3(theory, t(ghk, l), t(g, hk), theory.act(g, t(h, k))))
+        val = val * u2(g, theory.act(g, t(h, kl)), ght_kl)
+        val = val / u2(g, theory.act(g, t(hk, l)), theory.act(g, t(h, k)))
+        val = val * theory.r_line(ght_kl, t_gh)
+        val = val * (f3(t(gh, kl), t_gh, ght_kl) / f3(t(gh, kl), ght_kl, t_gh))
+        val = val * (f3(t(g, hkl), theory.act(g, t(hk, l)), theory.act(g, t(h, k)))
+                     / f3(t(g, hkl), theory.act(g, t(h, kl)), ght_kl))
+        val = val * (f3(t(ghk, l), t(gh, k), t_gh)
+                     / f3(t(ghk, l), t(g, hk), theory.act(g, t(h, k))))
         return val
 
     entries = {}
@@ -450,26 +443,23 @@ def apply_torsor(theory, t, x=None, tol=DEFAULT_TOL, root_order=None,
     known solution) to land elsewhere on the coefficient torsor.  The
     resulting obstruction data is recorded in the metadata.
     """
-    validate_two_cocycle(theory, t)
+    twist = Twist(theory, t)
     if check_preconditions:
-        worst = consistency.base_theory_torsorable(theory, tol)
-        if worst > tol:
-            raise InvalidInput(
-                f"theory is not consistent enough to twist (residual {worst})")
+        _require_torsorable(theory, tol)
     order = root_order or default_root_order(theory)
-    orr = relative_obstruction(theory, t, order, tol, check_preconditions=False)
+    orr = _obstruction(twist, order, tol)
     if x is None:
         x = solve_coefficients_for(orr)
         if x is None:
             raise NotACocycle(
                 "the relative obstruction class is nontrivial; "
                 "no coefficients make the twisted theory consistent")
-    triples = torsored_fusion(theory, t)
-    action = torsored_action(theory, t, triples)
-    new_f = torsored_f(theory, t, x, triples)
-    new_r = torsored_r(theory, t, triples)
-    new_u = torsored_u(theory, t, x, triples)
-    new_eta = torsored_eta(theory, t, x, tol)
+    triples = twist.fusion[0]
+    action = torsored_action(twist)
+    new_f = torsored_f(twist, x)
+    new_r = torsored_r(twist)
+    new_u = torsored_u(twist, x)
+    new_eta = torsored_eta(twist, x, tol)
     base_obstruction = consistency.defectification_obstruction(
         theory, tol, root_order=order)
     hatted = x.coboundary().combine(orr).combine(base_obstruction)

@@ -139,7 +139,7 @@ def test_criterion_5_closed_form_oracle(bases):
         for t in twists_of(ext):
             for val in coeff_values:
                 x = Cochain(Z2, 3, U1Module(16), {(1, 1, 1): val})
-                closed = cons.trivial_action_closed_forms(c0, Z2, t, x)
+                closed = oracles.trivial_action_closed_forms(c0, Z2, t, x)
                 piped = torsor.apply_torsor(ext, t, x)
                 worst = max(worst, cat.tables_distance(closed, piped))
                 grid_points += 1

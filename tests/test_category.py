@@ -210,6 +210,31 @@ class TestAbelianSubgroup:
     def test_extension_preserves_abelian_sector(self, toric, toric_z2):
         assert cat.abelian_subgroup(toric).factors == cat.abelian_subgroup(toric_z2).factors
 
+    @pytest.mark.parametrize("identity_graded", [(0, 1, 2), (0, 1, 2, 4)])
+    def test_charges_not_closed_under_fusion_rejected(self, identity_graded):
+        # Z2^3 fusion by XOR; 1 x 2 = 3 is graded away in both cases.  With
+        # three charges no generator divides the order but the vacuum; with
+        # four, {1, 2} spans {0, 1, 2, 3}, which has the right size but
+        # leaves the set.
+        z2 = FiniteGroup.cyclic(2)
+        grades = [0 if a in identity_graded else 1 for a in range(8)]
+        fusion = [(a, b, a ^ b) for a in range(8) for b in range(8)]
+        theory = cat.GxTheory(z2, grades, 0, fusion, {}, {}, {}, {},
+                              {g: tuple(range(8)) for g in z2.elements()})
+        with pytest.raises(InvalidInput, match="do not form a group"):
+            cat.abelian_subgroup(theory)
+
+    def test_powers_missing_the_vacuum_rejected(self):
+        # Z4 fusion except 1 x 1 = 2 and 2 x 1 = 1: the powers of charge 1
+        # cycle 1, 2, 1, ... and never reach the vacuum
+        fuse = {(a, b): (a + b) % 4 for a in range(4) for b in range(4)}
+        fuse.update({(1, 1): 2, (2, 1): 1, (1, 2): 1})
+        theory = cat.GxTheory(FiniteGroup.trivial(), [0] * 4, 0,
+                              [(a, b, c) for (a, b), c in fuse.items()],
+                              {}, {}, {}, {}, {0: (0, 1, 2, 3)})
+        with pytest.raises(InvalidInput, match="do not form a group"):
+            cat.abelian_subgroup(theory)
+
 
 class TestMonodromy:
     def test_vacuum_monodromy(self, toric):

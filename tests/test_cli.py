@@ -74,6 +74,18 @@ class TestCheck:
         assert main(["torsor", toric_z2_file, "--t", t]) == 70
         assert "internal error: ZeroDivisionError: bug" in capsys.readouterr().err
 
+    def test_abelian_charges_not_closed_exits_65(self, tmp_path, toric_z2,
+                                                 capsys):
+        # f regraded: e x m = f leaves the identity-graded abelian charges
+        blob = cat.theory_to_json(toric_z2)
+        blob["charges"][3]["grade"] = 1
+        path = tmp_path / "regraded.json"
+        path.write_text(json.dumps(blob))
+        t = tmp_path / "t.json"
+        t.write_text(json.dumps({"degree": 2, "entries": []}))
+        assert main(["torsor", str(path), "--t", str(t)]) == 65
+        assert "do not form a group" in capsys.readouterr().err
+
 
 class TestTorsorCommands:
     def test_torsor_solve_and_check(self, tmp_path, toric_z2, toric_z2_file,

@@ -40,6 +40,20 @@ class TestComposeTorsors:
             toric_z2, torsor_input(toric_z2, E), torsor_input(toric_z2, M))
         assert composite.t(1, 1) == F
 
+    def test_each_twist_validated_once(self, toric_z2, monkeypatch):
+        first = torsor_input(toric_z2, E)
+        second = torsor_input(toric_z2, M)
+        calls = []
+        real = torsor.validate_two_cocycle
+
+        def counting(theory, t):
+            calls.append(t)
+            return real(theory, t)
+
+        monkeypatch.setattr(torsor, "validate_two_cocycle", counting)
+        composite, _ = cmp.compose_torsors(toric_z2, first, second)
+        assert calls == [first.t, second.t, composite.t]
+
     @pytest.mark.parametrize("pair", [(E, M), (M, E), (F, E), (F, F)])
     def test_sequential_equals_gauged_composite(self, toric_z2, pair):
         first = torsor_input(toric_z2, pair[0])

@@ -17,6 +17,16 @@ def spt_z2(sign):
     return cons.build_spt(Z2, alpha)
 
 
+def test_report_keeps_first_failures_only():
+    rep = con.ConsistencyReport("x")
+    for i in range(con.MAX_FAILURES + 8):
+        rep.record((i,), 1.0, 0.0, TOL)
+    rep.record(("ok",), 1.0, 1.0, TOL)
+    assert rep.checked == con.MAX_FAILURES + 9
+    assert [idx for idx, _, _ in rep.failures] == [(i,) for i in range(32)]
+    assert [f["index"] for f in rep.to_json()["failures"]] == [[str(i)] for i in range(32)]
+
+
 class TestPentagon:
     def test_fixtures_pass(self, toric, semion_theory, double_semion_theory,
                            z4_theory, fib):

@@ -40,7 +40,7 @@ def random_gauge(theory, rng):
 
 class TestApplyGauge:
     def test_identity_gauge_is_noop(self, toric_z2):
-        out = eq.apply_gauge(toric_z2, eq.identity_gauge())
+        out = eq.apply_gauge(toric_z2, eq.GaugeTransform())
         assert cat.tables_distance(out, toric_z2) == 0.0
 
     def test_gauge_preserves_all_verdicts(self, toric_z2):
@@ -115,7 +115,7 @@ class TestRelabelBy1Cochain:
         for value in (1, 2, 3):
             z = one_cochain(toric_z2, value)
             relabeled = eq.relabel_by_1cochain(toric_z2, z)
-            twisted = torsor.torsored_fusion(toric_z2, z.coboundary())
+            twisted = torsor.Twist(toric_z2, z.coboundary()).fusion[0]
             assert set(relabeled.fusion_triples()) == set(twisted)
 
     def test_identity_sector_unchanged(self, toric_z2):

@@ -1,4 +1,7 @@
+import cmath
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +126,39 @@ def test_coboundaries_are_cocycles_with_witness(group, degree, data):
     witness = gr.cohomologous(omega, gr.Cochain.identity(group, degree + 1, mod))
     assert witness is not None
     assert witness.coboundary().equal(omega, 1e-7)
+
+
+SNAP_SETTINGS = dict(max_examples=300, deadline=None)
+
+
+@settings(**SNAP_SETTINGS)
+@given(st.integers(1, 120), st.data(), st.sampled_from([1e-12, 1e-7]),
+       st.sampled_from([96, 24, 8]))
+def test_snap_turns_matches_denominator_loop_near_roots(den, data, tol, cap):
+    # roots of unity of every order up to past the cap, nudged around the
+    # tolerances in use and off the unit circle
+    num = data.draw(st.integers(-den, 2 * den))
+    shift = data.draw(st.sampled_from(
+        [0.0, 1e-14, -1e-13, 1e-10, -1.5e-8, 2e-8, 1e-5]))
+    scale = data.draw(st.sampled_from([1.0, 1.0 + 1e-13, 1.0 - 1e-8, 0.5]))
+    value = scale * gr.turn_phase(Fraction(num, den)) * cmath.exp(
+        1j * math.tau * shift)
+    assert gr.snap_turns(value, cap, tol) == oracles.loop_snap_turns(value, cap, tol)
+
+
+@settings(**SNAP_SETTINGS)
+@given(st.complex_numbers(max_magnitude=4.0, allow_nan=False),
+       st.sampled_from([1e-12, 1e-7]))
+def test_snap_turns_matches_denominator_loop_anywhere(value, tol):
+    def outcome(snap):
+        # cmath.phase raises OverflowError when the angle underflows, as for
+        # 2 + 5e-324j; both versions must then raise alike
+        try:
+            return snap(value, 96, tol)
+        except OverflowError:
+            return OverflowError
+
+    assert outcome(gr.snap_turns) == outcome(oracles.loop_snap_turns)
 
 
 class TestCohomology:

@@ -49,11 +49,11 @@ class TestChargeTransfer:
 class TestTorsoredFusion:
     def test_identity_twist_preserves_fusion(self, toric_z2):
         t = torsor.trivial_twist(toric_z2)
-        assert torsor.torsored_fusion(toric_z2, t) == toric_z2.fusion_triples()
+        assert torsor.Twist(toric_z2, t).fusion[0] == toric_z2.fusion_triples()
 
     def test_defect_square_shifts_to_e(self, toric_z2):
         t = twist(toric_z2, E)
-        triples = set(torsor.torsored_fusion(toric_z2, t))
+        triples = set(torsor.Twist(toric_z2, t).fusion[0])
         # vacuum defect (charge 4) now squares to e instead of the vacuum
         assert (4, 4, E) in triples
         assert (4, 4, 0) not in triples
@@ -64,11 +64,11 @@ class TestTorsoredFusion:
         broken = toric_z2.replace(fusion=triples)
         first = dense_fusion_violations(broken.num_charges, triples)[0]
         with pytest.raises(NotACocycle, match=r"at \(%d,%d,%d;%d\)" % first):
-            torsor.torsored_fusion(broken, torsor.trivial_twist(broken))
+            torsor.Twist(broken, torsor.trivial_twist(broken)).fusion
 
     def test_identity_sector_unchanged(self, toric_z2):
         t = twist(toric_z2, F)
-        triples = set(torsor.torsored_fusion(toric_z2, t))
+        triples = set(torsor.Twist(toric_z2, t).fusion[0])
         for a, b, c in toric_z2.fusion_triples():
             if toric_z2.grade(a) == 0 and toric_z2.grade(b) == 0:
                 assert (a, b, c) in triples
@@ -77,16 +77,16 @@ class TestTorsoredFusion:
 class TestTorsoredAction:
     def test_identity_twist(self, toric_z2):
         t = torsor.trivial_twist(toric_z2)
-        assert torsor.torsored_action(toric_z2, t) == toric_z2.action
+        assert torsor.torsored_action(torsor.Twist(toric_z2, t)) == toric_z2.action
 
     def test_identity_sector_fixed(self, toric_z2):
         for t in all_twists(toric_z2):
-            action = torsor.torsored_action(toric_z2, t)
+            action = torsor.torsored_action(torsor.Twist(toric_z2, t))
             for a in range(4):
                 assert action[1][a] == toric_z2.act(1, a)
 
     def test_toric_e_twist_action_unchanged(self, toric_z2):
-        action = torsor.torsored_action(toric_z2, twist(toric_z2, E))
+        action = torsor.torsored_action(torsor.Twist(toric_z2, twist(toric_z2, E)))
         assert action == toric_z2.action
 
 
@@ -277,6 +277,32 @@ class TestEndToEnd:
         torsor.apply_torsor(toric_z2, twist(toric_z2, F))
         assert len(calls) == 1
 
+    def test_twist_validated_once(self, toric_z2, monkeypatch):
+        calls = []
+        real = torsor.validate_two_cocycle
+
+        def counting(theory, t):
+            calls.append(t)
+            return real(theory, t)
+
+        monkeypatch.setattr(torsor, "validate_two_cocycle", counting)
+        t = twist(toric_z2, F)
+        torsor.apply_torsor(toric_z2, t)
+        assert calls == [t]
+
+    def test_transfer_table_built_once(self, toric_z2, monkeypatch):
+        calls = []
+        real = torsor.charge_transfer
+
+        def counting(theory, t, g, h):
+            calls.append((g, h))
+            return real(theory, t, g, h)
+
+        monkeypatch.setattr(torsor, "charge_transfer", counting)
+        torsor.apply_torsor(toric_z2, twist(toric_z2, F))
+        # one table: each (g, h) exactly once
+        assert sorted(calls) == [(g, h) for g in (0, 1) for h in (0, 1)]
+
 
 class TestSptBaseTorsor:
     def test_coefficients_on_unit_spt_reproduce_spt_tables(self):
@@ -315,7 +341,7 @@ class TestNontrivialChargeTransfer:
             lambda g, h: E if (g // 2) * (h % 2) else ext.vacuum)
         torsor.validate_two_cocycle(ext, t)
         assert torsor.charge_transfer(ext, t, 2, 1) != ext.vacuum
-        action = torsor.torsored_action(ext, t)
+        action = torsor.torsored_action(torsor.Twist(ext, t))
         assert action != ext.action
         for a in ext.charges():
             if ext.grade(a) == 0:
