@@ -184,7 +184,7 @@ class U1Module:
         return abs(a - 1.0) <= tol
 
     def exponent_of(self, a, snap_tol=SNAP_TOL):
-        k = round(cmath.phase(a) / TAU * self.order) % self.order
+        k = round(math.atan2(a.imag, a.real) / TAU * self.order) % self.order
         if abs(a - self.value(k)) > snap_tol:
             raise SnapFailure(
                 f"value {a!r} is not within {snap_tol} of any {self.order}-th root of unity")
@@ -410,9 +410,12 @@ def snap_turns(value, max_denominator=96, snap_tol=1e-12):
     The candidate is the best approximation of the phase's turn with
     denominator at most ``max_denominator``.  For a ``snap_tol`` far below
     1/max_denominator^2 no other such fraction is in reach, so this agrees
-    with trying every denominator in turn.
+    with trying every denominator in turn.  The angle comes from
+    ``math.atan2``, which returns a tiny or zero angle where ``cmath.phase``
+    raises ``OverflowError`` on underflow (as for 2 + 5e-324j).
     """
-    turns = Fraction(cmath.phase(value) / TAU).limit_denominator(max_denominator)
+    angle = math.atan2(value.imag, value.real)
+    turns = Fraction(angle / TAU).limit_denominator(max_denominator)
     if abs(value - turn_phase(turns)) <= snap_tol:
         return turns % 1
     return None

@@ -2,9 +2,11 @@
 
 Everything here works on plain Python ints (no overflow) and small dense
 matrices represented as lists of row lists.  The central primitive is the
-Smith normal form with U, V and the inverse of U tracked, from which
-kernels, integer solves, solves modulo N, and solves over the circle group
-(rational turns) are derived.
+Smith normal form U A V = D.  V is kept as a dense matrix; U is kept as the
+log of the row operations that produced it, which is replayed to apply U to
+a vector or to read a column of its inverse.  Kernels, integer solves,
+solves modulo N, and solves over the circle group (rational turns) are
+derived from it.
 """
 
 from __future__ import annotations
@@ -17,25 +19,53 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+# row operations of the Smith-form log, as (kind, i, j, c) tuples
+SWAP = 0    # swap rows i and j
+ADD = 1     # row i += c * row j
+NEGATE = 2  # row i = -row i
+
+
 class SmithForm:
     """Decomposition U @ A @ V = D with U, V unimodular and D diagonal.
 
     ``diag`` holds the nonnegative diagonal entries, each dividing the next.
-    ``uinv`` is the inverse of ``u``, accumulated during the reduction so
-    no separate inversion step is needed.
+    ``v`` is the dense cols x cols matrix V.  U is the product of the row
+    operations in ``ops``, applied in order to the identity; it is never
+    formed.  ``apply_u`` replays them on a vector and ``uinv_column``
+    replays their inverses, in reverse, on a unit vector.
     """
 
-    def __init__(self, rows, cols, diag, u, uinv, v):
+    def __init__(self, rows, cols, diag, ops, v):
         self.rows = rows
         self.cols = cols
         self.diag = diag
-        self.u = u
-        self.uinv = uinv
+        self.ops = ops
         self.v = v
 
     def apply_u(self, b):
-        """Left transform of a length-``rows`` vector."""
-        return [sum(r[k] * b[k] for k in range(self.rows)) for r in self.u]
+        """Left transform U @ b of a length-``rows`` vector."""
+        x = list(b)
+        for kind, i, j, c in self.ops:
+            if kind == ADD:
+                x[i] += c * x[j]
+            elif kind == SWAP:
+                x[i], x[j] = x[j], x[i]
+            else:
+                x[i] = -x[i]
+        return x
+
+    def uinv_column(self, col):
+        """Column ``col`` of U^-1, that is U^-1 applied to a unit vector."""
+        x = [0] * self.rows
+        x[col] = 1
+        for kind, i, j, c in reversed(self.ops):
+            if kind == ADD:
+                x[i] -= c * x[j]
+            elif kind == SWAP:
+                x[i], x[j] = x[j], x[i]
+            else:
+                x[i] = -x[i]
+        return x
 
     def apply_v(self, y):
         """Right transform of a length-``cols`` vector."""
@@ -52,15 +82,12 @@ def smith_normal_form(matrix, rows=None, cols=None):
     if cols is None:
         cols = len(matrix[0]) if matrix else 0
     d = [list(row) for row in matrix]
-    u = identity_matrix(rows)
-    uinv = identity_matrix(rows)
+    ops = []
     v = identity_matrix(cols)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
+        ops.append((SWAP, i, j, 0))
 
     def swap_cols(i, j):
         for r in d:
@@ -73,11 +100,7 @@ def smith_normal_form(matrix, rows=None, cols=None):
         rd, rs = d[dst], d[src]
         for k in range(cols):
             rd[k] += c * rs[k]
-        rd2, rs2 = u[dst], u[src]
-        for k in range(rows):
-            rd2[k] += c * rs2[k]
-        for r in uinv:
-            r[src] -= c * r[dst]
+        ops.append((ADD, dst, src, c))
 
     def add_col(dst, src, c):
         # col_dst += c * col_src
@@ -88,9 +111,7 @@ def smith_normal_form(matrix, rows=None, cols=None):
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
+        ops.append((NEGATE, i, i, 0))
 
     t = 0
     limit = min(rows, cols)
@@ -171,7 +192,7 @@ def smith_normal_form(matrix, rows=None, cols=None):
                 if d[i + 1][i + 1] < 0:
                     negate_row(i + 1)
     diag = [d[i][i] for i in range(limit)]
-    return SmithForm(rows, cols, diag, u, uinv, v)
+    return SmithForm(rows, cols, diag, ops, v)
 
 
 def integer_kernel(matrix, rows=None, cols=None):
@@ -234,9 +255,7 @@ def solve_turns(sf: SmithForm, b):
     denom = 1
     for x in b:
         denom = denom * x.denominator // gcd(denom, x.denominator)
-    scaled = [int(x * denom) for x in b]
-    nonzero = [k for k, x in enumerate(scaled) if x]
-    c = [sum(row[k] * scaled[k] for k in nonzero) for row in sf.u]
+    c = sf.apply_u([int(x * denom) for x in b])
     y = {}
     for i in range(sf.rows):
         di = sf.diag[i] if i < len(sf.diag) else 0
@@ -316,8 +335,7 @@ def quotient_group(ambient_basis, subgroup_generators):
             continue
         # generator = ambient_basis combined with column i of Uinv
         vec = [0] * dim
-        for j in range(r):
-            cj = sf_c.uinv[j][i]
+        for j, cj in enumerate(sf_c.uinv_column(i)):
             if cj:
                 bj = ambient_basis[j]
                 for k in range(dim):

@@ -1,12 +1,14 @@
 """Brute-force oracles used to pin expected values independently.
 
-Everything here enumerates or writes a result out in closed form; nothing
-shares code with the Smith-normal-form or torsor paths it is checking.
+Everything here enumerates, writes a result out in closed form, or is the
+straightforward dense version of an optimized routine; nothing shares code
+with the Smith-normal-form or torsor paths it is checking.
 Only usable for tiny groups and modules.
 """
 
 import cmath
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 
 from gxbtc.category import GxTheory
@@ -169,6 +171,149 @@ def loop_snap_turns(value, max_denominator=96, snap_tol=1e-12):
         if abs(value - turn_phase(Fraction(p, den))) <= snap_tol:
             return Fraction(p, den) % 1
     return None
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form with dense transforms
+
+DenseSmithForm = namedtuple("DenseSmithForm", "rows cols diag u uinv v")
+
+
+def identity_matrix(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def dense_smith_normal_form(matrix, rows=None, cols=None):
+    """Reference for intlin.smith_normal_form: the same elimination, with
+    U and U^-1 carried as dense matrices through every row operation.
+
+    Accepts an empty list of rows if ``rows``/``cols`` are given.
+    """
+    if rows is None:
+        rows = len(matrix)
+    if cols is None:
+        cols = len(matrix[0]) if matrix else 0
+    d = [list(row) for row in matrix]
+    u = identity_matrix(rows)
+    uinv = identity_matrix(rows)
+    v = identity_matrix(cols)
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+        for r in uinv:
+            r[i], r[j] = r[j], r[i]
+
+    def swap_cols(i, j):
+        for r in d:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(dst, src, c):
+        # row_dst += c * row_src
+        rd, rs = d[dst], d[src]
+        for k in range(cols):
+            rd[k] += c * rs[k]
+        rd2, rs2 = u[dst], u[src]
+        for k in range(rows):
+            rd2[k] += c * rs2[k]
+        for r in uinv:
+            r[src] -= c * r[dst]
+
+    def add_col(dst, src, c):
+        # col_dst += c * col_src
+        for r in d:
+            r[dst] += c * r[src]
+        for r in v:
+            r[dst] += c * r[src]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+        for r in uinv:
+            r[i] = -r[i]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        # locate a pivot of minimal magnitude in the trailing block
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            row = d[i]
+            for j in range(t, cols):
+                a = row[j]
+                if a:
+                    a = abs(a)
+                    if best is None or a < best:
+                        best = a
+                        pivot = (i, j)
+                        if a == 1:
+                            break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        while True:
+            # clear the pivot column
+            dirty = False
+            for i in range(t + 1, rows):
+                a = d[i][t]
+                if a:
+                    q = a // d[t][t]
+                    if q:
+                        add_row(i, t, -q)
+                    if d[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            # clear the pivot row
+            for j in range(t + 1, cols):
+                a = d[t][j]
+                if a:
+                    q = a // d[t][t]
+                    if q:
+                        add_col(j, t, -q)
+                    if d[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if not dirty:
+                col_ok = all(d[i][t] == 0 for i in range(t + 1, rows))
+                row_ok = all(d[t][j] == 0 for j in range(t + 1, cols))
+                if col_ok and row_ok:
+                    break
+        if d[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    # enforce the divisibility chain d_i | d_{i+1}
+    changed = True
+    while changed:
+        changed = False
+        for i in range(t - 1):
+            if d[i + 1][i + 1] % d[i][i] != 0:
+                changed = True
+                add_col(i, i + 1, 1)
+                # Euclid on rows i, i+1 restricted to column i
+                while d[i + 1][i] != 0:
+                    q = d[i][i] // d[i + 1][i]
+                    if q:
+                        add_row(i, i + 1, -q)
+                    swap_rows(i, i + 1)
+                # clear the junk the row ops left at (i, i+1)
+                if d[i][i + 1]:
+                    add_col(i + 1, i, -(d[i][i + 1] // d[i][i]))
+                if d[i][i] < 0:
+                    negate_row(i)
+                if d[i + 1][i + 1] < 0:
+                    negate_row(i + 1)
+    diag = [d[i][i] for i in range(limit)]
+    return DenseSmithForm(rows, cols, diag, u, uinv, v)
 
 
 # ---------------------------------------------------------------------------

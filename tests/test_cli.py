@@ -1,9 +1,12 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from gxbtc import category as cat
 from gxbtc import constructions as cons
+from gxbtc import equivalence as eq
 from gxbtc.cli import main
 from gxbtc.groups import Cochain, FiniteGroup, U1Module, cochain_to_json
 
@@ -208,3 +211,49 @@ class TestSemionEnumerate:
         collapses = [c for c in payload["equivalence_collapse"]
                      if c.get("verdict") == "collapsed"]
         assert any(sorted(c["members"]) == [0, 1] for c in collapses)
+
+
+def stdout_digest(capsys, argv):
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+class TestGoldenOutputs:
+    """SHA-256 of outputs that run through Smith forms and their transforms.
+
+    The representatives and the gauge witness are canonical only for a
+    fixed elimination order, so a change of pivot choice or row-operation
+    order shows up here even when every result stays mathematically valid.
+    """
+
+    @pytest.mark.parametrize("group, coeff, degree, digest", [
+        ("Z2x2", "u1", 3,
+         "fdb679c9c659ea9bf0d87c0f48bb1aec0b809cd5d9d9b8a8534ab7b821d6dd62"),
+        ("Z4", "u1", 4,
+         "45a9fe1be0351fbca09687a1099b98a66bab567ac5022bcd8629614d27435ad2"),
+        ("Z2x2", "z2x2", 3,
+         "fa0cbb374fc0781b33b079a54979c5e5e2b1c49b1619170624e8260da28978a0"),
+    ])
+    def test_cohomology(self, capsys, group, coeff, degree, digest):
+        argv = ["cohomology", "--group", group, "--coeff", coeff,
+                "--degree", str(degree)]
+        assert stdout_digest(capsys, argv) == digest
+
+    def test_equiv_witness(self, tmp_path, toric_z2, toric_z2_file, capsys):
+        # toric x Z2 with e and m swapped in both grades, then gauged by
+        # mu_8 vertex and sheet phases
+        rng = random.Random(5)
+        mod = U1Module(8)
+        vac = toric_z2.vacuum
+        vertex = {(a, b, c): mod.value(rng.randrange(8))
+                  for a, b, c in toric_z2.fusion_triples() if vac not in (a, b)}
+        sheet = {(a, g): mod.value(rng.randrange(8))
+                 for a in toric_z2.charges() if a != vac
+                 for g in toric_z2.group.nonidentity()}
+        moved = eq.apply_gauge(
+            eq.relabel(toric_z2, eq.Relabeling((0, 2, 1, 3, 4, 6, 5, 7))),
+            eq.GaugeTransform(vertex, sheet))
+        path = tmp_path / "moved.json"
+        path.write_text(json.dumps(cat.theory_to_json(moved)))
+        assert stdout_digest(capsys, ["equiv", toric_z2_file, str(path)]) == \
+            "8861b972bd5a7124858d2597c3292d03ca08712bf7282c2389736b20faf1d3ab"

@@ -150,15 +150,14 @@ def test_snap_turns_matches_denominator_loop_near_roots(den, data, tol, cap):
 @given(st.complex_numbers(max_magnitude=4.0, allow_nan=False),
        st.sampled_from([1e-12, 1e-7]))
 def test_snap_turns_matches_denominator_loop_anywhere(value, tol):
-    def outcome(snap):
-        # cmath.phase raises OverflowError when the angle underflows, as for
-        # 2 + 5e-324j; both versions must then raise alike
-        try:
-            return snap(value, 96, tol)
-        except OverflowError:
-            return OverflowError
-
-    assert outcome(gr.snap_turns) == outcome(oracles.loop_snap_turns)
+    try:
+        expected = oracles.loop_snap_turns(value, 96, tol)
+    except OverflowError:
+        # the oracle's cmath.phase raises when the angle underflows, as for
+        # 2 + 5e-324j; snap_turns must then agree with the zero angle
+        expected = oracles.loop_snap_turns(
+            complex(value.real, math.copysign(0.0, value.imag)), 96, tol)
+    assert gr.snap_turns(value, 96, tol) == expected
 
 
 class TestCohomology:
@@ -261,6 +260,12 @@ class TestCohomologous:
         with pytest.raises(SnapFailure):
             gr.cohomologous(w, gr.Cochain.identity(Z2, 2, mod))
 
+    def test_underflowing_angle_fails_to_snap(self):
+        # cmath.phase(2 + 5e-324j) raises OverflowError; the value is simply
+        # off the circle
+        with pytest.raises(SnapFailure):
+            gr.U1Module(4).exponent_of(complex(2.0, 5e-324))
+
 
 class TestJson:
     def test_cochain_roundtrip_u1(self):
@@ -283,3 +288,6 @@ class TestJson:
         blob = gr.phase_to_json(z)
         assert "re" in blob
         assert gr.phase_from_json(blob) == z
+
+    def test_phase_json_underflowing_angle(self):
+        assert gr.phase_to_json(complex(2.0, 5e-324)) == {"re": 2.0, "im": 5e-324}
