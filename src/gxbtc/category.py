@@ -581,6 +581,7 @@ def theory_from_json(obj):
         eta = {(e["charge"], *e["pair"]): phase_from_json(e["value"])
                for e in obj["eta"]}
         action = {g: obj["action"][g] for g in group.elements()}
+        _check_indices(group, grades, obj["vacuum"], fusion, action)
         theory = GxTheory(group, grades, obj["vacuum"], fusion, f, r, u, eta,
                           action, metadata=obj.get("metadata"))
     except (KeyError, TypeError, IndexError) as exc:
@@ -589,3 +590,27 @@ def theory_from_json(obj):
     if declared is not None and list(theory._dual) != list(declared):
         raise InvalidInput("declared dual map contradicts the fusion tensor")
     return theory
+
+
+def _check_indices(group, grades, vacuum, fusion, action):
+    """Raise InvalidInput unless every grade and charge index is in range."""
+    n = len(grades)
+    for g in grades:
+        if not _is_index(g, group.order):
+            raise InvalidInput(f"malformed theory JSON: grade {g!r} is not "
+                               "a group element")
+    if not _is_index(vacuum, n):
+        raise InvalidInput(f"malformed theory JSON: vacuum {vacuum!r} is not "
+                           "a charge")
+    for triple in fusion:
+        if len(triple) != 3 or not all(_is_index(a, n) for a in triple):
+            raise InvalidInput(f"malformed theory JSON: fusion entry "
+                               f"{list(triple)} is not a triple of charges")
+    for g, images in action.items():
+        if len(images) != n or not all(_is_index(a, n) for a in images):
+            raise InvalidInput(f"malformed theory JSON: the action of {g} is "
+                               f"not a list of {n} charges")
+
+
+def _is_index(value, size):
+    return isinstance(value, int) and 0 <= value < size

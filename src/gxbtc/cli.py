@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 import traceback
 
@@ -29,6 +28,7 @@ from .groups import (
     U1Module,
     cochain_from_json,
     cochain_to_json,
+    cohomologous,
     cohomology,
     phase_to_json,
 )
@@ -210,7 +210,7 @@ def _cmd_equiv(args):
 def _cmd_cohomology(args):
     group = _parse_group(args.group)
     if args.coeff.lower() == "u1":
-        order = args.root_order or math.lcm(group.order, 8)
+        order = args.root_order or torsor.default_group_root_order(group)
         module = U1Module(order)
     else:
         factors = [int(x) for x in args.coeff.lower().lstrip("z").split("x")]
@@ -231,7 +231,7 @@ def _cmd_cohomology(args):
 def _cmd_build(args):
     if args.kind == "spt":
         group = _parse_group(args.group)
-        order = args.root_order or math.lcm(group.order, 8)
+        order = args.root_order or torsor.default_group_root_order(group)
         if args.alpha:
             alpha = cochain_from_json(_load_json(args.alpha), group,
                                       U1Module(order))
@@ -260,31 +260,20 @@ def _cmd_enumerate(args):
     c0 = _load_theory(args.c0)
     group = _parse_group(args.group)
     base = constructions.trivial_extension(c0, group)
-    module = category.abelian_subgroup(base)
     order = args.root_order or torsor.default_root_order(base)
-    h2 = cohomology(group, 2, module)
-    h3 = cohomology(group, 3, U1Module(order))
+    h2, h3, extensions = torsor.enumerate_extensions(base, order, args.tol)
     entries = []
-    theories = []
-    for it, tw in enumerate(h2.all_classes()):
-        orr = torsor.relative_obstruction(base, tw, order, args.tol)
-        base_x = torsor.solve_coefficients_for(orr)
-        for ia, alpha in enumerate(h3.all_classes()):
-            entry = {"fractionalization_class": it, "defectification_class": ia,
-                     "twist": cochain_to_json(tw)}
-            if base_x is None:
-                entry["obstructed"] = True
-                entries.append(entry)
-                continue
-            entry["obstructed"] = False
-            out = torsor.apply_torsor(base, tw, base_x.combine(alpha),
-                                      tol=args.tol, root_order=order)
-            entry["theory_index"] = len(theories)
-            theories.append((entry, out))
-            entries.append(entry)
-    # collapse by 1-cochain relabelings: compare each pair through the
-    # relabel-then-gauge search restricted to abelian translations
-    collapse = _collapse_classes(base, module, theories, args.tol)
+    unobstructed = []
+    for ext in extensions:
+        entry = {"fractionalization_class": ext.fractionalization,
+                 "defectification_class": ext.defectification,
+                 "twist": cochain_to_json(ext.t),
+                 "obstructed": ext.theory is None}
+        if ext.theory is not None:
+            entry["theory_index"] = len(unobstructed)
+            unobstructed.append(ext)
+        entries.append(entry)
+    collapse = _collapse_classes(base, unobstructed, order, args.tol)
     payload = {
         "base": c0.metadata.get("name", args.c0),
         "group": group.name,
@@ -297,43 +286,52 @@ def _cmd_enumerate(args):
     return 0
 
 
-def _collapse_classes(base, module, theories, tol):
-    """Group unobstructed outputs under 1-cochain relabel equivalence."""
+def _collapse_classes(base, extensions, root_order, tol):
+    """Group unobstructed extensions under 1-cochain relabel equivalence.
+
+    ``extensions`` are the unobstructed ones, indexed by theory index.  A
+    1-cochain z can carry T_{t,alpha_i} onto T_{t',alpha_j} only if its
+    relabeling keeps the fusion triples.  ``base`` is a trivial extension,
+    so every grade holds a copy of each abelian charge, and a nontrivial
+    d(z)(g, h) moves the fusion triple of two such copies.  So z is closed,
+    t' = t, and the relabeling must also keep the vacuum and the action;
+    none of that depends on alpha.  For each such z the closed form
+    omega_z (:func:`equivalence.cocycle_relabel_class`) decides the rest:
+    the two are joined exactly when alpha_j ~ alpha_i * omega_z.  Classes
+    come in order of their smallest member, members ascending.
+    """
     grp = base.group
+    module = category.abelian_subgroup(base)
     slots = [(g,) for g in grp.nonidentity()]
     zs = [Cochain(grp, 1, module, dict(zip(slots, combo)))
           for combo in itertools.product(module.charges, repeat=len(slots))]
-    results = []
-    labels = {}
-    for idx, (entry, theory) in enumerate(theories):
-        if idx in labels:
+    omegas = {}
+    for ext in extensions:
+        if ext.fractionalization in omegas:
             continue
-        labels[idx] = idx
-        group_members = [idx]
-        for jdx in range(idx + 1, len(theories)):
-            if jdx in labels:
+        theory = ext.theory
+        omegas[ext.fractionalization] = [
+            equivalence.cocycle_relabel_class(theory, z, tol, root_order)
+            for z in zs
+            if equivalence.relabeling_from_1cochain(theory, z).fixes(theory)]
+    results = []
+    joined = set()
+    for idx, ext in enumerate(extensions):
+        if idx in joined:
+            continue
+        members = [idx]
+        shifted = [ext.alpha.combine(w) for w in omegas[ext.fractionalization]]
+        for jdx in range(idx + 1, len(extensions)):
+            other = extensions[jdx]
+            if jdx in joined or other.fractionalization != ext.fractionalization:
                 continue
-            other = theories[jdx][1]
-            witness, undecided = equivalence.first_gauge_match(
-                _relabeled_by_cochains(theory, zs), other, tol)
-            if witness is not None:
-                labels[jdx] = idx
-                group_members.append(jdx)
-            elif undecided:
-                results.append({"pair": [idx, jdx], "verdict": "inconclusive"})
-        results.append({"class_representative": idx, "members": group_members,
-                        "verdict": "collapsed" if len(group_members) > 1
+            if any(cohomologous(other.alpha, s) is not None for s in shifted):
+                joined.add(jdx)
+                members.append(jdx)
+        results.append({"class_representative": idx, "members": members,
+                        "verdict": "collapsed" if len(members) > 1
                         else "distinct"})
     return results
-
-
-def _relabeled_by_cochains(theory, zs):
-    for z in zs:
-        try:
-            moved = equivalence.relabel_by_1cochain(theory, z)
-        except GxError:
-            continue
-        yield z, moved
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .torsor import (
     TorsorInput,
     Twist,
     default_root_order,
-    torsored_action,
     validate_two_cocycle,
 )
 
@@ -118,7 +117,7 @@ def compose_torsors(theory, first, second, root_order=None):
     exact, not an approximation.  The restriction is asserted anyway.
     """
     one, two = Twist(theory, first.t), Twist(theory, second.t)
-    mid_action = torsored_action(one)
+    mid_action = one.action
     for a in second.t.module.charges:
         for g in theory.group.elements():
             if mid_action[g][a] != theory.act(g, a):

@@ -30,7 +30,7 @@ from .groups import (
     turn_phase,
     validate_cocycle,
 )
-from .torsor import apply_torsor, default_root_order
+from .torsor import default_root_order
 
 
 @dataclass
@@ -123,6 +123,21 @@ class Relabeling:
         for i, p in enumerate(self.perm):
             inv[p] = i
         return Relabeling(tuple(inv))
+
+    def fixes(self, theory):
+        """True when relabeling ``theory`` keeps its vacuum, fusion and action."""
+        perm = self.perm
+        if perm[theory.vacuum] != theory.vacuum:
+            return False
+        triples = set(theory.fusion_triples())
+        for a, b, c in triples:
+            if (perm[a], perm[b], perm[c]) not in triples:
+                return False
+        for g in theory.group.elements():
+            for a in theory.charges():
+                if perm[theory.act(g, a)] != theory.act(g, perm[a]):
+                    return False
+        return True
 
     def validate(self, theory):
         if sorted(self.perm) != list(theory.charges()):
@@ -319,77 +334,19 @@ def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# the coboundary collapse
+# the closed-form relabel class
 
 
-def boundary_coefficients(theory, z):
-    """Phase coefficients absorbed by relabeling with the 1-cochain ``z``.
+def cocycle_relabel_class(theory, z, tol=DEFAULT_TOL, root_order=None):
+    """The 3-cocycle omega_z that relabeling by a closed 1-cochain ``z`` adds.
 
-    The twisted functor with twist d(z) and these coefficients reproduces
-    the relabeled theory up to a gauge; their coboundary inverts the
-    relative obstruction of d(z).
-    """
-    grp = theory.group
-    dual = theory.dual
-    act = theory.act
-    tr = theory.translate
-    dz = z.coboundary()
-
-    def value(g, h, k):
-        gh = grp.op(g, h)
-        hk = grp.op(h, k)
-        ghk = grp.op(gh, k)
-        zbar_g = dual(z(g))
-        gzbar_h = act(g, dual(z(h)))
-        ghzbar_k = act(gh, dual(z(k)))
-        gdz_hk = act(g, dz(h, k))
-        zk_zhk = act(g, tr(z(k), dual(z(hk))))
-        zhk_zghk = tr(act(g, z(hk)), dual(z(ghk)))
-        zh_zgh = act(g, tr(z(h), dual(z(gh))))
-        val = theory.eta_symbol(ghzbar_k, g, h)
-        val = val * theory.u_line(g, gdz_hk, act(g, dual(z(h))))
-        val = val * theory.u_line(g, zk_zhk, ghzbar_k)
-        val = val * theory.r_line(gdz_hk, zbar_g)
-        num = (theory.f_line(dz(gh, k), zh_zgh, gzbar_h)
-               * theory.f_line(dz(gh, k), dz(g, h), zbar_g)
-               * theory.f_line(dz(g, hk), zbar_g, gdz_hk))
-        den = (theory.f_line(dz(g, hk), gdz_hk, zbar_g)
-               * theory.f_line(zhk_zghk, gdz_hk, gzbar_h)
-               * theory.f_line(zhk_zghk, zk_zhk, ghzbar_k))
-        return val * (num / den)
-
-    entries = {}
-    for args in itertools.product(grp.elements(), repeat=3):
-        entries[args] = value(*args)
-    order = default_root_order(theory)
-    return Cochain(grp, 3, U1Module(order), entries)
-
-
-def coboundary_equivalence(theory, z, tol=DEFAULT_TOL):
-    """Witness that relabeling by ``z`` equals the twist by its coboundary.
-
-    Returns (coefficients, gauge) with
-    ``apply_gauge(relabel_by_1cochain(theory, z), gauge)`` equal to
-    ``apply_torsor(theory, d(z), coefficients)`` entrywise.
-    """
-    coeffs = boundary_coefficients(theory, z)
-    twisted = apply_torsor(theory, z.coboundary(), coeffs, tol)
-    relabeled = relabel_by_1cochain(theory, z)
-    try:
-        gauge = solve_gauge_matching(relabeled, twisted, tol)
-    except _NonRootRatio as exc:
-        raise MatchFailure(str(exc)) from exc
-    if gauge is None:
-        raise MatchFailure(
-            "no gauge matches the relabeled theory to its twisted form")
-    return coeffs, gauge
-
-
-def cocycle_relabel_class(theory, z, tol=DEFAULT_TOL):
-    """Defectification shift induced by a closed 1-cochain relabeling.
-
-    The returned 3-cocycle's class measures which coefficient classes the
-    relabeling identifies.
+    For a twist T_{t,x} of a theory and a closed ``z`` whose relabeling
+    keeps its vacuum, fusion triples and action (:meth:`Relabeling.fixes`),
+    relabel_z(T_{t,x}) is gauge equivalent to T_{t,x*omega_z}.  So
+    defectification classes alpha and alpha*omega_z of one fractionalization
+    class t name the same theory.  omega_z reads only identity-graded
+    symbols, which do not depend on x, so any T_{t,x} gives it.  Values lie
+    in U(1) at ``root_order`` (default: :func:`default_root_order`).
     """
     if not is_cocycle(z):
         raise NotA1Cocycle("relabeling 1-cochain must be closed")
@@ -412,7 +369,7 @@ def cocycle_relabel_class(theory, z, tol=DEFAULT_TOL):
     entries = {}
     for args in itertools.product(grp.elements(), repeat=3):
         entries[args] = value(*args)
-    order = default_root_order(theory)
+    order = root_order or default_root_order(theory)
     out = Cochain(grp, 3, U1Module(order), entries)
     validate_cocycle(out, max(tol, 1e-7), degree=3)
     return out

@@ -10,6 +10,7 @@ making the four-defect pentagon close; when its class is trivial,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,14 +30,21 @@ from .groups import (
     Cochain,
     U1Module,
     cohomologous,
+    cohomology,
     is_cocycle,
     phase_to_json,
 )
 
 
+def default_group_root_order(group):
+    """Root order of U(1) cochains on ``group`` alone: lcm(|G|, 8)."""
+    return math.lcm(group.order, 8)
+
+
 def default_root_order(theory):
+    """Root order for a theory: the group default, times its abelian charges."""
     module = abelian_subgroup(theory)
-    return math.lcm(theory.group.order, max(module.order, 1), 8)
+    return math.lcm(default_group_root_order(theory.group), max(module.order, 1))
 
 
 @dataclass
@@ -83,9 +91,10 @@ class Twist:
 
     Constructing one checks that ``t`` is a normalized twisted 2-cocycle in
     the abelian charges (:func:`validate_two_cocycle`).  The charge-transfer
-    table and the twisted fusion are derived from it on first use, once
-    each; every twisted table, the relative obstruction and the composition
-    gauge read them from here.
+    table, the twisted fusion, the twisted action and the twisted R table do
+    not depend on the coefficients; each is derived on first use, once.
+    Every twisted table, the relative obstruction and the composition gauge
+    read them from here.
     """
 
     theory: GxTheory
@@ -105,6 +114,16 @@ class Twist:
     def fusion(self):
         """Sorted twisted triples and their outcome map (see torsored_fusion)."""
         return torsored_fusion(self.theory, self.t)
+
+    @cached_property
+    def action(self):
+        """The twisted symmetry action (see torsored_action)."""
+        return torsored_action(self)
+
+    @cached_property
+    def r(self):
+        """The twisted R table (see torsored_r)."""
+        return torsored_r(self)
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +473,26 @@ def apply_torsor(theory, t, x=None, tol=DEFAULT_TOL, root_order=None,
             raise NotACocycle(
                 "the relative obstruction class is nontrivial; "
                 "no coefficients make the twisted theory consistent")
-    triples = twist.fusion[0]
-    action = torsored_action(twist)
+
+    def base_obstruction():
+        return consistency.defectification_obstruction(theory, tol, root_order=order)
+
+    return _assemble(twist, orr, x, base_obstruction, tol)
+
+
+def _assemble(twist, orr, x, base_obstruction, tol):
+    """Twisted theory of ``twist`` (relative obstruction ``orr``) at ``x``.
+
+    ``base_obstruction()`` gives the untwisted theory's defectification
+    obstruction; it is called after every twisted table is built.
+    """
+    theory = twist.theory
+    action = twist.action
     new_f = torsored_f(twist, x)
-    new_r = torsored_r(twist)
+    new_r = twist.r
     new_u = torsored_u(twist, x)
     new_eta = torsored_eta(twist, x, tol)
-    base_obstruction = consistency.defectification_obstruction(
-        theory, tol, root_order=order)
-    hatted = x.coboundary().combine(orr).combine(base_obstruction)
+    hatted = x.coboundary().combine(orr).combine(base_obstruction())
     metadata = dict(theory.metadata)
     metadata["name"] = metadata.get("name", "theory") + "~twisted"
     metadata["obstruction"] = {
@@ -470,8 +500,60 @@ def apply_torsor(theory, t, x=None, tol=DEFAULT_TOL, root_order=None,
                     for args in sorted(hatted.entries)],
         "trivial_class": _is_trivial_class(hatted),
     }
-    return GxTheory(theory.group, theory.grades, theory.vacuum, triples,
+    return GxTheory(theory.group, theory.grades, theory.vacuum, twist.fusion[0],
                     new_f, new_r, new_u, new_eta, action, metadata=metadata)
+
+
+@dataclass(frozen=True)
+class Extension:
+    """One (fractionalization, defectification) pair of :func:`enumerate_extensions`.
+
+    ``fractionalization`` and ``defectification`` index the classes of
+    H^2(G, A) and H^3(G, U(1)); ``t`` and ``alpha`` are their
+    representatives.  ``theory`` is the twist of the base by ``t`` with
+    coefficients alpha times the canonical solution, or None when the
+    relative obstruction of ``t`` is nontrivial.
+    """
+
+    fractionalization: int
+    defectification: int
+    t: Cochain
+    alpha: Cochain
+    theory: GxTheory | None
+
+
+def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
+    """Twist ``base`` through every fractionalization and defectification class.
+
+    Returns the H^2(G, A) and H^3(G, U(1)) results and the extensions in
+    (fractionalization, defectification) order.  Each fractionalization
+    class has one :class:`Twist`, so it validates its twist and builds its
+    relative obstruction, action and R table once; the base's
+    defectification obstruction is built once per call.
+    """
+    grp = base.group
+    order = root_order or default_root_order(base)
+    h2 = cohomology(grp, 2, abelian_subgroup(base))
+    h3 = cohomology(grp, 3, U1Module(order))
+    alphas = h3.all_classes()
+    _require_torsorable(base, tol)
+
+    @functools.cache
+    def base_obstruction():
+        return consistency.defectification_obstruction(base, tol, root_order=order)
+
+    extensions = []
+    for it, t in enumerate(h2.all_classes()):
+        twist = Twist(base, t)
+        orr = _obstruction(twist, order, tol)
+        base_x = solve_coefficients_for(orr)
+        for ia, alpha in enumerate(alphas):
+            theory = None
+            if base_x is not None:
+                theory = _assemble(twist, orr, base_x.combine(alpha),
+                                   base_obstruction, tol)
+            extensions.append(Extension(it, ia, t, alpha, theory))
+    return h2, h3, extensions
 
 
 def _is_trivial_class(cochain):

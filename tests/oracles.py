@@ -11,9 +11,16 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 
+from gxbtc import equivalence
 from gxbtc.category import GxTheory
-from gxbtc.errors import InvalidInput
-from gxbtc.groups import Cochain, U1Module, turn_phase
+from gxbtc.equivalence import (
+    _NonRootRatio,
+    relabel_by_1cochain,
+    solve_gauge_matching,
+)
+from gxbtc.errors import GxError, InvalidInput, MatchFailure
+from gxbtc.groups import DEFAULT_TOL, Cochain, U1Module, turn_phase
+from gxbtc.torsor import apply_torsor, default_root_order
 
 
 def all_normalized_cochains(group, degree, module_order):
@@ -527,3 +534,108 @@ def trivial_action_obstruction(c0, group, t, root_order=8):
                      / f3(t(ghk, ll), t(gg, hk), t(hh, kk)))
         entries[(gg, hh, kk, ll)] = val
     return Cochain(group, 4, U1Module(root_order), entries)
+
+
+# ---------------------------------------------------------------------------
+# relabeling by 1-cochains, solved by gauge search
+
+def boundary_coefficients(theory, z):
+    """Phase coefficients absorbed by relabeling with the 1-cochain ``z``.
+
+    The twisted functor with twist d(z) and these coefficients reproduces
+    the relabeled theory up to a gauge; their coboundary inverts the
+    relative obstruction of d(z).
+    """
+    grp = theory.group
+    dual = theory.dual
+    act = theory.act
+    tr = theory.translate
+    dz = z.coboundary()
+
+    def value(g, h, k):
+        gh = grp.op(g, h)
+        hk = grp.op(h, k)
+        ghk = grp.op(gh, k)
+        zbar_g = dual(z(g))
+        gzbar_h = act(g, dual(z(h)))
+        ghzbar_k = act(gh, dual(z(k)))
+        gdz_hk = act(g, dz(h, k))
+        zk_zhk = act(g, tr(z(k), dual(z(hk))))
+        zhk_zghk = tr(act(g, z(hk)), dual(z(ghk)))
+        zh_zgh = act(g, tr(z(h), dual(z(gh))))
+        val = theory.eta_symbol(ghzbar_k, g, h)
+        val = val * theory.u_line(g, gdz_hk, act(g, dual(z(h))))
+        val = val * theory.u_line(g, zk_zhk, ghzbar_k)
+        val = val * theory.r_line(gdz_hk, zbar_g)
+        num = (theory.f_line(dz(gh, k), zh_zgh, gzbar_h)
+               * theory.f_line(dz(gh, k), dz(g, h), zbar_g)
+               * theory.f_line(dz(g, hk), zbar_g, gdz_hk))
+        den = (theory.f_line(dz(g, hk), gdz_hk, zbar_g)
+               * theory.f_line(zhk_zghk, gdz_hk, gzbar_h)
+               * theory.f_line(zhk_zghk, zk_zhk, ghzbar_k))
+        return val * (num / den)
+
+    entries = {}
+    for args in itertools.product(grp.elements(), repeat=3):
+        entries[args] = value(*args)
+    order = default_root_order(theory)
+    return Cochain(grp, 3, U1Module(order), entries)
+
+
+def coboundary_equivalence(theory, z, tol=DEFAULT_TOL):
+    """Witness that relabeling by ``z`` equals the twist by its coboundary.
+
+    Returns (coefficients, gauge) with
+    ``apply_gauge(relabel_by_1cochain(theory, z), gauge)`` equal to
+    ``apply_torsor(theory, d(z), coefficients)`` entrywise.
+    """
+    coeffs = boundary_coefficients(theory, z)
+    twisted = apply_torsor(theory, z.coboundary(), coeffs, tol)
+    relabeled = relabel_by_1cochain(theory, z)
+    try:
+        gauge = solve_gauge_matching(relabeled, twisted, tol)
+    except _NonRootRatio as exc:
+        raise MatchFailure(str(exc)) from exc
+    if gauge is None:
+        raise MatchFailure(
+            "no gauge matches the relabeled theory to its twisted form")
+    return coeffs, gauge
+
+
+def gauge_search_collapse(base, module, theories, tol):
+    """Group unobstructed outputs under 1-cochain relabel equivalence."""
+    grp = base.group
+    slots = [(g,) for g in grp.nonidentity()]
+    zs = [Cochain(grp, 1, module, dict(zip(slots, combo)))
+          for combo in itertools.product(module.charges, repeat=len(slots))]
+    results = []
+    labels = {}
+    for idx, (entry, theory) in enumerate(theories):
+        if idx in labels:
+            continue
+        labels[idx] = idx
+        group_members = [idx]
+        for jdx in range(idx + 1, len(theories)):
+            if jdx in labels:
+                continue
+            other = theories[jdx][1]
+            witness, undecided = equivalence.first_gauge_match(
+                _relabeled_by_cochains(theory, zs), other, tol)
+            if witness is not None:
+                labels[jdx] = idx
+                group_members.append(jdx)
+            elif undecided:
+                results.append({"pair": [idx, jdx], "verdict": "inconclusive"})
+        results.append({"class_representative": idx, "members": group_members,
+                        "verdict": "collapsed" if len(group_members) > 1
+                        else "distinct"})
+    return results
+
+
+def _relabeled_by_cochains(theory, zs):
+    for z in zs:
+        try:
+            moved = equivalence.relabel_by_1cochain(theory, z)
+        except GxError:
+            continue
+        yield z, moved

@@ -86,7 +86,7 @@ def test_criterion_3_coboundary_collapse(bases):
     for value in module.charges:
         z = (Cochain.identity(Z2, 1, module) if value == base.vacuum
              else Cochain(Z2, 1, module, {(1,): value}))
-        coeffs, gauge = eq.coboundary_equivalence(base, z)
+        coeffs, gauge = oracles.coboundary_equivalence(base, z)
         twisted = torsor.apply_torsor(base, z.coboundary(), coeffs)
         relabeled = eq.relabel_by_1cochain(base, z)
         worst_match = max(worst_match, cat.tables_distance(

@@ -5,10 +5,14 @@ import random
 import pytest
 
 from gxbtc import category as cat
+from gxbtc import cli
 from gxbtc import constructions as cons
 from gxbtc import equivalence as eq
+from gxbtc import torsor
 from gxbtc.cli import main
 from gxbtc.groups import Cochain, FiniteGroup, U1Module, cochain_to_json
+
+import oracles
 
 Z2 = FiniteGroup.cyclic(2)
 
@@ -88,6 +92,40 @@ class TestCheck:
         t.write_text(json.dumps({"degree": 2, "entries": []}))
         assert main(["torsor", str(path), "--t", str(t)]) == 65
         assert "do not form a group" in capsys.readouterr().err
+
+
+def _set_fusion_entry(blob):
+    blob["fusion"][1] = [0, 1, 99]
+
+
+def _set_grade(blob):
+    blob["charges"][1]["grade"] = 7
+
+
+def _set_action_image(blob):
+    blob["action"][1][2] = 42
+
+
+def _set_vacuum(blob):
+    blob["vacuum"] = 8
+
+
+class TestIndexRanges:
+    @pytest.mark.parametrize("mutate", [_set_fusion_entry, _set_grade,
+                                        _set_action_image, _set_vacuum])
+    @pytest.mark.parametrize("command", ["check", "equiv"])
+    def test_out_of_range_index_exits_65(self, tmp_path, toric_z2,
+                                         toric_z2_file, capsys, mutate,
+                                         command):
+        blob = cat.theory_to_json(toric_z2)
+        mutate(blob)
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(blob))
+        argv = [command, str(path)]
+        if command == "equiv":
+            argv.append(toric_z2_file)
+        assert main(argv) == 65
+        assert "malformed theory JSON" in capsys.readouterr().err
 
 
 class TestTorsorCommands:
@@ -186,6 +224,32 @@ class TestEnumerate:
         assert first == second
 
 
+    def test_toric_z4_classes(self, toric_file, capsys):
+        assert main(["enumerate-extensions", "--c0", toric_file,
+                     "--group", "Z4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [c["members"] for c in payload["equivalence_collapse"]] == [
+            [0], [1], [2], [3], [4, 6], [5, 7], [8, 10], [9, 11], [12, 14],
+            [13, 15]]
+
+
+@pytest.mark.parametrize("c0, group", [
+    (cons.toric_code, [2]),
+    (cons.toric_code, [3]),
+    (cons.semion, [2]),
+    (cons.semion, [2, 2]),
+])
+def test_orbit_collapse_matches_gauge_search(c0, group):
+    base = cons.trivial_extension(c0(), FiniteGroup.from_cyclic_factors(group))
+    order = torsor.default_root_order(base)
+    _, _, extensions = torsor.enumerate_extensions(base, order)
+    unobstructed = [ext for ext in extensions if ext.theory is not None]
+    expected = oracles.gauge_search_collapse(
+        base, cat.abelian_subgroup(base),
+        [(None, ext.theory) for ext in unobstructed], 1e-9)
+    assert cli._collapse_classes(base, unobstructed, order, 1e-9) == expected
+
+
 class TestRoundtrip:
     def test_emitted_theory_reloads(self, tmp_path, toric_z2, toric_z2_file,
                                     capsys):
@@ -237,6 +301,18 @@ class TestGoldenOutputs:
     def test_cohomology(self, capsys, group, coeff, degree, digest):
         argv = ["cohomology", "--group", group, "--coeff", coeff,
                 "--degree", str(degree)]
+        assert stdout_digest(capsys, argv) == digest
+
+    @pytest.mark.parametrize("c0, group, digest", [
+        (cons.semion, "Z2x2",
+         "077655dc05336e7d2091c1cc6600837ce01ead0cc2fd58e103d76b40216db2e8"),
+        (cons.toric_code, "Z2",
+         "b7cbcd02c207258fefecc7a7b0ca4b0b101df83f8b6b7277392aa1efe1ec90e0"),
+    ])
+    def test_enumerate_extensions(self, tmp_path, capsys, c0, group, digest):
+        path = tmp_path / "c0.json"
+        path.write_text(json.dumps(cat.theory_to_json(c0())))
+        argv = ["enumerate-extensions", "--c0", str(path), "--group", group]
         assert stdout_digest(capsys, argv) == digest
 
     def test_equiv_witness(self, tmp_path, toric_z2, toric_z2_file, capsys):

@@ -6,7 +6,7 @@ from gxbtc import constructions as cons
 from gxbtc import torsor
 from gxbtc.errors import NotACocycle, SnapFailure
 from gxbtc.groups import Cochain, FiniteGroup, U1Module, is_cocycle
-from oracles import dense_fusion_violations
+from oracles import boundary_coefficients, dense_fusion_violations
 
 Z2 = FiniteGroup.cyclic(2)
 TOL = 1e-9
@@ -304,6 +304,44 @@ class TestEndToEnd:
         assert sorted(calls) == [(g, h) for g in (0, 1) for h in (0, 1)]
 
 
+class TestEnumerateExtensions:
+    def test_class_data_built_once(self, toric_z2, monkeypatch):
+        counted = {name: [] for name in (
+            "validate_two_cocycle", "torsored_action", "torsored_r")}
+        for name, calls in counted.items():
+            real = getattr(torsor, name)
+
+            def counting(*args, _real=real, _calls=calls):
+                _calls.append(args)
+                return _real(*args)
+
+            monkeypatch.setattr(torsor, name, counting)
+        base_calls = []
+        real_base = con.defectification_obstruction
+
+        def counting_base(*args, **kwargs):
+            base_calls.append(args)
+            return real_base(*args, **kwargs)
+
+        monkeypatch.setattr(con, "defectification_obstruction", counting_base)
+        h2, h3, extensions = torsor.enumerate_extensions(toric_z2)
+        classes = h2.size
+        assert len(extensions) == classes * h3.size
+        built = {ext.fractionalization for ext in extensions
+                 if ext.theory is not None}
+        assert len(counted["validate_two_cocycle"]) == classes
+        assert len(counted["torsored_action"]) == len(built)
+        assert len(counted["torsored_r"]) == len(built)
+        assert len(base_calls) == 1
+
+    def test_theories_equal_apply_torsor(self, toric_z2):
+        _, _, extensions = torsor.enumerate_extensions(toric_z2)
+        for ext in extensions[::3]:
+            x = torsor.solve_cocycleator(toric_z2, ext.t).combine(ext.alpha)
+            alone = torsor.apply_torsor(toric_z2, ext.t, x)
+            assert cat.theory_to_json(ext.theory) == cat.theory_to_json(alone)
+
+
 class TestSptBaseTorsor:
     def test_coefficients_on_unit_spt_reproduce_spt_tables(self):
         # twisting the trivial one-charge-per-grade theory by cocycle
@@ -317,13 +355,11 @@ class TestSptBaseTorsor:
     def test_boundary_coefficient_solution_has_matching_coboundary(self, toric_z2):
         # any solver output for a coboundary twist shares its coboundary with
         # the closed-form coefficients from the relabeling construction
-        from gxbtc import equivalence as eq
-
         module = cat.abelian_subgroup(toric_z2)
         z = Cochain(Z2, 1, module, {(1,): 3})
         t = z.coboundary()
         solved = torsor.solve_cocycleator(toric_z2, t)
-        closed = eq.boundary_coefficients(toric_z2, z)
+        closed = boundary_coefficients(toric_z2, z)
         assert solved is not None
         assert solved.coboundary().equal(closed.coboundary(), 1e-8)
 
