@@ -593,7 +593,8 @@ def theory_from_json(obj):
 
 
 def _check_indices(group, grades, vacuum, fusion, action):
-    """Raise InvalidInput unless every grade and charge index is in range."""
+    """Raise InvalidInput unless every grade and charge index is in range
+    and every action row permutes the charges."""
     n = len(grades)
     for g in grades:
         if not _is_index(g, group.order):
@@ -610,6 +611,9 @@ def _check_indices(group, grades, vacuum, fusion, action):
         if len(images) != n or not all(_is_index(a, n) for a in images):
             raise InvalidInput(f"malformed theory JSON: the action of {g} is "
                                f"not a list of {n} charges")
+        if len(set(images)) != n:
+            raise InvalidInput(f"malformed theory JSON: the action of {g} is "
+                               "not a permutation of the charges")
 
 
 def _is_index(value, size):

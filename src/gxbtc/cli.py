@@ -28,7 +28,6 @@ from .groups import (
     U1Module,
     cochain_from_json,
     cochain_to_json,
-    cohomologous,
     cohomology,
     phase_to_json,
 )
@@ -273,7 +272,7 @@ def _cmd_enumerate(args):
             entry["theory_index"] = len(unobstructed)
             unobstructed.append(ext)
         entries.append(entry)
-    collapse = _collapse_classes(base, unobstructed, order, args.tol)
+    collapse = _collapse_classes(base, h3, unobstructed, args.tol)
     payload = {
         "base": c0.metadata.get("name", args.c0),
         "group": group.name,
@@ -286,10 +285,11 @@ def _cmd_enumerate(args):
     return 0
 
 
-def _collapse_classes(base, extensions, root_order, tol):
+def _collapse_classes(base, h3, extensions, tol):
     """Group unobstructed extensions under 1-cochain relabel equivalence.
 
-    ``extensions`` are the unobstructed ones, indexed by theory index.  A
+    ``extensions`` are the unobstructed ones, indexed by theory index, and
+    ``h3`` is the H^3(G, U(1)) their alphas come from.  A
     1-cochain z can carry T_{t,alpha_i} onto T_{t',alpha_j} only if its
     relabeling keeps the fusion triples.  ``base`` is a trivial extension,
     so every grade holds a copy of each abelian charge, and a nontrivial
@@ -297,35 +297,40 @@ def _collapse_classes(base, extensions, root_order, tol):
     t' = t, and the relabeling must also keep the vacuum and the action;
     none of that depends on alpha.  For each such z the closed form
     omega_z (:func:`equivalence.cocycle_relabel_class`) decides the rest:
-    the two are joined exactly when alpha_j ~ alpha_i * omega_z.  Classes
-    come in order of their smallest member, members ascending.
+    the two are joined exactly when alpha_j ~ alpha_i * omega_z, that is
+    when the H^3(G, U(1)) coordinates of alpha_j - alpha_i are those of
+    some omega_z.  Classes come in order of their smallest member, members
+    ascending.
     """
     grp = base.group
     module = category.abelian_subgroup(base)
     slots = [(g,) for g in grp.nonidentity()]
     zs = [Cochain(grp, 1, module, dict(zip(slots, combo)))
           for combo in itertools.product(module.charges, repeat=len(slots))]
-    omegas = {}
+    shifts = {}
     for ext in extensions:
-        if ext.fractionalization in omegas:
+        if ext.fractionalization in shifts:
             continue
         theory = ext.theory
-        omegas[ext.fractionalization] = [
-            equivalence.cocycle_relabel_class(theory, z, tol, root_order)
+        shifts[ext.fractionalization] = {
+            tuple(h3.class_of(equivalence.cocycle_relabel_class(
+                theory, z, tol, h3.module.order)))
             for z in zs
-            if equivalence.relabeling_from_1cochain(theory, z).fixes(theory)]
+            if equivalence.relabeling_from_1cochain(theory, z).fixes(theory)}
+    coords = [h3.class_of(ext.alpha) for ext in extensions]
     results = []
     joined = set()
     for idx, ext in enumerate(extensions):
         if idx in joined:
             continue
         members = [idx]
-        shifted = [ext.alpha.combine(w) for w in omegas[ext.fractionalization]]
         for jdx in range(idx + 1, len(extensions)):
             other = extensions[jdx]
             if jdx in joined or other.fractionalization != ext.fractionalization:
                 continue
-            if any(cohomologous(other.alpha, s) is not None for s in shifted):
+            shift = tuple((b - a) % d for a, b, d
+                          in zip(coords[idx], coords[jdx], h3.orders))
+            if shift in shifts[ext.fractionalization]:
                 joined.add(jdx)
                 members.append(jdx)
         results.append({"class_representative": idx, "members": members,

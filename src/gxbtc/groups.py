@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import intlin
 from .errors import (
@@ -521,113 +521,96 @@ class CohomologyGroup:
             reps = [r.combine(p) for r in reps for p in powers]
         return reps
 
+    def class_of(self, cocycle):
+        """Coordinates of a U(1) cocycle's class in Z/d_1 x ... x Z/d_k.
 
-def _boundary_lattice_u1(group, degree, root_order):
-    """Generators of the exponent lattice of U(1) coboundaries inside mu_N.
+        The cocycle is snapped to exponents e at its own root order N.  It
+        is closed iff c = A e / N is integral, A the integer coboundary,
+        and then coordinate i is (U c)_i mod d_i for the Smith form
+        U A V = D that gave ``orders``: U c = D V^-1 e / N.  So the i-th
+        representative has the i-th unit vector, coordinates add under
+        :meth:`Cochain.combine`, and two cocycles are cohomologous in U(1)
+        exactly when their coordinates agree.
+        """
+        if self.module.kind != "u1" or cocycle.module.kind != "u1":
+            raise InvalidInput("class coordinates need U(1) coefficients")
+        if cocycle.group.mult != self.group.mult or cocycle.degree != self.degree:
+            raise InvalidInput("cocycle is not a cochain of this group and degree")
+        n = cocycle.module.order
+        e = [cocycle.module.exponent_of(v) for v in _cochain_to_vec_u1(cocycle)]
+        c = []
+        for row in self._coboundary_rows:
+            q, r = divmod(sum(a * e[j] for j, a in row), n)
+            if r:
+                raise NotACocycle(f"{cocycle!r} has nontrivial coboundary")
+            c.append(q)
+        sf = _cached_snf(self.group, self.degree, ("u1",))
+        c = sf.apply_u(c)
+        return [c[i] % d for i, d in enumerate(sf.diag) if d > 1]
 
-    Works in mu_K with K = N * |G|: a coboundary of a finer cochain that
-    happens to land in mu_N counts, which is what distinguishes honest
-    U(1)-coefficient cohomology from H^n(G, mu_N).
-    """
-    n_coords = len(_tuple_index(group, degree)[0])
-    if degree == 0 or n_coords == 0:
-        return [], n_coords
-    scale = group.order
-    big = root_order * scale
-    dmat, rows, cols = _coboundary_matrix(group, degree - 1, U1Module(big))
-    if rows != n_coords:
-        raise AssertionError("coordinate bookkeeping mismatch")
-    # kernel of [D | K*I | -s*I] -> v-parts generate ((image(D) + K Z) /\ s Z) / s
-    aug = [dmat[i] + [big if j == i else 0 for j in range(rows)]
-           + [-scale if j == i else 0 for j in range(rows)]
-           for i in range(rows)]
-    kernel = intlin.integer_kernel(aug, rows, cols + 2 * rows)
-    gens = [vec[cols + rows:] for vec in kernel]
-    gens = [g for g in gens if any(g)]
-    for i in range(n_coords):  # mu_N itself collapses, even when D is degenerate
-        gens.append([root_order if j == i else 0 for j in range(n_coords)])
-    return gens, n_coords
-
-
-def _cocycle_lattice(group, degree, module):
-    """Basis of the lattice of (lifted) cocycle coordinate vectors."""
-    k = len(module.factors)
-    n_coords = len(_tuple_index(group, degree)[0]) * k
-    dmat, rows, cols = _coboundary_matrix(group, degree, module)
-    scaled, lcm = _scale_rows_to_lcm(dmat, module.factors, rows // k)
-    if cols != n_coords:
-        raise AssertionError("coordinate bookkeeping mismatch")
-    if rows == 0:
-        return intlin.identity_matrix(n_coords), n_coords
-    basis = intlin.congruence_kernel_lattice(scaled, lcm, rows, cols)
-    return basis, n_coords
-
-
-def _boundary_lattice_abelian(group, degree, module):
-    k = len(module.factors)
-    n_coords = len(_tuple_index(group, degree)[0]) * k
-    gens = []
-    if degree > 0:
-        dmat, rows, cols = _coboundary_matrix(group, degree - 1, module)
-        for j in range(cols):
-            gens.append([dmat[i][j] for i in range(rows)])
-    mods = [m for _ in range(n_coords // k) for m in module.factors]
-    for i, m in enumerate(mods):
-        gens.append([m if j == i else 0 for j in range(n_coords)])
-    return gens, n_coords
+    @cached_property
+    def _coboundary_rows(self):
+        """Nonzero (column, entry) pairs of each row of the coboundary."""
+        mat, _, _ = _coboundary_matrix(self.group, self.degree, U1Module(1))
+        return [[(j, a) for j, a in enumerate(row) if a] for row in mat]
 
 
 def cohomology(group, degree, module):
     """H^degree of ``group`` with coefficients in ``module``.
 
-    For :class:`U1Module` this is honest U(1)-coefficient cohomology with
-    representatives valued in the configured roots of unity; an error is
-    raised when that root order provably cannot represent every class.
+    For :class:`U1Module` this is honest U(1)-coefficient cohomology from
+    one Smith form U A V = D of the integer coboundary A: C^n -> C^{n+1}.
+    A cochain valued in Q/Z is closed iff A x is integral, and the
+    coboundaries fill out the real kernel of A, so with y = V^-1 x the
+    group is the sum of Z/d_i over the diagonal entries d_i > 1, generated
+    by the turns V e_i / d_i.  Those are written at the module's root
+    order N; :class:`RootOrderTooSmall` is raised when some d_i does not
+    divide N, since mu_N then reaches only the N-torsion.  Finite
+    coefficients go through the congruence lattice of cocycles modulo the
+    coboundary lattice.
     """
     if degree < 1:
         raise InvalidInput("degree must be at least 1")
-    if group.order == 1 or getattr(module, "order", 2) == 1 or not module.factors:
-        return CohomologyGroup(group, degree, module, [], [])
     if isinstance(module, U1Module):
-        result = _cohomology_u1(group, degree, module.order)
-        if module.order % group.exponent() != 0:
-            canonical = _cohomology_u1(
-                group, degree, math.lcm(module.order, group.exponent()))
-            if math.prod(canonical.orders or [1]) != math.prod(result.orders or [1]):
-                raise RootOrderTooSmall(
-                    f"root order {module.order} misses classes of H^{degree}; "
-                    f"use a multiple of the group exponent {group.exponent()}")
-        return result
+        return _cohomology_u1(group, degree, module)
+    if group.order == 1 or module.order == 1:
+        return CohomologyGroup(group, degree, module, [], [])
     return _cohomology_abelian(group, degree, module)
 
 
-def _quotient_to_result(group, degree, module, ambient, gens, n_coords, reduce_vec):
-    if n_coords == 0:
-        return CohomologyGroup(group, degree, module, [], [])
-    orders, vecs = intlin.quotient_group(ambient, gens)
-    if any(o == 0 for o in orders):
-        raise AssertionError("cohomology of a finite module came out infinite")
-    pairs = sorted(zip(orders, vecs), key=lambda p: p[0])
-    reps = [_vec_to_cochain(group, degree, module, reduce_vec(v)) for _, v in pairs]
-    return CohomologyGroup(group, degree, module, [o for o, _ in pairs], reps)
-
-
-def _cohomology_u1(group, degree, root_order):
-    module = U1Module(root_order)
-    ambient, n_coords = _cocycle_lattice(group, degree, module)
-    gens, _ = _boundary_lattice_u1(group, degree, root_order)
-    return _quotient_to_result(
-        group, degree, module, ambient, gens, n_coords,
-        lambda v: [x % root_order for x in v])
+def _cohomology_u1(group, degree, module):
+    sf = _cached_snf(group, degree, ("u1",))
+    factors = [(i, d) for i, d in enumerate(sf.diag) if d > 1]
+    orders = [d for _, d in factors]
+    root_order = module.order
+    if any(root_order % d for d in orders):
+        raise RootOrderTooSmall(
+            f"root order {root_order} misses classes of H^{degree} = "
+            f"{' x '.join(f'Z{d}' for d in orders)}; use a multiple of "
+            f"{math.lcm(*orders)}")
+    reps = [_vec_to_cochain(group, degree, module,
+                            [(root_order // d) * row[i] for row in sf.v])
+            for i, d in factors]
+    return CohomologyGroup(group, degree, module, orders, reps)
 
 
 def _cohomology_abelian(group, degree, module):
-    ambient, n_coords = _cocycle_lattice(group, degree, module)
-    gens, _ = _boundary_lattice_abelian(group, degree, module)
+    """Cocycles (A x = 0 modulo the factors) modulo the coboundary lattice."""
     k = len(module.factors)
-    def reduce_vec(v):
-        return [x % module.factors[i % k] for i, x in enumerate(v)]
-    return _quotient_to_result(group, degree, module, ambient, gens, n_coords, reduce_vec)
+    dmat, rows, cols = _coboundary_matrix(group, degree, module)
+    scaled, lcm = _scale_rows_to_lcm(dmat, module.factors, rows // k)
+    ambient = intlin.congruence_kernel_lattice(scaled, lcm, rows, cols)
+    prev, prev_rows, prev_cols = _coboundary_matrix(group, degree - 1, module)
+    gens = [[prev[i][j] for i in range(prev_rows)] for j in range(prev_cols)]
+    mods = [m for _ in range(cols // k) for m in module.factors]
+    gens += [[m if j == i else 0 for j in range(cols)] for i, m in enumerate(mods)]
+    orders, vecs = intlin.quotient_group(ambient, gens)
+    if 0 in orders:
+        raise AssertionError("cohomology of a finite module came out infinite")
+    pairs = sorted(zip(orders, vecs), key=lambda p: p[0])
+    reps = [_vec_to_cochain(group, degree, module,
+                            [x % m for x, m in zip(v, mods)]) for _, v in pairs]
+    return CohomologyGroup(group, degree, module, [o for o, _ in pairs], reps)
 
 
 def cohomologous(first, second, snap_tol=SNAP_TOL):
@@ -693,9 +676,7 @@ def _cached_snf(group, degree, module_key):
             module = AbelianModule(factors, group)
             module._action = _ActionFromKey(group, factors, module_key[2])
             mat, rows, cols = _coboundary_matrix(group, degree, module)
-            mods = [m for _ in range(rows // len(factors)) for m in factors]
-            lcm = math.lcm(*mods) if mods else 1
-            mat = [[(lcm // m) * x for x in row] for row, m in zip(mat, mods)]
+            mat, _ = _scale_rows_to_lcm(mat, factors, rows // len(factors))
         _SNF_CACHE[key] = intlin.smith_normal_form(mat, rows, cols)
     return _SNF_CACHE[key]
 

@@ -8,18 +8,29 @@ Only usable for tiny groups and modules.
 
 import cmath
 import itertools
+import math
 from collections import namedtuple
 from fractions import Fraction
 
-from gxbtc import equivalence
+from gxbtc import equivalence, intlin
 from gxbtc.category import GxTheory
 from gxbtc.equivalence import (
     _NonRootRatio,
     relabel_by_1cochain,
     solve_gauge_matching,
 )
-from gxbtc.errors import GxError, InvalidInput, MatchFailure
-from gxbtc.groups import DEFAULT_TOL, Cochain, U1Module, turn_phase
+from gxbtc.errors import GxError, InvalidInput, MatchFailure, RootOrderTooSmall
+from gxbtc.groups import (
+    DEFAULT_TOL,
+    Cochain,
+    CohomologyGroup,
+    U1Module,
+    _coboundary_matrix,
+    _scale_rows_to_lcm,
+    _tuple_index,
+    _vec_to_cochain,
+    turn_phase,
+)
 from gxbtc.torsor import apply_torsor, default_root_order
 
 
@@ -639,3 +650,87 @@ def _relabeled_by_cochains(theory, zs):
         except GxError:
             continue
         yield z, moved
+
+
+# ---------------------------------------------------------------------------
+# U(1) cohomology by lattices, the algorithm groups.cohomology used before
+# it read the answer off one Smith form: the cocycle lattice at root order
+# N modulo the coboundaries of mu_{N|G|} cochains that land in mu_N, through
+# an augmented integer kernel and quotient_group.  It runs on intlin's Smith
+# forms, but on other matrices than the coboundary's.  The mu_N answer is
+# compared with the answer at a multiple of the group exponent to detect a
+# root order that is too small.
+
+
+def lattice_u1_cohomology(group, degree, module):
+    """H^degree(group, U(1)) at ``module``'s root order, by lattices."""
+    result = _cohomology_u1(group, degree, module.order)
+    if module.order % group.exponent() != 0:
+        canonical = _cohomology_u1(
+            group, degree, math.lcm(module.order, group.exponent()))
+        if math.prod(canonical.orders or [1]) != math.prod(result.orders or [1]):
+            raise RootOrderTooSmall(
+                f"root order {module.order} misses classes of H^{degree}; "
+                f"use a multiple of the group exponent {group.exponent()}")
+    return result
+
+
+def _boundary_lattice_u1(group, degree, root_order):
+    """Generators of the exponent lattice of U(1) coboundaries inside mu_N.
+
+    Works in mu_K with K = N * |G|: a coboundary of a finer cochain that
+    happens to land in mu_N counts, which is what distinguishes honest
+    U(1)-coefficient cohomology from H^n(G, mu_N).
+    """
+    n_coords = len(_tuple_index(group, degree)[0])
+    if degree == 0 or n_coords == 0:
+        return [], n_coords
+    scale = group.order
+    big = root_order * scale
+    dmat, rows, cols = _coboundary_matrix(group, degree - 1, U1Module(big))
+    if rows != n_coords:
+        raise AssertionError("coordinate bookkeeping mismatch")
+    # kernel of [D | K*I | -s*I] -> v-parts generate ((image(D) + K Z) /\ s Z) / s
+    aug = [dmat[i] + [big if j == i else 0 for j in range(rows)]
+           + [-scale if j == i else 0 for j in range(rows)]
+           for i in range(rows)]
+    kernel = intlin.integer_kernel(aug, rows, cols + 2 * rows)
+    gens = [vec[cols + rows:] for vec in kernel]
+    gens = [g for g in gens if any(g)]
+    for i in range(n_coords):  # mu_N itself collapses, even when D is degenerate
+        gens.append([root_order if j == i else 0 for j in range(n_coords)])
+    return gens, n_coords
+
+
+def _cohomology_u1(group, degree, root_order):
+    module = U1Module(root_order)
+    ambient, n_coords = _cocycle_lattice(group, degree, module)
+    gens, _ = _boundary_lattice_u1(group, degree, root_order)
+    return _quotient_to_result(
+        group, degree, module, ambient, gens, n_coords,
+        lambda v: [x % root_order for x in v])
+
+
+def _cocycle_lattice(group, degree, module):
+    """Basis of the lattice of (lifted) cocycle coordinate vectors."""
+    k = len(module.factors)
+    n_coords = len(_tuple_index(group, degree)[0]) * k
+    dmat, rows, cols = _coboundary_matrix(group, degree, module)
+    scaled, lcm = _scale_rows_to_lcm(dmat, module.factors, rows // k)
+    if cols != n_coords:
+        raise AssertionError("coordinate bookkeeping mismatch")
+    if rows == 0:
+        return intlin.identity_matrix(n_coords), n_coords
+    basis = intlin.congruence_kernel_lattice(scaled, lcm, rows, cols)
+    return basis, n_coords
+
+
+def _quotient_to_result(group, degree, module, ambient, gens, n_coords, reduce_vec):
+    if n_coords == 0:
+        return CohomologyGroup(group, degree, module, [], [])
+    orders, vecs = intlin.quotient_group(ambient, gens)
+    if any(o == 0 for o in orders):
+        raise AssertionError("cohomology of a finite module came out infinite")
+    pairs = sorted(zip(orders, vecs), key=lambda p: p[0])
+    reps = [_vec_to_cochain(group, degree, module, reduce_vec(v)) for _, v in pairs]
+    return CohomologyGroup(group, degree, module, [o for o, _ in pairs], reps)

@@ -110,9 +110,15 @@ def _set_vacuum(blob):
     blob["vacuum"] = 8
 
 
+def _repeat_action_image(blob):
+    # in range, but the nontrivial element sends e and m both to e
+    blob["action"][1][2] = 1
+
+
 class TestIndexRanges:
     @pytest.mark.parametrize("mutate", [_set_fusion_entry, _set_grade,
-                                        _set_action_image, _set_vacuum])
+                                        _set_action_image, _set_vacuum,
+                                        _repeat_action_image])
     @pytest.mark.parametrize("command", ["check", "equiv"])
     def test_out_of_range_index_exits_65(self, tmp_path, toric_z2,
                                          toric_z2_file, capsys, mutate,
@@ -242,12 +248,12 @@ class TestEnumerate:
 def test_orbit_collapse_matches_gauge_search(c0, group):
     base = cons.trivial_extension(c0(), FiniteGroup.from_cyclic_factors(group))
     order = torsor.default_root_order(base)
-    _, _, extensions = torsor.enumerate_extensions(base, order)
+    _, h3, extensions = torsor.enumerate_extensions(base, order)
     unobstructed = [ext for ext in extensions if ext.theory is not None]
     expected = oracles.gauge_search_collapse(
         base, cat.abelian_subgroup(base),
         [(None, ext.theory) for ext in unobstructed], 1e-9)
-    assert cli._collapse_classes(base, unobstructed, order, 1e-9) == expected
+    assert cli._collapse_classes(base, h3, unobstructed, 1e-9) == expected
 
 
 class TestRoundtrip:
@@ -297,6 +303,12 @@ class TestGoldenOutputs:
          "45a9fe1be0351fbca09687a1099b98a66bab567ac5022bcd8629614d27435ad2"),
         ("Z2x2", "z2x2", 3,
          "fa0cbb374fc0781b33b079a54979c5e5e2b1c49b1619170624e8260da28978a0"),
+        # representatives checked by tests/test_groups.py: closed, of exact
+        # order d_i, with unit class coordinates
+        ("Z6", "u1", 3,
+         "56cb3fb4f5574912ac4c2e49f30aa7a7e105099837d9a040735946669b6e7ccc"),
+        ("Z2x2", "u1", 4,
+         "f04926fec98ae4893b07321be3a9ca08d43dc76a9f2bb57cc1a45fde20c6129a"),
     ])
     def test_cohomology(self, capsys, group, coeff, degree, digest):
         argv = ["cohomology", "--group", group, "--coeff", coeff,

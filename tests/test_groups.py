@@ -1,4 +1,5 @@
 import cmath
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -8,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gxbtc import groups as gr
+from gxbtc import torsor
 from gxbtc.errors import (
     InvalidInput,
     NormalizationError,
+    NotACocycle,
     RootOrderTooSmall,
     SnapFailure,
 )
@@ -20,7 +23,10 @@ import oracles
 Z2 = gr.FiniteGroup.cyclic(2)
 Z3 = gr.FiniteGroup.cyclic(3)
 Z4 = gr.FiniteGroup.cyclic(4)
+Z5 = gr.FiniteGroup.cyclic(5)
+Z6 = gr.FiniteGroup.cyclic(6)
 Z2xZ2 = gr.FiniteGroup.from_cyclic_factors([2, 2])
+Z2xZ4 = gr.FiniteGroup.from_cyclic_factors([2, 4])
 S3_TABLE = None
 
 
@@ -237,6 +243,116 @@ class TestCohomology:
         count_plain, _, _ = oracles.brute_abelian_cohomology_classes(Z2, 2, (3,))
         assert h2_twisted.size == count_twisted
         assert h2_plain.size == count_plain
+
+
+def _orders_or_too_small(cohomology, group, degree, root_order):
+    try:
+        return cohomology(group, degree, gr.U1Module(root_order)).orders
+    except RootOrderTooSmall:
+        return "root order too small"
+
+
+S3 = s3()
+
+# every degree up to 4 at which the lattice oracle takes under 2 s
+ORACLE_SWEEP = [(group, degree)
+                for group, top in [(Z2, 4), (Z3, 4), (Z4, 4), (Z5, 3), (Z6, 3),
+                                   (Z2xZ2, 4), (Z2xZ4, 2), (S3, 3)]
+                for degree in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("group, degree", ORACLE_SWEEP,
+                         ids=[f"{g.name}-{d}" for g, d in ORACLE_SWEEP])
+def test_u1_cohomology_matches_lattice_oracle(group, degree):
+    # root orders that are and are not multiples of the group exponent
+    for order in (2, 3, 4, 12, torsor.default_group_root_order(group)):
+        assert _orders_or_too_small(gr.cohomology, group, degree, order) == \
+            _orders_or_too_small(oracles.lattice_u1_cohomology, group, degree,
+                                 order)
+
+
+CLASS_CASES = [(group, degree)
+               for group in [Z2, Z3, Z4, Z5, Z6, Z2xZ2, Z2xZ4, S3]
+               for degree in range(1, 4)] + [(Z4, 4), (Z2xZ2, 4)]
+
+
+@functools.cache
+def _default_u1_cohomology(case):
+    group, degree = CLASS_CASES[case]
+    return gr.cohomology(group, degree,
+                         gr.U1Module(torsor.default_group_root_order(group)))
+
+
+def _power(cochain, k):
+    out = gr.Cochain.identity(cochain.group, cochain.degree, cochain.module)
+    for _ in range(k):
+        out = out.combine(cochain)
+    return out
+
+
+@pytest.mark.parametrize("case", range(len(CLASS_CASES)),
+                         ids=[f"{g.name}-{d}" for g, d in CLASS_CASES])
+def test_representatives_have_their_orders_and_unit_coordinates(case):
+    h = _default_u1_cohomology(case)
+    ident = gr.Cochain.identity(h.group, h.degree, h.module)
+    for i, (order, rep) in enumerate(zip(h.orders, h.representatives)):
+        assert gr.is_cocycle(rep, 1e-7)
+        assert h.class_of(rep) == [int(j == i) for j in range(len(h.orders))]
+        for k in range(1, order):
+            assert gr.cohomologous(_power(rep, k), ident) is None
+        assert _power(rep, order).is_identity_cochain(1e-7)
+
+
+def _random_cocycle(h, data):
+    """A random product of representative powers times d(mu), and the powers.
+
+    mu takes values in the roots of unity of order N|G|, finer than the
+    representatives' root order N.
+    """
+    powers = [data.draw(st.integers(0, 2 * d)) for d in h.orders]
+    out = gr.Cochain.identity(h.group, h.degree, h.module)
+    for rep, k in zip(h.representatives, powers):
+        out = out.combine(_power(rep, k))
+    if h.degree > 1:
+        fine = gr.U1Module(h.module.order * h.group.order)
+        mu = gr.Cochain.from_function(
+            h.group, h.degree - 1, fine,
+            lambda *args: fine.value(data.draw(st.integers(0, fine.order - 1))))
+        out = out.combine(mu.coboundary())
+    return out, [k % d for k, d in zip(powers, h.orders)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(CLASS_CASES) - 1), st.data())
+def test_class_coordinates_add_and_kill_coboundaries(case, data):
+    h = _default_u1_cohomology(case)
+    a, a_coords = _random_cocycle(h, data)
+    b, b_coords = _random_cocycle(h, data)
+    assert h.class_of(a) == a_coords
+    assert h.class_of(b) == b_coords
+    assert h.class_of(a.combine(b)) == [
+        (x + y) % d for x, y, d in zip(h.class_of(a), h.class_of(b), h.orders)]
+    if h.degree > 1:
+        mu = gr.Cochain.from_function(
+            h.group, h.degree - 1, h.module,
+            lambda *args: h.module.value(data.draw(st.integers(0, h.module.order - 1))))
+        assert h.class_of(mu.coboundary()) == [0] * len(h.orders)
+
+
+def test_class_of_rejects_an_unclosed_cochain():
+    h = gr.cohomology(Z3, 3, gr.U1Module(24))
+    bump = gr.Cochain(Z3, 3, h.module, {(1, 1, 1): h.module.value(1)})
+    with pytest.raises(NotACocycle):
+        h.class_of(bump)
+
+
+def test_h3_z2_cubed_u1():
+    group = gr.FiniteGroup.from_cyclic_factors([2, 2, 2])
+    h = gr.cohomology(group, 3, gr.U1Module(8))
+    assert h.orders == [2] * 7
+    for i, rep in enumerate(h.representatives):
+        assert gr.is_cocycle(rep, 1e-7)
+        assert h.class_of(rep) == [int(j == i) for j in range(7)]
 
 
 class TestCohomologous:
