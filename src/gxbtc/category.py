@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from types import MappingProxyType
 
 import numpy as np
 
@@ -60,6 +61,8 @@ class GxTheory:
         self._r = dict(r)
         self._u = dict(u)
         self._eta = dict(eta)
+        self._views = tuple(MappingProxyType(t)
+                            for t in (self._f, self._r, self._u, self._eta))
         self.action = {g: tuple(perm) for g, perm in dict(action).items()}
         if sorted(self.action) != list(group.elements()):
             raise InvalidInput("action must cover every group element")
@@ -180,16 +183,17 @@ class GxTheory:
         return self._f.get((a, b, c, d, e, f), 0j)
 
     def f_entries(self):
-        return self._f
+        """Read-only view of the F table; likewise the R, U and eta views."""
+        return self._views[0]
 
     def r_entries(self):
-        return self._r
+        return self._views[1]
 
     def u_entries(self):
-        return self._u
+        return self._views[2]
 
     def eta_entries(self):
-        return self._eta
+        return self._views[3]
 
     # -- admissibility helpers ----------------------------------------------
 
@@ -574,14 +578,17 @@ def theory_from_json(obj):
         group = group_from_json(obj["group"])
         grades = [c["grade"] for c in obj["charges"]]
         fusion = [tuple(t) for t in obj["fusion"]]
-        f = {tuple(e["charges"]): phase_from_json(e["value"]) for e in obj["F"]}
-        r = {tuple(e["charges"]): phase_from_json(e["value"]) for e in obj["R"]}
-        u = {(e["sheet"], *e["charges"]): phase_from_json(e["value"])
-             for e in obj["U"]}
-        eta = {(e["charge"], *e["pair"]): phase_from_json(e["value"])
-               for e in obj["eta"]}
         action = {g: obj["action"][g] for g in group.elements()}
         _check_indices(group, grades, obj["vacuum"], fusion, action)
+        n, order = len(grades), group.order
+        f = _phase_table(obj["F"], "F", (n,) * 6,
+                         lambda e: tuple(e["charges"]))
+        r = _phase_table(obj["R"], "R", (n,) * 3,
+                         lambda e: tuple(e["charges"]))
+        u = _phase_table(obj["U"], "U", (order, n, n, n),
+                         lambda e: (e["sheet"], *e["charges"]))
+        eta = _phase_table(obj["eta"], "eta", (n, order, order),
+                           lambda e: (e["charge"], *e["pair"]))
         theory = GxTheory(group, grades, obj["vacuum"], fusion, f, r, u, eta,
                           action, metadata=obj.get("metadata"))
     except (KeyError, TypeError, IndexError) as exc:
@@ -614,6 +621,23 @@ def _check_indices(group, grades, vacuum, fusion, action):
         if len(set(images)) != n:
             raise InvalidInput(f"malformed theory JSON: the action of {g} is "
                                "not a permutation of the charges")
+
+
+def _phase_table(entries, name, bounds, key_of):
+    """{key: phase} for JSON table entries; raise InvalidInput unless each
+    key has one index below each of ``bounds``."""
+    table = {key_of(e): phase_from_json(e["value"]) for e in entries}
+    arity = len(bounds)
+    for key in table:
+        if len(key) != arity:
+            raise InvalidInput(f"malformed theory JSON: {name} key {list(key)} "
+                               f"does not have {arity} indices")
+        for index, size in zip(key, bounds):
+            # _is_index inlined: this runs once per index of every entry
+            if not isinstance(index, int) or not 0 <= index < size:
+                raise InvalidInput(f"malformed theory JSON: {name} key "
+                                   f"{list(key)} has an index out of range")
+    return table
 
 
 def _is_index(value, size):

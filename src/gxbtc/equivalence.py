@@ -126,18 +126,8 @@ class Relabeling:
 
     def fixes(self, theory):
         """True when relabeling ``theory`` keeps its vacuum, fusion and action."""
-        perm = self.perm
-        if perm[theory.vacuum] != theory.vacuum:
-            return False
-        triples = set(theory.fusion_triples())
-        for a, b, c in triples:
-            if (perm[a], perm[b], perm[c]) not in triples:
-                return False
-        for g in theory.group.elements():
-            for a in theory.charges():
-                if perm[theory.act(g, a)] != theory.act(g, perm[a]):
-                    return False
-        return True
+        check = _StructureCheck(theory, theory, theory.charges())
+        return all(check.admits(i, self.perm) for i in theory.charges())
 
     def validate(self, theory):
         if sorted(self.perm) != list(theory.charges()):
@@ -206,14 +196,22 @@ def _phase_ratio_turns(target, source, snap_tol=1e-9):
 def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
     """Gauge with apply_gauge(source, gauge) == target, or None.
 
-    Both theories must share fusion, grades, and action.  The returned
-    None is a proof of gauge-inequivalence whenever every table ratio is a
-    phase; a non-phase ratio also rules a gauge out (magnitudes are gauge
-    invariant).
+    Theories that differ in fusion, grades, or action give None.  Tables
+    keyed differently raise InvalidInput: a theory is missing entries or
+    has extra ones.  The returned None is a proof of gauge-inequivalence
+    whenever every table ratio is a phase; a non-phase ratio also rules a
+    gauge out (magnitudes are gauge invariant).
     """
     if source.grades != target.grades or source.action != target.action \
             or set(source.fusion_triples()) != set(target.fusion_triples()):
         return None
+    tf, tr, tu, teta = (target.f_entries(), target.r_entries(),
+                        target.u_entries(), target.eta_entries())
+    if source.f_entries().keys() != tf.keys() \
+            or source.r_entries().keys() != tr.keys() \
+            or source.u_entries().keys() != tu.keys() \
+            or source.eta_entries().keys() != teta.keys():
+        raise InvalidInput("the theories' symbol tables are keyed differently")
     grp = source.group
     vac = source.vacuum
     ident = grp.identity
@@ -255,7 +253,7 @@ def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
 
     for key, sval in source.f_entries().items():
         a, b, c, d, e, f = key
-        ratio = _phase_ratio_turns(target.f_entries()[key], sval)
+        ratio = _phase_ratio_turns(tf[key], sval)
         if ratio is None:
             return None
         coeffs = {}
@@ -268,7 +266,7 @@ def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
     for key, sval in source.r_entries().items():
         a, b, c = key
         h = source.grade(b)
-        ratio = _phase_ratio_turns(target.r_entries()[key], sval)
+        ratio = _phase_ratio_turns(tr[key], sval)
         if ratio is None:
             return None
         coeffs = {}
@@ -280,7 +278,7 @@ def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
     for key, sval in source.u_entries().items():
         k, a, b, c = key
         kbar = grp.inverse(k)
-        ratio = _phase_ratio_turns(target.u_entries()[key], sval)
+        ratio = _phase_ratio_turns(tu[key], sval)
         if ratio is None:
             return None
         coeffs = {}
@@ -294,7 +292,7 @@ def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
             return None
     for key, sval in source.eta_entries().items():
         x, g, h = key
-        ratio = _phase_ratio_turns(target.eta_entries()[key], sval)
+        ratio = _phase_ratio_turns(teta[key], sval)
         if ratio is None:
             return None
         coeffs = {}
@@ -379,35 +377,99 @@ def cocycle_relabel_class(theory, z, tol=DEFAULT_TOL, root_order=None):
 # equivalence search
 
 
-def _grade_preserving_permutations(theory):
+class _StructureCheck:
+    """Whether a relabeling carries ``source``'s vacuum, fusion triples and
+    action onto ``target``'s, tested one placed charge at a time.
+
+    The source charges are placed in ``order``.  :meth:`admits` tests the
+    conditions that the charge at position i completes: perm[vacuum] is the
+    target's vacuum, each source triple whose charges are all placed maps
+    to a target triple, and perm[act(g, a)] == target.act(g, perm[a]) for
+    each placed pair a, act(g, a).  A whole permutation that passes every
+    position carries the source's structure onto the target's exactly when
+    both theories have equally many fusion triples (``same_size``).
+    """
+
+    def __init__(self, source, target, order):
+        self.order = tuple(order)
+        position = {a: i for i, a in enumerate(self.order)}
+        self.vacuum = source.vacuum
+        self.target_vacuum = target.vacuum
+        self.target_triples = set(target.fusion_triples())
+        self.target_action = target.action
+        source_triples = source.fusion_triples()
+        self.same_size = len(source_triples) == len(self.target_triples)
+        self.triples_at = [[] for _ in self.order]
+        for trip in source_triples:
+            self.triples_at[max(position[a] for a in trip)].append(trip)
+        self.pairs_at = [[] for _ in self.order]
+        for g in source.group.elements():
+            for a in source.charges():
+                b = source.act(g, a)
+                self.pairs_at[max(position[a], position[b])].append((g, a, b))
+
+    def admits(self, i, perm):
+        """True unless placing charge ``order[i]`` breaks a condition."""
+        if self.order[i] == self.vacuum and perm[self.vacuum] != self.target_vacuum:
+            return False
+        triples = self.target_triples
+        for a, b, c in self.triples_at[i]:
+            if (perm[a], perm[b], perm[c]) not in triples:
+                return False
+        action = self.target_action
+        for g, a, b in self.pairs_at[i]:
+            if perm[b] != action[g][perm[a]]:
+                return False
+        return True
+
+
+def _structure_preserving_permutations(source, target):
+    """Grade-preserving relabelings of ``source`` that carry its vacuum,
+    fusion triples and action onto ``target``'s.
+
+    They come in the order of ``itertools.product`` over the
+    ``itertools.permutations`` of each grade block: blocks in order of
+    first appearance, and images tried in block order.  A partial
+    permutation is dropped as soon as its last placed charge breaks a
+    condition (:class:`_StructureCheck`).
+    """
     by_grade = {}
-    for a in theory.charges():
-        by_grade.setdefault(theory.grade(a), []).append(a)
-    pools = [list(itertools.permutations(chs)) for chs in by_grade.values()]
-    blocks = list(by_grade.values())
-    for combo in itertools.product(*pools):
-        perm = [0] * theory.num_charges
-        for block, images in zip(blocks, combo):
-            for src, dst in zip(block, images):
-                perm[src] = dst
-        yield Relabeling(tuple(perm))
+    for a in source.charges():
+        by_grade.setdefault(source.grade(a), []).append(a)
+    order = [a for block in by_grade.values() for a in block]
+    pools = [by_grade[source.grade(a)] for a in order]
+    check = _StructureCheck(source, target, order)
+    if not check.same_size:
+        return
+    perm = [0] * source.num_charges
+    used = [False] * source.num_charges
+
+    def extend(i):
+        if i == len(order):
+            yield Relabeling(tuple(perm))
+            return
+        src = order[i]
+        for dst in pools[i]:
+            if used[dst]:
+                continue
+            perm[src] = dst
+            if check.admits(i, perm):
+                used[dst] = True
+                yield from extend(i + 1)
+                used[dst] = False
+
+    yield from extend(0)
 
 
 def first_gauge_match(candidates, target, tol=DEFAULT_TOL):
     """First relabeled candidate that a gauge carries onto ``target``.
 
-    ``candidates`` lazily yields (key, relabeled theory) pairs; one is tried
-    when its vacuum, fusion and action equal the target's.  Returns the
+    ``candidates`` lazily yields (key, relabeled theory) pairs.  Returns the
     witness (key, gauge) or None, and the number of candidates left
     undecided because a table ratio was off the root-of-unity lattice.
     """
     undecided = 0
-    triples = set(target.fusion_triples())
     for key, moved in candidates:
-        if moved.vacuum != target.vacuum \
-                or set(moved.fusion_triples()) != triples \
-                or moved.action != target.action:
-            continue
         try:
             gauge = solve_gauge_matching(moved, target, tol)
         except _NonRootRatio:
@@ -421,9 +483,11 @@ def first_gauge_match(candidates, target, tol=DEFAULT_TOL):
 def theories_equivalent(first, second, budget=10000, tol=DEFAULT_TOL):
     """Search for (relabeling, gauge) making the theories identical.
 
-    Returns the witness pair or None when the whole grade-preserving
-    search space has been refuted.  Raises BudgetExceeded when the budget
-    ran out first (inconclusive).
+    The candidates are the grade-preserving relabelings that carry the
+    vacuum, fusion and action of ``first`` onto those of ``second``; only
+    they are built and gauge matched, and ``budget`` bounds their number.
+    Returns the witness pair or None when every candidate has been refuted.
+    Raises BudgetExceeded when the budget ran out first (inconclusive).
     """
     if first.group.mult != second.group.mult:
         return None
@@ -435,15 +499,12 @@ def theories_equivalent(first, second, budget=10000, tol=DEFAULT_TOL):
         return None
 
     def candidates():
-        for examined, relabeling in enumerate(_grade_preserving_permutations(first)):
+        relabelings = _structure_preserving_permutations(first, second)
+        for examined, relabeling in enumerate(relabelings):
             if examined >= budget:
                 raise BudgetExceeded(
                     f"examined {examined} relabelings without a verdict")
-            try:
-                moved = relabel(first, relabeling)
-            except InvalidInput:
-                continue
-            yield relabeling, moved
+            yield relabeling, relabel(first, relabeling)
 
     witness, undecided = first_gauge_match(candidates(), second, tol)
     if witness is None and undecided:

@@ -415,9 +415,27 @@ def snap_turns(value, max_denominator=96, snap_tol=1e-12):
     raises ``OverflowError`` on underflow (as for 2 + 5e-324j).
     """
     angle = math.atan2(value.imag, value.real)
-    turns = Fraction(angle / TAU).limit_denominator(max_denominator)
+    num, den = (angle / TAU).as_integer_ratio()
+    if den > max_denominator:
+        # Fraction.limit_denominator's continued-fraction search, in ints
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        n, d = num, den
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > max_denominator:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (max_denominator - q0) // q1
+        p, q = p0 + k * p1, q0 + k * q1
+        if abs(p1 * den - num * q1) * q <= abs(p * den - num * q) * q1:
+            num, den = p1, q1
+        else:
+            num, den = p, q
+    turns = Fraction(num % den, den)
     if abs(value - turn_phase(turns)) <= snap_tol:
-        return turns % 1
+        return turns
     return None
 
 
@@ -706,13 +724,34 @@ def phase_to_json(value):
 
 def phase_from_json(obj):
     if isinstance(obj, dict) and "turns" in obj:
-        num, _, den = obj["turns"].partition("/")
-        return turn_phase(Fraction(int(num), int(den or "1")))
+        text = obj["turns"]
+        if not isinstance(text, str):
+            raise InvalidInput(f"turns {text!r} is not a \"p/q\" text")
+        return _turns_text_phase(text)
     if isinstance(obj, dict) and "re" in obj:
-        return complex(float(obj["re"]), float(obj.get("im", 0.0)))
-    if isinstance(obj, (int, float)):
-        return complex(float(obj))
-    raise InvalidInput(f"cannot parse phase value {obj!r}")
+        real, imag = obj["re"], obj.get("im", 0.0)
+    elif isinstance(obj, (int, float)):
+        real, imag = obj, 0.0
+    else:
+        raise InvalidInput(f"cannot parse phase value {obj!r}")
+    try:
+        value = complex(float(real), float(imag))
+    except (TypeError, ValueError):
+        raise InvalidInput(f"cannot parse phase value {obj!r}") from None
+    if not cmath.isfinite(value):
+        raise InvalidInput(f"phase value {obj!r} is not finite")
+    return value
+
+
+@lru_cache(maxsize=None)
+def _turns_text_phase(text):
+    """The phase of a ``"p/q"`` turn text, parsed once per distinct text."""
+    num, _, den = text.partition("/")
+    try:
+        turns = Fraction(int(num), int(den or "1"))
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"turns {text!r} is not a \"p/q\" text") from None
+    return turn_phase(turns)
 
 
 def cochain_to_json(cochain):

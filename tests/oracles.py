@@ -15,7 +15,9 @@ from fractions import Fraction
 from gxbtc import equivalence, intlin
 from gxbtc.category import GxTheory
 from gxbtc.equivalence import (
+    Relabeling,
     _NonRootRatio,
+    relabel,
     relabel_by_1cochain,
     solve_gauge_matching,
 )
@@ -650,6 +652,37 @@ def _relabeled_by_cochains(theory, zs):
         except GxError:
             continue
         yield z, moved
+
+
+# ---------------------------------------------------------------------------
+# the unpruned relabeling search: every grade-preserving permutation is
+# built, then kept when the relabeled theory's vacuum, fusion and action
+# equal the target's
+
+
+def _grade_preserving_permutations(theory):
+    by_grade = {}
+    for a in theory.charges():
+        by_grade.setdefault(theory.grade(a), []).append(a)
+    pools = [list(itertools.permutations(chs)) for chs in by_grade.values()]
+    blocks = list(by_grade.values())
+    for combo in itertools.product(*pools):
+        perm = [0] * theory.num_charges
+        for block, images in zip(blocks, combo):
+            for src, dst in zip(block, images):
+                perm[src] = dst
+        yield Relabeling(tuple(perm))
+
+
+def structure_matching_relabelings(source, target):
+    """Reference for equivalence._structure_preserving_permutations."""
+    triples = set(target.fusion_triples())
+    for relabeling in _grade_preserving_permutations(source):
+        moved = relabel(source, relabeling)
+        if moved.vacuum == target.vacuum \
+                and set(moved.fusion_triples()) == triples \
+                and moved.action == target.action:
+            yield relabeling
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,14 @@ class TestValidate:
         msgs = cat.validate(broken)
         assert any("associative" in m for m in msgs)
 
+    def test_tables_are_read_only(self, toric_z2):
+        for table in (toric_z2.f_entries(), toric_z2.r_entries(),
+                      toric_z2.u_entries(), toric_z2.eta_entries()):
+            key = next(iter(table))
+            with pytest.raises(TypeError):
+                table[key] = 1j
+        assert toric_z2.f_entries() is toric_z2.f_entries()
+
     def test_broken_extension_notes_pinned(self, toric_z2):
         # 4 x 5 rerouted to the wrong channel, one F entry scaled off U(1)
         triples = [(4, 5, 2) if t == (4, 5, 1) else t

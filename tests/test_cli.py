@@ -134,6 +134,83 @@ class TestIndexRanges:
         assert "malformed theory JSON" in capsys.readouterr().err
 
 
+def _turns_over_zero(blob):
+    blob["F"][5]["value"] = {"turns": "1/0"}
+
+
+def _turns_not_numbers(blob):
+    blob["R"][3]["value"] = {"turns": "a/b"}
+
+
+def _turns_not_text(blob):
+    blob["eta"][9]["value"] = {"turns": 1}
+
+
+def _re_not_a_number(blob):
+    blob["F"][5]["value"] = {"re": "abc"}
+
+
+def _re_not_finite(blob):
+    blob["U"][9]["value"] = {"re": float("nan"), "im": 0.0}
+
+
+def _f_charge_out_of_range(blob):
+    blob["F"][5]["charges"][2] = 99
+
+
+def _f_key_too_short(blob):
+    blob["F"][5]["charges"] = blob["F"][5]["charges"][:2]
+
+
+def _r_charge_not_int(blob):
+    blob["R"][3]["charges"][0] = "e"
+
+
+def _u_sheet_out_of_range(blob):
+    blob["U"][5]["sheet"] = 7
+
+
+def _eta_element_out_of_range(blob):
+    blob["eta"][5]["pair"][0] = 7
+
+
+def _drop_f_entry(blob):
+    del blob["F"][5]
+
+
+# mutation -> exit code of ``check``; torsor and equiv exit 65 on all of them
+TABLE_MUTATIONS = {
+    _turns_over_zero: 65, _turns_not_numbers: 65, _turns_not_text: 65,
+    _re_not_a_number: 65, _re_not_finite: 65,
+    _f_charge_out_of_range: 65, _f_key_too_short: 65, _r_charge_not_int: 65,
+    _u_sheet_out_of_range: 65, _eta_element_out_of_range: 65,
+    # well-formed JSON of an incomplete theory: check reports the gap
+    _drop_f_entry: 1,
+}
+
+
+class TestMalformedTables:
+    @pytest.mark.parametrize("mutate", list(TABLE_MUTATIONS),
+                             ids=lambda m: m.__name__.strip("_"))
+    @pytest.mark.parametrize("command", ["check", "torsor", "equiv",
+                                         "equiv-reversed"])
+    def test_exits_with_input_error(self, tmp_path, toric_z2, toric_z2_file,
+                                    capsys, mutate, command):
+        blob = cat.theory_to_json(toric_z2)
+        mutate(blob)
+        bad = tmp_path / "mutated.json"
+        bad.write_text(json.dumps(blob))
+        twist = tmp_path / "t.json"
+        twist.write_text(json.dumps({"degree": 2, "entries": []}))
+        argv = {"check": ["check", str(bad)],
+                "torsor": ["torsor", str(bad), "--t", str(twist)],
+                "equiv": ["equiv", toric_z2_file, str(bad)],
+                "equiv-reversed": ["equiv", str(bad), toric_z2_file]}[command]
+        expected = TABLE_MUTATIONS[mutate] if command == "check" else 65
+        assert main(argv) == expected
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestTorsorCommands:
     def test_torsor_solve_and_check(self, tmp_path, toric_z2, toric_z2_file,
                                     capsys):
@@ -178,6 +255,20 @@ class TestEquiv:
         a.write_text(json.dumps(cat.theory_to_json(trivial)))
         b.write_text(json.dumps(cat.theory_to_json(nontrivial)))
         assert main(["equiv", str(a), str(b)]) == 1
+
+    def test_budget_counts_structure_preserving_relabelings(
+            self, tmp_path, toric_z2, toric_z2_file, capsys):
+        # e and f swapped in both grades: the witness is the 13th relabeling
+        # that keeps the vacuum, fusion and action, and the 76th
+        # grade-preserving one
+        moved = eq.relabel(toric_z2, eq.Relabeling((0, 3, 2, 1, 4, 7, 6, 5)))
+        path = tmp_path / "moved.json"
+        path.write_text(json.dumps(cat.theory_to_json(moved)))
+        argv = ["equiv", toric_z2_file, str(path), "--budget"]
+        assert main([*argv, "12"]) == 2
+        assert json.loads(capsys.readouterr().out)["reason"] == \
+            "examined 12 relabelings without a verdict"
+        assert main([*argv, "13"]) == 0
 
 
 class TestCohomology:

@@ -2,19 +2,26 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gxbtc import category as cat
 from gxbtc import consistency as con
 from gxbtc import constructions as cons
 from gxbtc import equivalence as eq
 from gxbtc import torsor
-from gxbtc.errors import GradeViolation, NotA1Cocycle
+from gxbtc.errors import BudgetExceeded, GradeViolation, NotA1Cocycle
 from gxbtc.groups import Cochain, FiniteGroup, U1Module, cohomologous, is_cocycle
 
 import oracles
 
 Z2 = FiniteGroup.cyclic(2)
+Z2XZ2 = FiniteGroup.from_cyclic_factors([2, 2])
 TOL = 1e-9
+SEARCH_THEORIES = {
+    "toric x Z2": cons.trivial_extension(cons.toric_code(), Z2),
+    "semion x Z2xZ2": cons.trivial_extension(cons.semion(), Z2XZ2),
+}
 
 
 def one_cochain(theory, value):
@@ -265,3 +272,59 @@ class TestSemionDefectificationCollapse:
             z = Cochain(Z2, 1, module, {(1,): value})
             out = eq.cocycle_relabel_class(toric_z2, z)
             assert out.is_identity_cochain()
+
+
+def grade_preserving_relabeling(theory, rng):
+    perm = list(theory.charges())
+    for g in theory.group.elements():
+        block = list(theory.charges_of_grade(g))
+        images = block[:]
+        rng.shuffle(images)
+        for src, dst in zip(block, images):
+            perm[src] = dst
+    return eq.Relabeling(tuple(perm))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(SEARCH_THEORIES)), st.randoms(use_true_random=False))
+def test_pruned_search_matches_filtered_permutations(name, rng):
+    # the pruned generator yields exactly the grade-preserving permutations
+    # whose relabeled theory has the target's vacuum, fusion and action,
+    # in the order of the unpruned search
+    theory = SEARCH_THEORIES[name]
+    moved = eq.relabel(theory, grade_preserving_relabeling(theory, rng))
+    target = eq.apply_gauge(moved, random_gauge(moved, rng))
+    pruned = list(eq._structure_preserving_permutations(theory, target))
+    assert pruned == list(oracles.structure_matching_relabelings(theory, target))
+    assert pruned, "the relabeling that built the target always survives"
+
+
+class TestSearchBudget:
+    """``budget`` bounds the relabelings that pass the structure check."""
+
+    # toric x Z2 with e and f swapped in both grades: the first gauge match
+    # is the 13th of 24 structure-preserving relabelings and the 76th
+    # grade-preserving one
+    SWAP = eq.Relabeling((0, 3, 2, 1, 4, 7, 6, 5))
+
+    def test_witness_needs_its_rank_among_survivors(self, toric_z2):
+        target = eq.relabel(toric_z2, self.SWAP)
+        survivors = list(oracles.structure_matching_relabelings(toric_z2, target))
+        relabeling, _ = eq.theories_equivalent(toric_z2, target)
+        rank = survivors.index(relabeling)
+        full_rank = list(oracles._grade_preserving_permutations(toric_z2)).index(
+            relabeling)
+        assert (len(survivors), rank, full_rank) == (24, 12, 75)
+        assert eq.theories_equivalent(toric_z2, target, budget=rank + 1)[0] \
+            == relabeling
+        with pytest.raises(BudgetExceeded, match="examined 12 relabelings"):
+            eq.theories_equivalent(toric_z2, target, budget=rank)
+
+    def test_refutation_needs_every_survivor(self, toric_z2):
+        alpha = Cochain(Z2, 3, U1Module(8), {(1, 1, 1): complex(-1.0)})
+        glued = cons.glue_spt(toric_z2, alpha)
+        survivors = list(oracles.structure_matching_relabelings(toric_z2, glued))
+        assert len(survivors) == 24
+        assert eq.theories_equivalent(toric_z2, glued, budget=24) is None
+        with pytest.raises(BudgetExceeded):
+            eq.theories_equivalent(toric_z2, glued, budget=23)
