@@ -54,9 +54,14 @@ class GxTheory:
         if self.grades[self.vacuum] != group.identity:
             raise InvalidInput("vacuum must carry the identity grade")
         self._n = frozenset(tuple(t) for t in fusion)
-        self._outcomes = {}
+        outcomes = {}
         for a, b, c in sorted(self._n):
-            self._outcomes.setdefault((a, b), []).append(c)
+            outcomes.setdefault((a, b), []).append(c)
+        self._outcomes = {pair: tuple(cs) for pair, cs in outcomes.items()}
+        by_grade = {}
+        for a, g in enumerate(self.grades):
+            by_grade.setdefault(g, []).append(a)
+        self._by_grade = {g: tuple(cs) for g, cs in by_grade.items()}
         self._f = dict(f)
         self._r = dict(r)
         self._u = dict(u)
@@ -100,10 +105,10 @@ class GxTheory:
         return sorted(self._n)
 
     def fusion_outcomes(self, a, b):
-        return tuple(self._outcomes.get((a, b), ()))
+        return self._outcomes.get((a, b), ())
 
     def charges_of_grade(self, g):
-        return tuple(a for a in self.charges() if self.grades[a] == g)
+        return self._by_grade.get(g, ())
 
     def is_abelian_charge(self, a):
         return a in self._abelian
@@ -625,8 +630,11 @@ def _check_indices(group, grades, vacuum, fusion, action):
 
 def _phase_table(entries, name, bounds, key_of):
     """{key: phase} for JSON table entries; raise InvalidInput unless each
-    key has one index below each of ``bounds``."""
+    key has one index below each of ``bounds`` and no key repeats."""
     table = {key_of(e): phase_from_json(e["value"]) for e in entries}
+    if len(table) != len(entries):
+        raise InvalidInput(f"malformed theory JSON: {name} lists a key "
+                           "more than once")
     arity = len(bounds)
     for key in table:
         if len(key) != arity:

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from gxbtc import equivalence, intlin
 from gxbtc.category import GxTheory
+from gxbtc.consistency import ConsistencyReport
 from gxbtc.equivalence import (
     Relabeling,
     _NonRootRatio,
@@ -21,7 +22,13 @@ from gxbtc.equivalence import (
     relabel_by_1cochain,
     solve_gauge_matching,
 )
-from gxbtc.errors import GxError, InvalidInput, MatchFailure, RootOrderTooSmall
+from gxbtc.errors import (
+    GxError,
+    InvalidInput,
+    MatchFailure,
+    RepresentativeDependent,
+    RootOrderTooSmall,
+)
 from gxbtc.groups import (
     DEFAULT_TOL,
     Cochain,
@@ -32,6 +39,7 @@ from gxbtc.groups import (
     _tuple_index,
     _vec_to_cochain,
     turn_phase,
+    validate_cocycle,
 )
 from gxbtc.torsor import apply_torsor, default_root_order
 
@@ -767,3 +775,95 @@ def _quotient_to_result(group, degree, module, ambient, gens, n_coords, reduce_v
     pairs = sorted(zip(orders, vecs), key=lambda p: p[0])
     reps = [_vec_to_cochain(group, degree, module, reduce_vec(v)) for _, v in pairs]
     return CohomologyGroup(group, degree, module, [o for o, _ in pairs], reps)
+
+
+# Nested-loop references for the pentagon kernel of gxbtc.consistency.
+
+
+def loop_check_pentagon(theory, max_nontrivial_defects=4, tol=DEFAULT_TOL):
+    """Associativity coherence over all admissible charge tuples.
+
+    With ``max_nontrivial_defects = 3`` the sweep skips tuples whose four
+    fused charges all carry nontrivial grades; that restricted equation is
+    exactly what torsor wellformedness requires of its input.
+    """
+    rep = ConsistencyReport("pentagon")
+    ident = theory.group.identity
+    fz = theory.f_or_zero
+    for a, b, c, d in itertools.product(theory.charges(), repeat=4):
+        if max_nontrivial_defects < 4:
+            nontrivial = sum(1 for x in (a, b, c, d) if theory.grade(x) != ident)
+            if nontrivial > max_nontrivial_defects:
+                continue
+        for f in theory.fusion_outcomes(a, b):
+            for g in theory.fusion_outcomes(f, c):
+                for e in theory.fusion_outcomes(g, d):
+                    for l in theory.fusion_outcomes(c, d):
+                        for k in theory.fusion_outcomes(b, l):
+                            if not theory.n(a, k, e):
+                                continue
+                            lhs = fz(f, c, d, e, g, l) * fz(a, b, l, e, f, k)
+                            rhs = 0j
+                            for h in theory.fusion_outcomes(b, c):
+                                rhs += (fz(a, b, c, g, f, h)
+                                        * fz(a, h, d, e, g, k)
+                                        * fz(b, c, d, k, h, l))
+                            rep.record((a, b, c, d, e, f, g, k, l), lhs, rhs, tol)
+    return rep
+
+
+def loop_defectification_obstruction(theory, tol=DEFAULT_TOL, rep_tol=None,
+                                root_order=1):
+    """Phase by which the four-defect pentagon fails, per grade 4-tuple.
+
+    Every admissible charge assignment for a given grade tuple must produce
+    the same phase; disagreement beyond ``rep_tol`` raises, since it means
+    the three-defect consistency precondition did not actually hold.
+    ``root_order`` only tags the root order of the returned cochain's module
+    for downstream exact solving.
+    """
+    if rep_tol is None:
+        rep_tol = max(tol, 1e-9)
+    group = theory.group
+    fz = theory.f_or_zero
+    values = {}
+    for gt in itertools.product(group.nonidentity(), repeat=4):
+        g1, g2, g3, g4 = gt
+        found = None
+        for a in theory.charges_of_grade(g1):
+            for b in theory.charges_of_grade(g2):
+                for x in theory.fusion_outcomes(a, b):
+                    for c in theory.charges_of_grade(g3):
+                        for z in theory.fusion_outcomes(x, c):
+                            for d in theory.charges_of_grade(g4):
+                                for p in theory.fusion_outcomes(z, d):
+                                    for y in theory.fusion_outcomes(b, c):
+                                        if not theory.n(a, y, z):
+                                            continue
+                                        for q in theory.fusion_outcomes(y, d):
+                                            if not theory.n(a, q, p):
+                                                continue
+                                            for r in theory.fusion_outcomes(c, d):
+                                                if not (theory.n(b, r, q)
+                                                        and theory.n(x, r, p)):
+                                                    continue
+                                                num = (fz(a, b, c, z, x, y)
+                                                       * fz(a, y, d, p, z, q)
+                                                       * fz(b, c, d, q, y, r))
+                                                den = (fz(a, b, r, p, x, q)
+                                                       * fz(x, c, d, p, z, r))
+                                                if abs(den) < 1e-12:
+                                                    continue
+                                                val = num / den
+                                                if found is None:
+                                                    found = val
+                                                elif abs(val - found) > rep_tol:
+                                                    raise RepresentativeDependent(
+                                                        f"pentagon defect at grades {gt} "
+                                                        f"depends on the charge assignment: "
+                                                        f"{val} vs {found}")
+        values[gt] = found if found is not None else complex(1.0)
+    cochain = Cochain(theory.group, 4, U1Module(root_order), values)
+    validate_cocycle(cochain, max(tol, 1e-7), degree=4)
+    return cochain
+

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import json
 import random
@@ -178,12 +179,25 @@ def _drop_f_entry(blob):
     del blob["F"][5]
 
 
+def _repeat_entry(table, index):
+    """Insert before one entry of ``table`` a copy with another value, so a
+    reader keeping the last of each key would load a consistent theory."""
+    def mutate(blob):
+        entry = json.loads(json.dumps(blob[table][index]))
+        entry["value"] = {"turns": "1/3"}
+        blob[table].insert(index, entry)
+    mutate.__name__ = f"_repeated_{table.lower()}_key"
+    return mutate
+
+
 # mutation -> exit code of ``check``; torsor and equiv exit 65 on all of them
 TABLE_MUTATIONS = {
     _turns_over_zero: 65, _turns_not_numbers: 65, _turns_not_text: 65,
     _re_not_a_number: 65, _re_not_finite: 65,
     _f_charge_out_of_range: 65, _f_key_too_short: 65, _r_charge_not_int: 65,
     _u_sheet_out_of_range: 65, _eta_element_out_of_range: 65,
+    _repeat_entry("F", 5): 65, _repeat_entry("R", 3): 65,
+    _repeat_entry("U", 9): 65, _repeat_entry("eta", 9): 65,
     # well-formed JSON of an incomplete theory: check reports the gap
     _drop_f_entry: 1,
 }
@@ -374,17 +388,20 @@ class TestSemionEnumerate:
         assert any(sorted(c["members"]) == [0, 1] for c in collapses)
 
 
-def stdout_digest(capsys, argv):
-    assert main(argv) == 0
+def stdout_digest(capsys, argv, code=0):
+    assert main(argv) == code
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 class TestGoldenOutputs:
-    """SHA-256 of outputs that run through Smith forms and their transforms.
+    """SHA-256 of outputs that run through Smith forms and their transforms,
+    and of pentagon reports with float residuals.
 
     The representatives and the gauge witness are canonical only for a
     fixed elimination order, so a change of pivot choice or row-operation
     order shows up here even when every result stays mathematically valid.
+    A residual or a failing tuple's sides change with the last bit of any
+    product or with the order of the failures.
     """
 
     @pytest.mark.parametrize("group, coeff, degree, digest", [
@@ -436,3 +453,50 @@ class TestGoldenOutputs:
         path.write_text(json.dumps(cat.theory_to_json(moved)))
         assert stdout_digest(capsys, ["equiv", toric_z2_file, str(path)]) == \
             "8861b972bd5a7124858d2597c3292d03ca08712bf7282c2389736b20faf1d3ab"
+
+    @pytest.fixture()
+    def in_tmp(self, tmp_path, monkeypatch):
+        # ``check`` echoes the theory path, so run on a fixed relative name
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @staticmethod
+    def write(theory, name):
+        with open(name, "w") as fh:
+            json.dump(cat.theory_to_json(theory), fh)
+        return name
+
+    @staticmethod
+    def perturbed(theory, seed):
+        """``theory`` with every F value turned by a seeded small angle."""
+        rng = random.Random(seed)
+        return theory.replace(f={
+            key: value * cmath.exp(1j * rng.uniform(-0.2, 0.2))
+            for key, value in sorted(theory.f_entries().items())})
+
+    @pytest.mark.parametrize("cap, digest", [
+        ("4",
+         "53c3518595d80a6dc86a08ce95f00752474b8ebc68750ebde0d242cb33e60698"),
+        ("3",
+         "206af09d20a01a7f6d027cfe80b6de6ea6294e5efa9251999284db54008895da"),
+    ])
+    def test_check_perturbed(self, in_tmp, toric_z2, capsys, cap, digest):
+        # toric x Z2 with every F value moved: more than MAX_FAILURES
+        # failing tuples, each with float residuals
+        path = self.write(self.perturbed(toric_z2, 11), "perturbed.json")
+        argv = ["check", path, "--max-defects", cap]
+        assert stdout_digest(capsys, argv, code=1) == digest
+
+    def test_check_fibonacci(self, in_tmp, fib, capsys):
+        # the pentagon residual is a rounding error of about 1e-16
+        path = self.write(fib, "fib.json")
+        assert stdout_digest(capsys, ["check", path]) == \
+            "7a906e4be010d25d94f6e7a52eb10ae043e5247dddf7bef7a343d6def8b20c67"
+
+    def test_torsor_solve_x(self, in_tmp, toric_z2, capsys):
+        # --solve-x reads the coefficients off the defect obstruction
+        path = self.write(toric_z2, "toric_z2.json")
+        tfile = write_twist(in_tmp, toric_z2, 3)
+        argv = ["torsor", path, "--t", tfile, "--solve-x"]
+        assert stdout_digest(capsys, argv) == \
+            "83e5283f5261c4da7665bccf78ce4c9b1ae3d4ccd1f82127e7a7c973b2602870"

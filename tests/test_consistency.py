@@ -1,11 +1,18 @@
+import cmath
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gxbtc import category as cat
 from gxbtc import consistency as con
 from gxbtc import constructions as cons
+from gxbtc import torsor
+from gxbtc.errors import GxError
 from gxbtc.groups import Cochain, FiniteGroup, U1Module, is_cocycle
 
+import oracles
 import solver_oracle
 
 Z2 = FiniteGroup.cyclic(2)
@@ -187,3 +194,61 @@ class TestRepresentativeDependence:
         broken = out.replace(f=f)
         with pytest.raises(RepresentativeDependent):
             con.defectification_obstruction(broken)
+
+
+def _toric_z2_twisted():
+    # unit coefficients leave the relative obstruction in the four-defect
+    # pentagon, so the defect phase has nontrivial entries
+    base = cons.trivial_extension(cons.toric_code(), Z2)
+    t = Cochain(Z2, 2, cat.abelian_subgroup(base), {(1, 1): 3})
+    return torsor.apply_torsor(base, t, torsor.trivial_coefficients(base))
+
+
+KERNEL_THEORIES = {
+    "toric x Z2": cons.trivial_extension(cons.toric_code(), Z2),
+    "semion x Z2xZ2": cons.trivial_extension(
+        cons.semion(), FiniteGroup.from_cyclic_factors([2, 2])),
+    "fibonacci": cons.fibonacci(),
+    "fibonacci x Z2": cons.trivial_extension(cons.fibonacci(), Z2),
+    "toric x Z2 twisted": _toric_z2_twisted(),
+}
+
+
+@st.composite
+def perturbed_theories(draw):
+    """A kernel theory with a drawn share of its F values turned by e^{i theta},
+    |theta| up to a drawn scale (from rounding-size to any angle)."""
+    theory = KERNEL_THEORIES[draw(st.sampled_from(sorted(KERNEL_THEORIES)))]
+    rng = draw(st.randoms(use_true_random=False))
+    scale = draw(st.sampled_from([0.0, 1e-13, 1e-8, 0.3, cmath.pi]))
+    share = draw(st.sampled_from([0.02, 0.3, 1.0]))
+    return theory.replace(f={
+        key: value * cmath.exp(1j * rng.uniform(-scale, scale))
+        if rng.random() < share else value
+        for key, value in sorted(theory.f_entries().items())})
+
+
+def _defect_outcome(sweep, theory):
+    try:
+        return repr(sorted(sweep(theory).entries.items()))
+    except GxError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestPentagonKernel:
+    """The numpy kernel against the nested loops of tests/oracles.py, compared
+    through repr so a last-bit or signed-zero difference fails."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(perturbed_theories())
+    @pytest.mark.parametrize("cap", [3, 4])
+    def test_report_matches_loops(self, cap, theory):
+        assert repr(con.check_pentagon(theory, cap).to_json()) == \
+            repr(oracles.loop_check_pentagon(theory, cap).to_json())
+
+    @settings(max_examples=40, deadline=None)
+    @given(perturbed_theories())
+    def test_defect_obstruction_matches_loops(self, theory):
+        # equal entries, or the same RepresentativeDependent message
+        assert _defect_outcome(con.defectification_obstruction, theory) == \
+            _defect_outcome(oracles.loop_defectification_obstruction, theory)
