@@ -92,12 +92,6 @@ def _load_coefficients(path, theory, root_order):
     return cochain_from_json(_load_json(path), theory.group, U1Module(root_order))
 
 
-def _root_order(args, theory):
-    if getattr(args, "root_order", None):
-        return args.root_order
-    return torsor.default_root_order(theory)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -135,7 +129,7 @@ def _cmd_check(args):
 def _cmd_torsor(args):
     theory = _load_theory(args.theory)
     t = _load_twist(args.t, theory)
-    order = _root_order(args, theory)
+    order = args.root_order or torsor.default_root_order(theory)
     if args.solve_x and not args.x:
         x = None
     else:
@@ -148,7 +142,7 @@ def _cmd_torsor(args):
 def _cmd_obstruction(args):
     theory = _load_theory(args.theory)
     t = _load_twist(args.t, theory)
-    order = _root_order(args, theory)
+    order = args.root_order or torsor.default_root_order(theory)
     orr = torsor.relative_obstruction(theory, t, order, args.tol)
     x = torsor.solve_coefficients_for(orr)
     payload = {
@@ -162,7 +156,7 @@ def _cmd_obstruction(args):
 
 def _cmd_compose(args):
     theory = _load_theory(args.theory)
-    order = _root_order(args, theory)
+    order = args.root_order or torsor.default_root_order(theory)
     first = torsor.TorsorInput(_load_twist(args.t1, theory),
                                _load_coefficients(args.x1, theory, order))
     second = torsor.TorsorInput(_load_twist(args.t2, theory),
@@ -347,16 +341,19 @@ def build_parser():
     parser = _Parser(prog="gxbtc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--root-order", type=int, default=None)
+    def common(p, *options):
+        """-o/--output, and the options ("tol", "root-order") ``p`` reads."""
+        if "tol" in options:
+            p.add_argument("--tol", type=float, default=1e-9)
+        if "root-order" in options:
+            p.add_argument("--root-order", type=int, default=None)
         p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("check", help="run consistency equations on a theory")
     p.add_argument("theory")
     p.add_argument("--eq", choices=["pentagon", "heptagon", "all"], default="all")
     p.add_argument("--max-defects", type=int, choices=[3, 4], default=4)
-    common(p)
+    common(p, "tol")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("torsor", help="apply a twist functor to a theory")
@@ -364,13 +361,13 @@ def build_parser():
     p.add_argument("--t", required=True)
     p.add_argument("--x", default=None)
     p.add_argument("--solve-x", action="store_true")
-    common(p)
+    common(p, "tol", "root-order")
     p.set_defaults(func=_cmd_torsor)
 
     p = sub.add_parser("obstruction", help="relative obstruction of a twist")
     p.add_argument("theory")
     p.add_argument("--t", required=True)
-    common(p)
+    common(p, "tol", "root-order")
     p.set_defaults(func=_cmd_obstruction)
 
     p = sub.add_parser("compose", help="compose two twist functors")
@@ -379,14 +376,14 @@ def build_parser():
     p.add_argument("--x1", default=None)
     p.add_argument("--t2", required=True)
     p.add_argument("--x2", default=None)
-    common(p)
+    common(p, "root-order")
     p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("equiv", help="search for a relabel+gauge equivalence")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--budget", type=int, default=10000)
-    common(p)
+    common(p, "tol")
     p.set_defaults(func=_cmd_equiv)
 
     p = sub.add_parser("cohomology", help="group cohomology via Smith form")
@@ -394,7 +391,7 @@ def build_parser():
     p.add_argument("--coeff", required=True,
                    help="'u1' or cyclic factors like 'z2' or 'z2x4'")
     p.add_argument("--degree", type=int, required=True)
-    common(p)
+    common(p, "root-order")
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser("build", help="build canonical theories")
@@ -403,14 +400,14 @@ def build_parser():
     p.add_argument("--group", default="Z2")
     p.add_argument("--alpha", default=None)
     p.add_argument("--c0", default=None)
-    common(p)
+    common(p, "tol", "root-order")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("enumerate-extensions",
                        help="twist a trivial extension through all classes")
     p.add_argument("--c0", required=True)
     p.add_argument("--group", required=True)
-    common(p)
+    common(p, "tol", "root-order")
     p.set_defaults(func=_cmd_enumerate)
 
     return parser

@@ -372,19 +372,16 @@ def base_theory_torsorable(theory, tol=DEFAULT_TOL):
     return worst
 
 
-def defectification_obstruction(theory, tol=DEFAULT_TOL, rep_tol=None,
-                                root_order=1):
+def defectification_obstruction(theory, tol=DEFAULT_TOL, root_order=1):
     """Phase by which the four-defect pentagon fails, per grade 4-tuple.
 
     Every admissible charge assignment for a given grade tuple must produce
-    the same phase; disagreement beyond ``rep_tol`` raises, since it means
+    the same phase; disagreement beyond max(tol, 1e-9) raises, since it means
     the three-defect consistency precondition did not actually hold.
     ``root_order`` only tags the root order of the returned cochain's module
     for downstream exact solving.  An assignment whose pentagon side
     |F(a,b,r;p) F(x,c,d;p)| is below 1e-12 gives no phase and is skipped.
     """
-    if rep_tol is None:
-        rep_tol = max(tol, 1e-9)
     group = theory.group
     nonidentity = group.nonidentity()
     m = len(nonidentity)
@@ -420,7 +417,8 @@ def defectification_obstruction(theory, tol=DEFAULT_TOL, rep_tol=None,
         ref = np.cumsum(head) - 1
         ref_r = np.array([found[no].real for no in numbers])[ref]
         ref_i = np.array([found[no].imag for no in numbers])[ref]
-        far = np.flatnonzero(np.hypot(val_r - ref_r, val_i - ref_i) > rep_tol)
+        far = np.flatnonzero(
+            np.hypot(val_r - ref_r, val_i - ref_i) > max(tol, 1e-9))
         for i in far[_heads(grade_no[far])].tolist():
             clash.setdefault(int(grade_no[i]), complex(val_r[i], val_i[i]))
     grade_tuples = list(itertools.product(nonidentity, repeat=4))

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import intlin
-from .category import GxTheory
+from .category import GxTheory, tables_distance
 from .errors import (
     BudgetExceeded,
     GradeViolation,
@@ -71,38 +71,65 @@ class GaugeTransform:
             all(abs(v - 1.0) <= tol for v in self.sheet.values())
 
 
+def _gauge_terms(theory):
+    """How a gauge moves each symbol: (table, key, factors) per entry.
+
+    Entries come in F, R, U, eta order, each table in its own entry order.
+    The gauged entry is the product of ``factors`` taken left to right:
+    ``None`` is the entry itself and ``(var, sign)`` a gauge phase,
+    conjugated when ``sign`` is -1.  ``var`` is ``("v", (a, b, c))`` for a
+    vertex phase and ``("s", (a, g))`` for a sheet phase.
+    """
+    grp = theory.group
+    act = theory.act
+    for key in theory.f_entries():
+        a, b, c, d, e, f = key
+        yield "f", key, ((("v", (a, b, e)), 1), (("v", (e, c, d)), 1), None,
+                         (("v", (b, c, f)), -1), (("v", (a, f, d)), -1))
+    for key in theory.r_entries():
+        a, b, c = key
+        h = theory.grade(b)
+        yield "r", key, ((("v", (b, act(grp.inverse(h), a), c)), 1), None,
+                         (("v", (a, b, c)), -1), (("s", (a, h)), 1))
+    for key in theory.u_entries():
+        k, a, b, c = key
+        kbar = grp.inverse(k)
+        moved = (act(kbar, a), act(kbar, b), act(kbar, c))
+        yield "u", key, ((("v", moved), 1), None, (("v", (a, b, c)), -1),
+                         (("s", (a, k)), 1), (("s", (b, k)), 1),
+                         (("s", (c, k)), -1))
+    for key in theory.eta_entries():
+        x, g, h = key
+        yield "eta", key, (None, (("s", (x, grp.op(g, h))), 1),
+                           (("s", (act(grp.inverse(g), x), h)), -1),
+                           (("s", (x, g)), -1))
+
+
+def _tables(theory):
+    return {"f": theory.f_entries(), "r": theory.r_entries(),
+            "u": theory.u_entries(), "eta": theory.eta_entries()}
+
+
 def apply_gauge(theory, gauge, tol=DEFAULT_TOL):
     """Transform all symbol tables by a gauge; fusion and action unchanged."""
     gauge.validate(theory, tol)
-    grp = theory.group
-    gm = gauge.gamma
-    ph = gauge.phase
-    new_f = {}
-    for (a, b, c, d, e, f), val in theory.f_entries().items():
-        new_f[(a, b, c, d, e, f)] = (gm(a, b, e) * gm(e, c, d)
-                                     * val
-                                     * gm(b, c, f).conjugate()
-                                     * gm(a, f, d).conjugate())
-    new_r = {}
-    for (a, b, c), val in theory.r_entries().items():
-        h = theory.grade(b)
-        moved = theory.act(grp.inverse(h), a)
-        new_r[(a, b, c)] = (gm(b, moved, c) * val * gm(a, b, c).conjugate()
-                            * ph(a, h))
-    new_u = {}
-    for (k, a, b, c), val in theory.u_entries().items():
-        kbar = grp.inverse(k)
-        new_u[(k, a, b, c)] = (
-            gm(theory.act(kbar, a), theory.act(kbar, b), theory.act(kbar, c))
-            * val * gm(a, b, c).conjugate()
-            * ph(a, k) * ph(b, k) * ph(c, k).conjugate())
-    new_eta = {}
-    for (x, g, h), val in theory.eta_entries().items():
-        xg = theory.act(grp.inverse(g), x)
-        new_eta[(x, g, h)] = (val * ph(x, grp.op(g, h))
-                              * ph(xg, h).conjugate() * ph(x, g).conjugate())
-    meta = dict(theory.metadata)
-    return theory.replace(f=new_f, r=new_r, u=new_u, eta=new_eta, metadata=meta)
+    phases = {"v": gauge.vertex, "s": gauge.sheet}
+    one = complex(1.0)
+    old = _tables(theory)
+    new = {table: {} for table in old}
+    for table, key, factors in _gauge_terms(theory):
+        value = None
+        for factor in factors:
+            if factor is None:
+                term = old[table][key]
+            else:
+                (kind, label), sign = factor
+                term = phases[kind].get(label, one)
+                if sign < 0:
+                    term = term.conjugate()
+            value = term if value is None else value * term
+        new[table][key] = value
+    return theory.replace(**new)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +138,7 @@ def apply_gauge(theory, gauge, tol=DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class Relabeling:
-    """Grade-preserving permutation of charge labels."""
+    """Permutation of charge labels: charge a becomes perm[a]."""
 
     perm: tuple
 
@@ -130,6 +157,7 @@ class Relabeling:
         return all(check.admits(i, self.perm) for i in theory.charges())
 
     def validate(self, theory):
+        """Check that this permutes ``theory``'s charges within each grade."""
         if sorted(self.perm) != list(theory.charges()):
             raise InvalidInput("relabeling is not a permutation of the charges")
         for a in theory.charges():
@@ -140,10 +168,12 @@ class Relabeling:
 
 
 def relabel(theory, relabeling):
-    """Conjugate every table by a grade-preserving permutation."""
-    relabeling.validate(theory)
+    """Conjugate every table by a permutation; grades move with the charges."""
     perm = relabeling.perm
+    if sorted(perm) != list(theory.charges()):
+        raise InvalidInput("relabeling is not a permutation of the charges")
     inv = relabeling.inverse().perm
+    grades = tuple(theory.grade(inv[a]) for a in theory.charges())
     fusion = [(perm[a], perm[b], perm[c]) for a, b, c in theory.fusion_triples()]
     f = {(perm[a], perm[b], perm[c], perm[d], perm[e], perm[ff]): val
          for (a, b, c, d, e, ff), val in theory.f_entries().items()}
@@ -154,9 +184,8 @@ def relabel(theory, relabeling):
     eta = {(perm[x], g, h): val for (x, g, h), val in theory.eta_entries().items()}
     action = {g: tuple(perm[theory.act(g, inv[a])] for a in theory.charges())
               for g in theory.group.elements()}
-    meta = dict(theory.metadata)
-    return GxTheory(theory.group, theory.grades, perm[theory.vacuum], fusion,
-                    f, r, u, eta, action, metadata=meta)
+    return GxTheory(theory.group, grades, perm[theory.vacuum], fusion,
+                    f, r, u, eta, action, metadata=theory.metadata)
 
 
 def relabeling_from_1cochain(theory, z):
@@ -179,13 +208,13 @@ class _NonRootRatio(Exception):
     """A table ratio is off the root-of-unity lattice; cannot decide exactly."""
 
 
-def _phase_ratio_turns(target, source, snap_tol=1e-9):
+def _phase_ratio_turns(target, source):
     """Ratio as an exact fraction of a turn; None if magnitudes differ.
 
     Magnitude mismatch soundly refutes a gauge (magnitudes are invariant);
     an unsnappable phase ratio is merely undecidable here and raises.
     """
-    if abs(abs(target) - abs(source)) > snap_tol:
+    if abs(abs(target) - abs(source)) > 1e-9:
         return None
     turns = snap_turns(target / source, max_denominator=96, snap_tol=1e-7)
     if turns is None:
@@ -201,105 +230,40 @@ def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
     has extra ones.  The returned None is a proof of gauge-inequivalence
     whenever every table ratio is a phase; a non-phase ratio also rules a
     gauge out (magnitudes are gauge invariant).
+
+    Each entry of :func:`_gauge_terms` gives one integer row in the gauge
+    phases' turns, equal to the entry's turn ratio; identical rows are
+    kept once.  The vertex phases come first, then the sheet phases;
+    those on the vacuum line or at the identity are pinned to 1.
     """
     if source.grades != target.grades or source.action != target.action \
             or set(source.fusion_triples()) != set(target.fusion_triples()):
         return None
-    tf, tr, tu, teta = (target.f_entries(), target.r_entries(),
-                        target.u_entries(), target.eta_entries())
-    if source.f_entries().keys() != tf.keys() \
-            or source.r_entries().keys() != tr.keys() \
-            or source.u_entries().keys() != tu.keys() \
-            or source.eta_entries().keys() != teta.keys():
+    ours, theirs = _tables(source), _tables(target)
+    if any(ours[t].keys() != theirs[t].keys() for t in ours):
         raise InvalidInput("the theories' symbol tables are keyed differently")
-    grp = source.group
     vac = source.vacuum
-    ident = grp.identity
-    vertex_ids = {}
-    for trip in source.fusion_triples():
-        a, b, c = trip
-        if a == vac or b == vac:
-            continue  # pinned to 1 by the vacuum-line convention
-        vertex_ids[trip] = len(vertex_ids)
-    sheet_ids = {}
+    index = {}
+    for a, b, c in source.fusion_triples():
+        if vac not in (a, b):
+            index[("v", (a, b, c))] = len(index)
     for a in source.charges():
-        if a == vac:
-            continue
-        for g in grp.elements():
-            if g == ident:
-                continue
-            sheet_ids[(a, g)] = len(vertex_ids) + len(sheet_ids)
-    total = len(vertex_ids) + len(sheet_ids)
+        if a != vac:
+            for g in source.group.nonidentity():
+                index[("s", (a, g))] = len(index)
 
     rows = {}
-
-    def emit(coeffs, rhs):
-        # accumulate sparse integer rows, deduplicating identical patterns
+    for table, key, factors in _gauge_terms(source):
+        ratio = _phase_ratio_turns(theirs[table][key], ours[table][key])
+        if ratio is None:
+            return None
+        coeffs = {}
+        for factor in factors:
+            i = None if factor is None else index.get(factor[0])
+            if i is not None:
+                coeffs[i] = coeffs.get(i, 0) + factor[1]
         pattern = tuple(sorted((i, c) for i, c in coeffs.items() if c))
-        if pattern in rows:
-            if rows[pattern] != rhs:
-                return False
-        else:
-            rows[pattern] = rhs
-        return True
-
-    def vertex_coeff(coeffs, trip, sign):
-        if trip in vertex_ids:
-            coeffs[vertex_ids[trip]] = coeffs.get(vertex_ids[trip], 0) + sign
-
-    def sheet_coeff(coeffs, key, sign):
-        if key in sheet_ids:
-            coeffs[sheet_ids[key]] = coeffs.get(sheet_ids[key], 0) + sign
-
-    for key, sval in source.f_entries().items():
-        a, b, c, d, e, f = key
-        ratio = _phase_ratio_turns(tf[key], sval)
-        if ratio is None:
-            return None
-        coeffs = {}
-        vertex_coeff(coeffs, (a, b, e), 1)
-        vertex_coeff(coeffs, (e, c, d), 1)
-        vertex_coeff(coeffs, (b, c, f), -1)
-        vertex_coeff(coeffs, (a, f, d), -1)
-        if not emit(coeffs, ratio):
-            return None
-    for key, sval in source.r_entries().items():
-        a, b, c = key
-        h = source.grade(b)
-        ratio = _phase_ratio_turns(tr[key], sval)
-        if ratio is None:
-            return None
-        coeffs = {}
-        vertex_coeff(coeffs, (b, source.act(grp.inverse(h), a), c), 1)
-        vertex_coeff(coeffs, (a, b, c), -1)
-        sheet_coeff(coeffs, (a, h), 1)
-        if not emit(coeffs, ratio):
-            return None
-    for key, sval in source.u_entries().items():
-        k, a, b, c = key
-        kbar = grp.inverse(k)
-        ratio = _phase_ratio_turns(tu[key], sval)
-        if ratio is None:
-            return None
-        coeffs = {}
-        vertex_coeff(coeffs, (source.act(kbar, a), source.act(kbar, b),
-                              source.act(kbar, c)), 1)
-        vertex_coeff(coeffs, (a, b, c), -1)
-        sheet_coeff(coeffs, (a, k), 1)
-        sheet_coeff(coeffs, (b, k), 1)
-        sheet_coeff(coeffs, (c, k), -1)
-        if not emit(coeffs, ratio):
-            return None
-    for key, sval in source.eta_entries().items():
-        x, g, h = key
-        ratio = _phase_ratio_turns(teta[key], sval)
-        if ratio is None:
-            return None
-        coeffs = {}
-        sheet_coeff(coeffs, (x, grp.op(g, h)), 1)
-        sheet_coeff(coeffs, (source.act(grp.inverse(g), x), h), -1)
-        sheet_coeff(coeffs, (x, g), -1)
-        if not emit(coeffs, ratio):
+        if rows.setdefault(pattern, ratio) != ratio:
             return None
 
     matrix = []
@@ -309,23 +273,22 @@ def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
             if turns != 0:
                 return None
             continue
-        row = [0] * total
-        for idx, coeff in pattern:
-            row[idx] = coeff
+        row = [0] * len(index)
+        for i, coeff in pattern:
+            row[i] = coeff
         matrix.append(row)
         rhs.append(turns)
     if not matrix:
         return GaugeTransform()
-    sf = intlin.smith_normal_form(matrix, len(matrix), total)
+    sf = intlin.smith_normal_form(matrix, len(matrix), len(index))
     solution = intlin.solve_turns(sf, rhs)
     if solution is None:
         return None
-    vertex = {trip: turn_phase(solution[i]) for trip, i in vertex_ids.items()}
-    sheet = {key: turn_phase(solution[i]) for key, i in sheet_ids.items()}
-    gauge = GaugeTransform(vertex, sheet)
+    gauge = GaugeTransform()
+    phases = {"v": gauge.vertex, "s": gauge.sheet}
+    for (kind, label), i in index.items():
+        phases[kind][label] = turn_phase(solution[i])
     # exact witness check; failure here means a bug, not inequivalence
-    from .category import tables_distance
-
     if tables_distance(apply_gauge(source, gauge), target) > max(tol, 1e-8):
         raise MatchFailure("solved gauge fails to reproduce the target tables")
     return gauge
@@ -424,20 +387,21 @@ class _StructureCheck:
 
 
 def _structure_preserving_permutations(source, target):
-    """Grade-preserving relabelings of ``source`` that carry its vacuum,
-    fusion triples and action onto ``target``'s.
+    """Relabelings that send each charge of ``source`` to a charge of
+    ``target`` of the same grade and carry the vacuum, fusion triples and
+    action of ``source`` onto ``target``'s.
 
     They come in the order of ``itertools.product`` over the
-    ``itertools.permutations`` of each grade block: blocks in order of
-    first appearance, and images tried in block order.  A partial
-    permutation is dropped as soon as its last placed charge breaks a
-    condition (:class:`_StructureCheck`).
+    ``itertools.permutations`` of each grade block: the source's blocks in
+    order of first appearance, and images tried in the target's order of
+    that grade's charges.  A partial permutation is dropped as soon as its
+    last placed charge breaks a condition (:class:`_StructureCheck`).
     """
     by_grade = {}
     for a in source.charges():
         by_grade.setdefault(source.grade(a), []).append(a)
     order = [a for block in by_grade.values() for a in block]
-    pools = [by_grade[source.grade(a)] for a in order]
+    pools = [target.charges_of_grade(source.grade(a)) for a in order]
     check = _StructureCheck(source, target, order)
     if not check.same_size:
         return
@@ -461,54 +425,35 @@ def _structure_preserving_permutations(source, target):
     yield from extend(0)
 
 
-def first_gauge_match(candidates, target, tol=DEFAULT_TOL):
-    """First relabeled candidate that a gauge carries onto ``target``.
+def theories_equivalent(first, second, budget=10000, tol=DEFAULT_TOL):
+    """Search for (relabeling, gauge) making the theories identical.
 
-    ``candidates`` lazily yields (key, relabeled theory) pairs.  Returns the
-    witness (key, gauge) or None, and the number of candidates left
-    undecided because a table ratio was off the root-of-unity lattice.
+    The candidates are the relabelings that send each charge of ``first``
+    to a charge of ``second`` of the same grade and carry the vacuum,
+    fusion and action of ``first`` onto those of ``second``; only they
+    are built and gauge matched, and ``budget`` bounds their number.
+    Returns the witness pair or None when every candidate has been refuted.
+    Raises BudgetExceeded when the budget ran out first (inconclusive).
     """
+    if first.group.mult != second.group.mult or any(
+            len(first.charges_of_grade(g)) != len(second.charges_of_grade(g))
+            for g in first.group.elements()):
+        return None
     undecided = 0
-    for key, moved in candidates:
+    relabelings = _structure_preserving_permutations(first, second)
+    for examined, relabeling in enumerate(relabelings):
+        if examined >= budget:
+            raise BudgetExceeded(
+                f"examined {examined} relabelings without a verdict")
         try:
-            gauge = solve_gauge_matching(moved, target, tol)
+            gauge = solve_gauge_matching(relabel(first, relabeling), second, tol)
         except _NonRootRatio:
             undecided += 1
             continue
         if gauge is not None:
-            return (key, gauge), undecided
-    return None, undecided
-
-
-def theories_equivalent(first, second, budget=10000, tol=DEFAULT_TOL):
-    """Search for (relabeling, gauge) making the theories identical.
-
-    The candidates are the grade-preserving relabelings that carry the
-    vacuum, fusion and action of ``first`` onto those of ``second``; only
-    they are built and gauge matched, and ``budget`` bounds their number.
-    Returns the witness pair or None when every candidate has been refuted.
-    Raises BudgetExceeded when the budget ran out first (inconclusive).
-    """
-    if first.group.mult != second.group.mult:
-        return None
-    per_grade_first = sorted(
-        (g, len(first.charges_of_grade(g))) for g in first.group.elements())
-    per_grade_second = sorted(
-        (g, len(second.charges_of_grade(g))) for g in second.group.elements())
-    if per_grade_first != per_grade_second:
-        return None
-
-    def candidates():
-        relabelings = _structure_preserving_permutations(first, second)
-        for examined, relabeling in enumerate(relabelings):
-            if examined >= budget:
-                raise BudgetExceeded(
-                    f"examined {examined} relabelings without a verdict")
-            yield relabeling, relabel(first, relabeling)
-
-    witness, undecided = first_gauge_match(candidates(), second, tol)
-    if witness is None and undecided:
+            return relabeling, gauge
+    if undecided:
         raise BudgetExceeded(
             f"{undecided} candidate relabelings were undecidable "
             "(phases off the root-of-unity lattice)")
-    return witness
+    return None

@@ -183,11 +183,11 @@ class U1Module:
     def is_identity(self, a, tol=DEFAULT_TOL):
         return abs(a - 1.0) <= tol
 
-    def exponent_of(self, a, snap_tol=SNAP_TOL):
+    def exponent_of(self, a):
         k = round(math.atan2(a.imag, a.real) / TAU * self.order) % self.order
-        if abs(a - self.value(k)) > snap_tol:
+        if abs(a - self.value(k)) > SNAP_TOL:
             raise SnapFailure(
-                f"value {a!r} is not within {snap_tol} of any {self.order}-th root of unity")
+                f"value {a!r} is not within {SNAP_TOL} of any {self.order}-th root of unity")
         return k
 
     def value(self, k):
@@ -278,7 +278,7 @@ class AbelianModule:
 class Cochain:
     """A normalized n-cochain on a finite group with values in a module."""
 
-    def __init__(self, group, degree, module, entries=None, _skip_validation=False):
+    def __init__(self, group, degree, module, entries=None):
         self.group = group
         self.degree = int(degree)
         self.module = module
@@ -293,8 +293,7 @@ class Cochain:
                         raise NormalizationError(
                             f"non-identity value at identity-containing tuple {args}")
                     continue
-                if not _skip_validation:
-                    value = module.validate_element(value)
+                value = module.validate_element(value)
                 if not module.is_identity(value):
                     data[args] = value
         self.entries = data
@@ -562,7 +561,7 @@ class CohomologyGroup:
             if r:
                 raise NotACocycle(f"{cocycle!r} has nontrivial coboundary")
             c.append(q)
-        sf = _cached_snf(self.group, self.degree, ("u1",))
+        sf = _cached_snf(self.group, self.degree, self.module)
         c = sf.apply_u(c)
         return [c[i] % d for i, d in enumerate(sf.diag) if d > 1]
 
@@ -597,7 +596,7 @@ def cohomology(group, degree, module):
 
 
 def _cohomology_u1(group, degree, module):
-    sf = _cached_snf(group, degree, ("u1",))
+    sf = _cached_snf(group, degree, module)
     factors = [(i, d) for i, d in enumerate(sf.diag) if d > 1]
     orders = [d for _, d in factors]
     root_order = module.order
@@ -631,7 +630,7 @@ def _cohomology_abelian(group, degree, module):
     return CohomologyGroup(group, degree, module, [o for o, _ in pairs], reps)
 
 
-def cohomologous(first, second, snap_tol=SNAP_TOL):
+def cohomologous(first, second):
     """Witness mu with ``first = second * d(mu)``, or None.
 
     For U(1) coefficients the witness may take values in finer roots of
@@ -645,11 +644,11 @@ def cohomologous(first, second, snap_tol=SNAP_TOL):
         raise InvalidInput("degree-0 cochains have no coboundary witnesses")
     if module.kind == "u1":
         ratio = first.combine(second.inverse())
-        target = [module.exponent_of(v, snap_tol) for v in _cochain_to_vec_u1(ratio)]
+        target = [module.exponent_of(v) for v in _cochain_to_vec_u1(ratio)]
         big = module.order * group.order
         scale = group.order
         witness_module = U1Module(big)
-        sf = _cached_snf(group, degree - 1, ("u1",))
+        sf = _cached_snf(group, degree - 1, module)
         y = intlin.solve_mod(sf, [scale * t for t in target], big)
         if y is None:
             return None
@@ -661,8 +660,7 @@ def cohomologous(first, second, snap_tol=SNAP_TOL):
         return Cochain.identity(group, degree - 1, module)
     n_tuples = len(_tuple_index(group, degree)[0])
     lcm = math.lcm(*module.factors)
-    sf = _cached_snf(group, degree - 1, ("abelian", module.factors,
-                                         _action_key(group, module)))
+    sf = _cached_snf(group, degree - 1, module)
     mods = [m for _ in range(n_tuples) for m in module.factors]
     b = [(lcm // m) * t for m, t in zip(mods, target)]
     y = intlin.solve_mod(sf, b, lcm)
@@ -679,36 +677,26 @@ def _cochain_to_vec_u1(cochain):
 _SNF_CACHE = {}
 
 
-def _action_key(group, module):
-    return tuple(tuple(map(tuple, module.action_matrix(g))) for g in group.elements())
+def _cached_snf(group, degree, module):
+    """Smith form of the coboundary matrix into ``module``, rows scaled to
+    one modulus for a finite module.
 
-
-def _cached_snf(group, degree, module_key):
-    """Smith form of the (scaled) coboundary matrix, cached per shape."""
-    key = (group.mult, degree, module_key)
+    Every U(1) module shares one integer coboundary; a finite module is
+    told apart by its factors and its action matrices.
+    """
+    if module.kind == "u1":
+        shape = "u1"
+    else:
+        shape = (module.factors, tuple(tuple(map(tuple, module.action_matrix(g)))
+                                       for g in group.elements()))
+    key = (group.mult, degree, shape)
     if key not in _SNF_CACHE:
-        if module_key[0] == "u1":
-            mat, rows, cols = _coboundary_matrix(group, degree, U1Module(1))
-        else:
-            factors = module_key[1]
-            module = AbelianModule(factors, group)
-            module._action = _ActionFromKey(group, factors, module_key[2])
-            mat, rows, cols = _coboundary_matrix(group, degree, module)
-            mat, _ = _scale_rows_to_lcm(mat, factors, rows // len(factors))
+        mat, rows, cols = _coboundary_matrix(group, degree, module)
+        if module.kind != "u1":
+            mat, _ = _scale_rows_to_lcm(mat, module.factors,
+                                        rows // len(module.factors))
         _SNF_CACHE[key] = intlin.smith_normal_form(mat, rows, cols)
     return _SNF_CACHE[key]
-
-
-class _ActionFromKey:
-    def __init__(self, group, factors, key):
-        self.factors = factors
-        self.matrices = {g: key[g] for g in group.elements()}
-
-    def __call__(self, g, a):
-        m = self.matrices[g]
-        k = len(self.factors)
-        return tuple(sum(m[i][j] * a[j] for j in range(k)) % self.factors[i]
-                     for i in range(k))
 
 
 # ---------------------------------------------------------------------------

@@ -640,13 +640,21 @@ def gauge_search_collapse(base, module, theories, tol):
             if jdx in labels:
                 continue
             other = theories[jdx][1]
-            witness, undecided = equivalence.first_gauge_match(
-                _relabeled_by_cochains(theory, zs), other, tol)
-            if witness is not None:
-                labels[jdx] = idx
-                group_members.append(jdx)
-            elif undecided:
-                results.append({"pair": [idx, jdx], "verdict": "inconclusive"})
+            undecided = 0
+            for moved in _relabeled_by_cochains(theory, zs):
+                try:
+                    gauge = equivalence.solve_gauge_matching(moved, other, tol)
+                except _NonRootRatio:
+                    undecided += 1
+                    continue
+                if gauge is not None:
+                    labels[jdx] = idx
+                    group_members.append(jdx)
+                    break
+            else:
+                if undecided:
+                    results.append({"pair": [idx, jdx],
+                                    "verdict": "inconclusive"})
         results.append({"class_representative": idx, "members": group_members,
                         "verdict": "collapsed" if len(group_members) > 1
                         else "distinct"})
@@ -659,7 +667,7 @@ def _relabeled_by_cochains(theory, zs):
             moved = equivalence.relabel_by_1cochain(theory, z)
         except GxError:
             continue
-        yield z, moved
+        yield moved
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,13 @@ from gxbtc import constructions as cons
 from gxbtc import equivalence as eq
 from gxbtc import torsor
 from gxbtc.cli import main
-from gxbtc.groups import Cochain, FiniteGroup, U1Module, cochain_to_json
+from gxbtc.groups import (
+    Cochain,
+    FiniteGroup,
+    U1Module,
+    cochain_to_json,
+    phase_from_json,
+)
 
 import oracles
 
@@ -69,6 +75,20 @@ class TestCheck:
     @pytest.mark.parametrize("flag", [["--seed", "1"], ["--json"]])
     def test_removed_flags_are_usage_errors(self, toric_file, flag):
         assert main(["check", toric_file, *flag]) == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "T.json", "--root-order", "8"],
+        ["equiv", "A.json", "B.json", "--root-order", "8"],
+        ["compose", "T.json", "--t1", "t1.json", "--t2", "t2.json",
+         "--tol", "1e-9"],
+        ["cohomology", "--group", "Z2", "--coeff", "u1", "--degree", "3",
+         "--tol", "1e-9"],
+    ], ids=["check-root-order", "equiv-root-order", "compose-tol",
+            "cohomology-tol"])
+    def test_unread_options_are_usage_errors(self, argv, capsys):
+        # each command takes only the options it reads
+        assert main(argv) == 64
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_internal_error_exits_70(self, tmp_path, toric_z2, toric_z2_file,
                                      monkeypatch, capsys):
@@ -283,6 +303,47 @@ class TestEquiv:
         assert json.loads(capsys.readouterr().out)["reason"] == \
             "examined 12 relabelings without a verdict"
         assert main([*argv, "13"]) == 0
+
+    def test_charges_in_another_order(self, tmp_path, toric_z2, toric_z2_file,
+                                      capsys):
+        # charges 1 and 4 (grades 0 and 1) exchanged in every table, each
+        # keeping its grade: the same theory written in another order
+        blob = swap_charges(cat.theory_to_json(toric_z2), 1, 4)
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(blob))
+        assert main(["check", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["equiv", toric_z2_file, str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        gauge = eq.GaugeTransform(
+            {tuple(v["charges"]): phase_from_json(v["value"])
+             for v in payload["gauge"]["vertex"]},
+            {(s["charge"], s["element"]): phase_from_json(s["value"])
+             for s in payload["gauge"]["sheet"]})
+        moved = eq.apply_gauge(
+            eq.relabel(toric_z2, eq.Relabeling(tuple(payload["relabeling"]))),
+            gauge)
+        copy = cat.theory_from_json(blob)
+        assert moved.grades == copy.grades
+        assert cat.tables_distance(moved, copy) < 1e-9
+
+
+def swap_charges(blob, a, b):
+    """Theory JSON ``blob`` with charges ``a`` and ``b`` exchanged."""
+    perm = list(range(len(blob["charges"])))
+    perm[a], perm[b] = b, a
+    out = json.loads(json.dumps(blob))
+    out["charges"] = [blob["charges"][p] for p in perm]
+    out["vacuum"] = perm[blob["vacuum"]]
+    out["dual"] = [perm[blob["dual"][p]] for p in perm]
+    out["fusion"] = [[perm[x] for x in t] for t in blob["fusion"]]
+    out["action"] = [[perm[row[p]] for p in perm] for row in blob["action"]]
+    for table in ("F", "R", "U"):
+        for entry in out[table]:
+            entry["charges"] = [perm[x] for x in entry["charges"]]
+    for entry in out["eta"]:
+        entry["charge"] = perm[entry["charge"]]
+    return out
 
 
 class TestCohomology:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -90,6 +91,58 @@ class TestApplyGauge:
         gauge = eq.GaugeTransform(vertex, sheet)
         out = eq.apply_gauge(spt_alpha, gauge)
         assert cat.tables_distance(out, spt_triv) < TOL
+
+
+GOLDEN_GAUGE_THEORIES = {
+    "toric x Z2": SEARCH_THEORIES["toric x Z2"],
+    "fibonacci x Z2": cons.trivial_extension(cons.fibonacci(), Z2),
+    "semion x Z2xZ2": SEARCH_THEORIES["semion x Z2xZ2"],
+}
+
+
+def seeded_gauge(theory, seed):
+    """mu_8 vertex and sheet phases; the vacuum-line vertices all carry one
+    drawn reference phase, which is 1 only by chance."""
+    rng = random.Random(seed)
+    mod = U1Module(8)
+    vac = theory.vacuum
+    ref = mod.value(rng.randrange(1, 8))
+    vertex = {(a, b, c): ref if vac in (a, b) else mod.value(rng.randrange(8))
+              for a, b, c in sorted(theory.fusion_triples())}
+    sheet = {(a, g): mod.value(rng.randrange(8))
+             for a in theory.charges() if a != vac
+             for g in theory.group.nonidentity()}
+    return eq.GaugeTransform(vertex, sheet)
+
+
+class TestGaugeGolden:
+    """SHA-256 of ``repr`` of the gauged tables and of the solved witness.
+
+    Both follow the order of the theory's entries and of the gauge
+    variables, and each gauged value is an ordered product of floats, so
+    a change of multiplication order, of table order or of the solver's
+    variable order shows up here.
+    """
+
+    @pytest.mark.parametrize("name, digest", [
+        ("toric x Z2",
+         "88343878664d32a88fedb3ba63c69f47a7bebe586c36620d0091c510704ff605"),
+        ("fibonacci x Z2",
+         "07d39e5496619e10187cab9bde861c822cd4cb59286062e7227d1e0792915507"),
+        ("semion x Z2xZ2",
+         "a693954e8691b4eabfe5011db3bd1db85cb9f45769305f87a689e449f28a4c9f"),
+    ])
+    def test_gauged_tables_and_witness(self, name, digest):
+        theory = GOLDEN_GAUGE_THEORIES[name]
+        parts = []
+        for seed in range(3):
+            gauged = eq.apply_gauge(theory, seeded_gauge(theory, seed))
+            witness = eq.solve_gauge_matching(theory, gauged)
+            assert witness is not None
+            parts.append(repr((gauged.f_entries(), gauged.r_entries(),
+                               gauged.u_entries(), gauged.eta_entries(),
+                               witness)))
+        assert hashlib.sha256("".join(parts).encode()).hexdigest() == digest
 
 
 class TestRelabel:
