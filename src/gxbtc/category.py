@@ -20,6 +20,7 @@ from .groups import (
     DEFAULT_TOL,
     AbelianModule,
     FiniteGroup,
+    is_index,
     phase_from_json,
     phase_to_json,
 )
@@ -552,6 +553,9 @@ def group_to_json(group):
 
 def group_from_json(obj):
     if "cyclic" in obj:
+        if not all(is_index(m, math.inf) and m > 0 for m in obj["cyclic"]):
+            raise InvalidInput(f"cyclic factors {obj['cyclic']!r} are not "
+                               "positive integers")
         return FiniteGroup.from_cyclic_factors(obj["cyclic"], obj.get("name"))
     if "table" in obj:
         return FiniteGroup.from_table(obj["table"], obj.get("name", ""))
@@ -599,7 +603,9 @@ def theory_from_json(obj):
     except (KeyError, TypeError, IndexError) as exc:
         raise InvalidInput(f"malformed theory JSON: {exc}") from exc
     declared = obj.get("dual")
-    if declared is not None and list(theory._dual) != list(declared):
+    if declared is not None and (
+            list(theory._dual) != list(declared)
+            or not all(is_index(a, theory.num_charges) for a in declared)):
         raise InvalidInput("declared dual map contradicts the fusion tensor")
     return theory
 
@@ -609,18 +615,18 @@ def _check_indices(group, grades, vacuum, fusion, action):
     and every action row permutes the charges."""
     n = len(grades)
     for g in grades:
-        if not _is_index(g, group.order):
+        if not is_index(g, group.order):
             raise InvalidInput(f"malformed theory JSON: grade {g!r} is not "
                                "a group element")
-    if not _is_index(vacuum, n):
+    if not is_index(vacuum, n):
         raise InvalidInput(f"malformed theory JSON: vacuum {vacuum!r} is not "
                            "a charge")
     for triple in fusion:
-        if len(triple) != 3 or not all(_is_index(a, n) for a in triple):
+        if len(triple) != 3 or not all(is_index(a, n) for a in triple):
             raise InvalidInput(f"malformed theory JSON: fusion entry "
                                f"{list(triple)} is not a triple of charges")
     for g, images in action.items():
-        if len(images) != n or not all(_is_index(a, n) for a in images):
+        if len(images) != n or not all(is_index(a, n) for a in images):
             raise InvalidInput(f"malformed theory JSON: the action of {g} is "
                                f"not a list of {n} charges")
         if len(set(images)) != n:
@@ -641,12 +647,9 @@ def _phase_table(entries, name, bounds, key_of):
             raise InvalidInput(f"malformed theory JSON: {name} key {list(key)} "
                                f"does not have {arity} indices")
         for index, size in zip(key, bounds):
-            # _is_index inlined: this runs once per index of every entry
-            if not isinstance(index, int) or not 0 <= index < size:
+            # is_index inlined (a bool's type is not int): this runs once
+            # per index of every entry
+            if type(index) is not int or not 0 <= index < size:
                 raise InvalidInput(f"malformed theory JSON: {name} key "
                                    f"{list(key)} has an index out of range")
     return table
-
-
-def _is_index(value, size):
-    return isinstance(value, int) and 0 <= value < size

@@ -130,10 +130,7 @@ def _cmd_torsor(args):
     theory = _load_theory(args.theory)
     t = _load_twist(args.t, theory)
     order = args.root_order or torsor.default_root_order(theory)
-    if args.solve_x and not args.x:
-        x = None
-    else:
-        x = _load_coefficients(args.x, theory, order)
+    x = None if args.solve_x else _load_coefficients(args.x, theory, order)
     out = torsor.apply_torsor(theory, t, x, tol=args.tol, root_order=order)
     _emit(category.theory_to_json(out), args.output)
     return 0
@@ -221,6 +218,13 @@ def _cmd_cohomology(args):
     return 0
 
 
+BUILDERS = {"toric-code": constructions.toric_code,
+            "semion": constructions.semion,
+            "double-semion": constructions.double_semion,
+            "z4-anyons": constructions.z4_anyons,
+            "fibonacci": constructions.fibonacci}
+
+
 def _cmd_build(args):
     if args.kind == "spt":
         group = _parse_group(args.group)
@@ -236,15 +240,7 @@ def _cmd_build(args):
         c0 = _load_theory(args.c0)
         theory = constructions.trivial_extension(c0, group)
     else:
-        name = args.kind.replace("-", "_")
-        builders = {"toric_code": constructions.toric_code,
-                    "semion": constructions.semion,
-                    "double_semion": constructions.double_semion,
-                    "z4_anyons": constructions.z4_anyons,
-                    "fibonacci": constructions.fibonacci}
-        if name not in builders:
-            raise InvalidInput(f"unknown build target {args.kind!r}")
-        theory = builders[name]()
+        theory = BUILDERS[args.kind]()
     _emit(category.theory_to_json(theory), args.output)
     return 0
 
@@ -359,8 +355,9 @@ def build_parser():
     p = sub.add_parser("torsor", help="apply a twist functor to a theory")
     p.add_argument("theory")
     p.add_argument("--t", required=True)
-    p.add_argument("--x", default=None)
-    p.add_argument("--solve-x", action="store_true")
+    coefficients = p.add_mutually_exclusive_group()
+    coefficients.add_argument("--x", default=None)
+    coefficients.add_argument("--solve-x", action="store_true")
     common(p, "tol", "root-order")
     p.set_defaults(func=_cmd_torsor)
 
@@ -395,12 +392,17 @@ def build_parser():
     p.set_defaults(func=_cmd_cohomology)
 
     p = sub.add_parser("build", help="build canonical theories")
-    p.add_argument("kind", help="spt | trivial-ext | toric-code | semion | "
-                   "double-semion | z4-anyons | fibonacci")
-    p.add_argument("--group", default="Z2")
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--c0", default=None)
-    common(p, "tol", "root-order")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    q = kinds.add_parser("spt", help="one charge per grade, from --alpha")
+    q.add_argument("--group", default="Z2")
+    q.add_argument("--alpha", default=None)
+    common(q, "tol", "root-order")
+    q = kinds.add_parser("trivial-ext", help="--c0 extended by --group")
+    q.add_argument("--c0", required=True)
+    q.add_argument("--group", default="Z2")
+    common(q)
+    for kind in BUILDERS:
+        common(kinds.add_parser(kind, help="fixture"))
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("enumerate-extensions",

@@ -191,15 +191,21 @@ def _quot(x, y):
     return out_r, out_i
 
 
-def _h_terms(index, a, b, c, d, f, g, e, l, k):
-    """One row per h in b (x) c, ascending per tuple: the tuple's row, its
-    columns (b, c, d, f, g, e, l, k, h), and the (re, im) term
-    F(a,b,c;g)_{f,h} F(a,h,d;e)_{g,k} F(b,c,d;k)_{h,l}."""
+def _h_sum(index, a, b, c, d, f, g, e, l, k):
+    """(re, im) per tuple of the pentagon's right side, summed as the scalar
+    loop does: 0j, then += the term F(a,b,c;g)_{f,h} F(a,h,d;e)_{g,k}
+    F(b,c,d;k)_{h,l} of each h in b (x) c, in outcome order."""
+    total = np.zeros(len(b)), np.zeros(len(b))
     rows, h = index.outcomes(b, c)
     b, c, d, f, g, e, l, k = _take(rows, b, c, d, f, g, e, l, k)
     term = _mul(_mul(index.f(a, b, c, g, f, h), index.f(a, h, d, e, g, k)),
                 index.f(b, c, d, k, h, l))
-    return rows, (b, c, d, f, g, e, l, k, h), term
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    for j in range(int(rank.max(initial=-1)) + 1):
+        at = rank == j
+        for part, add in zip(total, term):
+            part[rows[at]] = part[rows[at]] + add[at]
+    return total
 
 
 def check_pentagon(theory, max_nontrivial_defects=4, tol=DEFAULT_TOL):
@@ -217,14 +223,7 @@ def check_pentagon(theory, max_nontrivial_defects=4, tol=DEFAULT_TOL):
         if not len(b):
             continue
         lhs = _mul(index.f(f, c, d, e, g, l), index.f(a, b, l, e, f, k))
-        rows, _, term = _h_terms(index, a, b, c, d, f, g, e, l, k)
-        # rhs = 0j, then += each h-term in outcome order, as the scalar loop
-        rhs = np.zeros(len(b)), np.zeros(len(b))
-        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
-        for j in range(int(rank.max(initial=-1)) + 1):
-            at = rank == j
-            for part, add in zip(rhs, term):
-                part[rows[at]] = part[rows[at]] + add[at]
+        rhs = _h_sum(index, a, b, c, d, f, g, e, l, k)
         residual = np.hypot(lhs[0] - rhs[0], lhs[1] - rhs[1])
         rep.worst_residual = max(rep.worst_residual,
                                  float(np.fmax.reduce(residual, initial=0.0)))
@@ -375,12 +374,14 @@ def base_theory_torsorable(theory, tol=DEFAULT_TOL):
 def defectification_obstruction(theory, tol=DEFAULT_TOL, root_order=1):
     """Phase by which the four-defect pentagon fails, per grade 4-tuple.
 
-    Every admissible charge assignment for a given grade tuple must produce
-    the same phase; disagreement beyond max(tol, 1e-9) raises, since it means
-    the three-defect consistency precondition did not actually hold.
-    ``root_order`` only tags the root order of the returned cochain's module
-    for downstream exact solving.  An assignment whose pentagon side
-    |F(a,b,r;p) F(x,c,d;p)| is below 1e-12 gives no phase and is skipped.
+    The phase of an admissible charge assignment is the pentagon's right
+    side, summed over h, over its two-F side.  Every assignment for a given
+    grade tuple must produce the same phase; disagreement beyond
+    max(tol, 1e-9) raises, since it means the three-defect consistency
+    precondition did not actually hold.  ``root_order`` only tags the root
+    order of the returned cochain's module for downstream exact solving.  An
+    assignment whose two-F side |F(a,b,r;p) F(x,c,d;p)| is below 1e-12 gives
+    no phase and is skipped.
     """
     group = theory.group
     nonidentity = group.nonidentity()
@@ -389,25 +390,23 @@ def defectification_obstruction(theory, tol=DEFAULT_TOL, root_order=1):
     slots = np.array([slot.get(g, -1) for g in theory.grades], dtype=np.int64)
     index = _PentagonIndex(theory)
     # grade tuples are numbered in itertools.product order; per number, the
-    # first phase in the loop order a, b, x, c, z, d, p, y, q, r of the
-    # pentagon labels (x, z, p, y, q, r) = (f, g, e, h, k, l)
+    # first phase in the loop order a, b, x, c, z, d, p, r, q of the
+    # pentagon labels (x, z, p, r, q) = (f, g, e, l, k)
     found = {}
     clash = {}
     for a in theory.charges():
         b, c, d, f, g, e, l, k = index.tuples(a, 4, 4)
         b, c, d, f, g, e, l, k = _take(index.admissible(f, l, e),
                                        b, c, d, f, g, e, l, k)
-        _, (b, c, d, f, g, e, l, k, h), num = _h_terms(
-            index, a, b, c, d, f, g, e, l, k)
+        num = _h_sum(index, a, b, c, d, f, g, e, l, k)
         den = _mul(index.f(a, b, l, e, f, k), index.f(f, c, d, e, g, l))
-        keep = (index.admissible(a, h, g) & index.admissible(h, d, k)
-                & ~(np.hypot(*den) < 1e-12))
+        keep = ~(np.hypot(*den) < 1e-12)
         if not keep.any():
             continue
-        b, c, d, f, g, e, l, k, h = _take(keep, b, c, d, f, g, e, l, k, h)
+        b, c, d, f, g, e, l, k = _take(keep, b, c, d, f, g, e, l, k)
         num, den = _take(keep, *num), _take(keep, *den)
         grade_no = ((slots[a] * m + slots[b]) * m + slots[c]) * m + slots[d]
-        order = np.lexsort((l, k, h, e, d, g, c, f, b, grade_no))
+        order = np.lexsort((k, l, e, d, g, c, f, b, grade_no))
         grade_no = grade_no[order]
         val_r, val_i = _quot(_take(order, *num), _take(order, *den))
         head = _heads(grade_no)

@@ -207,23 +207,25 @@ def _build_spt_unchecked(group, alpha):
 def glue_spt(theory, alpha, tol=1e-9):
     """Entrywise product of a theory with the SPT data at matching grades."""
     validate_cocycle(alpha, tol, degree=3)
-    g = theory.group
-    spt_f, _, spt_u, spt_eta = _spt_tables(g, alpha)
-
-    def gr(a):
-        return theory.grade(a)
-
-    f = {k: v * spt_f[(gr(k[0]), gr(k[1]), gr(k[2]),
-                       gr(k[3]), gr(k[4]), gr(k[5]))]
-         for k, v in theory.f_entries().items()}
-    r = dict(theory.r_entries())
-    u = {k: v * spt_u[(k[0], gr(k[1]), gr(k[2]), gr(k[3]))]
-         for k, v in theory.u_entries().items()}
-    eta = {k: v * spt_eta[(gr(k[0]), k[1], k[2])]
-           for k, v in theory.eta_entries().items()}
     meta = dict(theory.metadata)
     meta["name"] = meta.get("name", "theory") + "+spt"
-    return theory.replace(f=f, r=r, u=u, eta=eta, metadata=meta)
+    return stack_coefficients(theory, alpha, metadata=meta)
+
+
+def stack_coefficients(theory, x, **changes):
+    """``theory`` with F, U and eta times the SPT symbols of the unvalidated
+    3-cochain ``x`` at their grades, and ``changes`` as in ``replace``.  This
+    is how twist coefficients act (arXiv:1410.4540)."""
+    spt_f, _, spt_u, spt_eta = _spt_tables(theory.group, x)
+    gr = theory.grades
+    f = {k: v * spt_f[(gr[k[0]], gr[k[1]], gr[k[2]],
+                       gr[k[3]], gr[k[4]], gr[k[5]])]
+         for k, v in theory.f_entries().items()}
+    u = {k: v * spt_u[(k[0], gr[k[1]], gr[k[2]], gr[k[3]])]
+         for k, v in theory.u_entries().items()}
+    eta = {k: v * spt_eta[(gr[k[0]], k[1], k[2])]
+           for k, v in theory.eta_entries().items()}
+    return theory.replace(f=f, u=u, eta=eta, **changes)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ class FiniteGroup:
         mult = tuple(tuple(row) for row in table)
         if any(len(row) != n for row in mult):
             raise InvalidInput("multiplication table must be square")
-        if any(not (0 <= x < n) for row in mult for x in row):
+        if not all(is_index(x, n) for row in mult for x in row):
             raise InvalidInput("table entries must be element indices")
         identity = None
         for e in range(n):
@@ -717,14 +717,16 @@ def phase_from_json(obj):
             raise InvalidInput(f"turns {text!r} is not a \"p/q\" text")
         return _turns_text_phase(text)
     if isinstance(obj, dict) and "re" in obj:
-        real, imag = obj["re"], obj.get("im", 0.0)
-    elif isinstance(obj, (int, float)):
-        real, imag = obj, 0.0
+        parts = obj["re"], obj.get("im", 0.0)
     else:
+        parts = obj, 0.0
+    # JSON numbers only: no bool, no numeric text, no int beyond a float
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in parts):
         raise InvalidInput(f"cannot parse phase value {obj!r}")
     try:
-        value = complex(float(real), float(imag))
-    except (TypeError, ValueError):
+        value = complex(*map(float, parts))
+    except OverflowError:
         raise InvalidInput(f"cannot parse phase value {obj!r}") from None
     if not cmath.isfinite(value):
         raise InvalidInput(f"phase value {obj!r} is not finite")
@@ -756,9 +758,24 @@ def cochain_to_json(cochain):
             "entries": entries}
 
 
+def is_index(value, size):
+    """True iff ``value`` is an int, not a bool, in ``range(size)``."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and 0 <= value < size
+
+
 def cochain_from_json(obj, group, module=None):
+    """Cochain from its JSON object; raise InvalidInput unless the degree,
+    every argument and every charge or residue is an int (not a bool) in
+    range (:class:`Cochain` checks each entry's arity)."""
+    def index(value, size, what):
+        if not is_index(value, size):
+            raise InvalidInput(f"malformed cochain JSON: {what} {value!r} is "
+                               "not an integer or out of range")
+        return value
+
     try:
-        degree = int(obj["degree"])
+        degree = index(obj["degree"], math.inf, "degree")
         desc = obj.get("module")
         if module is None:
             if isinstance(desc, dict) and "roots_of_unity" in desc:
@@ -769,13 +786,18 @@ def cochain_from_json(obj, group, module=None):
                 raise InvalidInput(f"unknown module description {desc!r}")
         entries = {}
         for item in obj.get("entries", []):
-            args = tuple(int(x) for x in item["args"])
+            args = tuple(index(g, group.order, "group element")
+                         for g in item["args"])
+            value = item["value"]
             if module.kind == "u1":
-                entries[args] = phase_from_json(item["value"])
-            elif module.kind == "charges":
-                entries[args] = module.validate_element(int(item["value"]))
+                entries[args] = phase_from_json(value)
+                continue
+            if module.kind == "charges":
+                value = index(value, math.inf, "charge")
             else:
-                entries[args] = module.validate_element(item["value"])
+                value = [index(v, m, "residue")
+                         for v, m in zip(value, module.factors)]
+            entries[args] = module.validate_element(value)
         return Cochain(group, degree, module, entries)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed cochain JSON: {exc}") from exc

@@ -18,6 +18,7 @@ from functools import cached_property
 
 from . import consistency
 from .category import GxTheory, abelian_subgroup, fusion_violations, monodromy
+from .constructions import stack_coefficients
 from .errors import (
     InvalidInput,
     NotACocycle,
@@ -68,11 +69,6 @@ def validate_two_cocycle(theory, t):
     return t
 
 
-def trivial_twist(theory):
-    """The identity 2-cochain in the abelian charge module of ``theory``."""
-    return Cochain.identity(theory.group, 2, abelian_subgroup(theory))
-
-
 def trivial_coefficients(theory, root_order=None):
     order = root_order or default_root_order(theory)
     return Cochain.identity(theory.group, 3, U1Module(order))
@@ -91,14 +87,14 @@ class Twist:
 
     Constructing one checks that ``t`` is a normalized twisted 2-cocycle in
     the abelian charges (:func:`validate_two_cocycle`).  The charge-transfer
-    table, the twisted fusion, the twisted action and the twisted R table do
-    not depend on the coefficients; each is derived on first use, once.
-    Every twisted table, the relative obstruction and the composition gauge
-    read them from here.
+    table, the twisted fusion and action, and the twisted theory at x = 1 do
+    not depend on the coefficients; each is derived on first use, once, and
+    read from here.  ``tol`` bounds the eta restriction of :func:`torsored_eta`.
     """
 
     theory: GxTheory
     t: Cochain
+    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         validate_two_cocycle(self.theory, self.t)
@@ -121,9 +117,13 @@ class Twist:
         return torsored_action(self)
 
     @cached_property
-    def r(self):
-        """The twisted R table (see torsored_r)."""
-        return torsored_r(self)
+    def unit(self):
+        """The twisted theory at x = 1; see :func:`stack_coefficients` for x."""
+        theory, action = self.theory, self.action  # the action is checked first
+        return GxTheory(theory.group, theory.grades, theory.vacuum,
+                        self.fusion[0], torsored_f(self), torsored_r(self),
+                        torsored_u(self), torsored_eta(self), action,
+                        metadata=theory.metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def torsored_action(twist):
     return action
 
 
-def _torsored_f_value(theory, t, x, a, b, c, d, e, f):
+def _torsored_f_value(theory, t, a, b, c, d, e, f):
     grp = theory.group
     g, h, k = theory.grade(a), theory.grade(b), theory.grade(c)
     t_gh = t(g, h)
@@ -224,12 +224,11 @@ def _torsored_f_value(theory, t, x, a, b, c, d, e, f):
         t_g_hk, gt_hk, d2, d, theory.fuse_abelian(t_g_hk, gt_hk), tr(gt_hk, d2))
     value = value * theory.f_symbol(gt_hk, a, f1, d3, a1, d2).conjugate()
     value = value * theory.r_symbol(gt_hk, a, a1).conjugate()
-    value = value * theory.f_symbol(a, t_hk, f1, d3, a1, f)
-    return value * x(g, h, k)
+    return value * theory.f_symbol(a, t_hk, f1, d3, a1, f)
 
 
-def torsored_f(twist, x):
-    """F table of the twisted theory, keyed on twisted fusion tuples."""
+def torsored_f(twist):
+    """F table of the twisted theory at x = 1, keyed on twisted fusion tuples."""
     theory, t = twist.theory, twist.t
     triples, outcomes = twist.fusion
     table = {}
@@ -239,7 +238,7 @@ def torsored_f(twist, x):
                 for f in outcomes.get((b, c), ()):
                     if d in outcomes.get((a, f), ()):
                         table[(a, b, c, d, e, f)] = _torsored_f_value(
-                            theory, t, x, a, b, c, d, e, f)
+                            theory, t, a, b, c, d, e, f)
     return table
 
 
@@ -266,7 +265,7 @@ def torsored_r(twist):
     return table
 
 
-def _torsored_u_value(theory, t, x, q, k, a, b, c):
+def _torsored_u_value(theory, t, q, k, a, b, c):
     grp = theory.group
     g, h = theory.grade(a), theory.grade(b)
     kbar = grp.inverse(k)
@@ -302,18 +301,17 @@ def _torsored_u_value(theory, t, x, q, k, a, b, c):
     den = (f3(t(k, grp.prod(kbar, gh, k)), kt, c3)
            * f3(t(gk, khk), t(g, k), q[(g, k)])
            * f3(t(gh, k), q[(gh, k)], c1))
-    value = value * (num / den)
-    return value * (x(g, k, khk) / (x(g, h, k) * x(k, kgk, khk)))
+    return value * (num / den)
 
 
-def torsored_u(twist, x):
-    """Sheet-over-vertex table of the twisted theory."""
+def torsored_u(twist):
+    """Sheet-over-vertex table of the twisted theory at x = 1."""
     theory, t, q = twist.theory, twist.t, twist.transfer
-    return {(k, a, b, c): _torsored_u_value(theory, t, x, q, k, a, b, c)
+    return {(k, a, b, c): _torsored_u_value(theory, t, q, k, a, b, c)
             for k in theory.group.elements() for a, b, c in twist.fusion[0]}
 
 
-def _torsored_eta_value(theory, t, x, q, xc, g, h):
+def _torsored_eta_value(theory, t, q, xc, g, h):
     grp = theory.group
     k = theory.grade(xc)
     gh = grp.op(g, h)
@@ -341,16 +339,15 @@ def _torsored_eta_value(theory, t, x, q, xc, g, h):
            * f3(theory.fuse_abelian(t(grp.op(k, g), h), t(k, g)), q[(k, g)], x2)
            * f3(theory.fuse_abelian(t(g, grp.op(gkg, h)), gt), gq, x1)
            * f3(q[(k, gh)], x1, t_gh))
-    value = value * (num / den)
-    return value * (x(g, gkg, h) / (x(g, h, hgkgh) * x(k, g, h)))
+    return value * (num / den)
 
 
-def torsored_eta(twist, x, tol=DEFAULT_TOL):
-    """Local projective phases of the twisted theory.
+def torsored_eta(twist):
+    """Local projective phases of the twisted theory at x = 1.
 
     Identity-graded charges take the closed form eta * monodromy with the
     twist value; the general contraction is still evaluated there and must
-    agree within ``tol``.
+    agree within ``twist.tol``.
     """
     theory, t, q = twist.theory, twist.t, twist.transfer
     grp = theory.group
@@ -360,11 +357,11 @@ def torsored_eta(twist, x, tol=DEFAULT_TOL):
         trivially_graded = theory.grade(xc) == ident
         for g in grp.elements():
             for h in grp.elements():
-                general = _torsored_eta_value(theory, t, x, q, xc, g, h)
+                general = _torsored_eta_value(theory, t, q, xc, g, h)
                 if trivially_graded:
                     closed = theory.eta_symbol(xc, g, h) * monodromy(
                         theory, xc, t(g, h))
-                    if abs(general - closed) > tol:
+                    if abs(general - closed) > twist.tol:
                         raise RestrictionMismatch(
                             f"eta restriction failed at ({xc},{g},{h}): "
                             f"{general} vs {closed}")
@@ -462,7 +459,7 @@ def apply_torsor(theory, t, x=None, tol=DEFAULT_TOL, root_order=None,
     known solution) to land elsewhere on the coefficient torsor.  The
     resulting obstruction data is recorded in the metadata.
     """
-    twist = Twist(theory, t)
+    twist = Twist(theory, t, tol)
     if check_preconditions:
         _require_torsorable(theory, tol)
     order = root_order or default_root_order(theory)
@@ -477,31 +474,24 @@ def apply_torsor(theory, t, x=None, tol=DEFAULT_TOL, root_order=None,
     def base_obstruction():
         return consistency.defectification_obstruction(theory, tol, root_order=order)
 
-    return _assemble(twist, orr, x, base_obstruction, tol)
+    return _assemble(twist, orr, x, base_obstruction)
 
 
-def _assemble(twist, orr, x, base_obstruction, tol):
-    """Twisted theory of ``twist`` (relative obstruction ``orr``) at ``x``.
-
-    ``base_obstruction()`` gives the untwisted theory's defectification
-    obstruction; it is called after every twisted table is built.
+def _assemble(twist, orr, x, base_obstruction):
+    """Twisted theory of ``twist`` (relative obstruction ``orr``) at ``x``:
+    ``twist.unit`` with ``x`` stacked on.  ``base_obstruction()`` gives the
+    untwisted defectification obstruction; it is called after ``twist.unit``.
     """
-    theory = twist.theory
-    action = twist.action
-    new_f = torsored_f(twist, x)
-    new_r = twist.r
-    new_u = torsored_u(twist, x)
-    new_eta = torsored_eta(twist, x, tol)
+    unit = twist.unit
     hatted = x.coboundary().combine(orr).combine(base_obstruction())
-    metadata = dict(theory.metadata)
+    metadata = dict(twist.theory.metadata)
     metadata["name"] = metadata.get("name", "theory") + "~twisted"
     metadata["obstruction"] = {
         "entries": [{"args": list(args), "value": phase_to_json(hatted(*args))}
                     for args in sorted(hatted.entries)],
         "trivial_class": _is_trivial_class(hatted),
     }
-    return GxTheory(theory.group, theory.grades, theory.vacuum, twist.fusion[0],
-                    new_f, new_r, new_u, new_eta, action, metadata=metadata)
+    return stack_coefficients(unit, x, metadata=metadata)
 
 
 @dataclass(frozen=True)
@@ -528,8 +518,9 @@ def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
     Returns the H^2(G, A) and H^3(G, U(1)) results and the extensions in
     (fractionalization, defectification) order.  Each fractionalization
     class has one :class:`Twist`, so it validates its twist and builds its
-    relative obstruction, action and R table once; the base's
-    defectification obstruction is built once per call.
+    relative obstruction and its tables at x = 1 once; each alpha only
+    stacks its coefficients on.  The base's defectification obstruction is
+    built once per call.
     """
     grp = base.group
     order = root_order or default_root_order(base)
@@ -544,14 +535,14 @@ def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
 
     extensions = []
     for it, t in enumerate(h2.all_classes()):
-        twist = Twist(base, t)
+        twist = Twist(base, t, tol)
         orr = _obstruction(twist, order, tol)
         base_x = solve_coefficients_for(orr)
         for ia, alpha in enumerate(alphas):
             theory = None
             if base_x is not None:
                 theory = _assemble(twist, orr, base_x.combine(alpha),
-                                   base_obstruction, tol)
+                                   base_obstruction)
             extensions.append(Extension(it, ia, t, alpha, theory))
     return h2, h3, extensions
 

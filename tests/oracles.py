@@ -13,7 +13,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from gxbtc import equivalence, intlin
-from gxbtc.category import GxTheory
+from gxbtc.category import GxTheory, abelian_subgroup
 from gxbtc.consistency import ConsistencyReport
 from gxbtc.equivalence import (
     Relabeling,
@@ -560,6 +560,11 @@ def trivial_action_obstruction(c0, group, t, root_order=8):
 # ---------------------------------------------------------------------------
 # relabeling by 1-cochains, solved by gauge search
 
+def trivial_twist(theory):
+    """The identity 2-cochain in the abelian charge module of ``theory``."""
+    return Cochain.identity(theory.group, 2, abelian_subgroup(theory))
+
+
 def boundary_coefficients(theory, z):
     """Phase coefficients absorbed by relabeling with the 1-cochain ``z``.
 
@@ -824,11 +829,12 @@ def loop_defectification_obstruction(theory, tol=DEFAULT_TOL, rep_tol=None,
                                 root_order=1):
     """Phase by which the four-defect pentagon fails, per grade 4-tuple.
 
-    Every admissible charge assignment for a given grade tuple must produce
-    the same phase; disagreement beyond ``rep_tol`` raises, since it means
-    the three-defect consistency precondition did not actually hold.
-    ``root_order`` only tags the root order of the returned cochain's module
-    for downstream exact solving.
+    The phase of one charge assignment is the pentagon's right side, summed
+    over y, over its two-F side.  Every admissible charge assignment for a
+    given grade tuple must produce the same phase; disagreement beyond
+    ``rep_tol`` raises, since it means the three-defect consistency
+    precondition did not actually hold.  ``root_order`` only tags the root
+    order of the returned cochain's module for downstream exact solving.
     """
     if rep_tol is None:
         rep_tol = max(tol, 1e-9)
@@ -845,33 +851,30 @@ def loop_defectification_obstruction(theory, tol=DEFAULT_TOL, rep_tol=None,
                         for z in theory.fusion_outcomes(x, c):
                             for d in theory.charges_of_grade(g4):
                                 for p in theory.fusion_outcomes(z, d):
-                                    for y in theory.fusion_outcomes(b, c):
-                                        if not theory.n(a, y, z):
+                                    for r in theory.fusion_outcomes(c, d):
+                                        if not theory.n(x, r, p):
                                             continue
-                                        for q in theory.fusion_outcomes(y, d):
+                                        for q in theory.fusion_outcomes(b, r):
                                             if not theory.n(a, q, p):
                                                 continue
-                                            for r in theory.fusion_outcomes(c, d):
-                                                if not (theory.n(b, r, q)
-                                                        and theory.n(x, r, p)):
-                                                    continue
-                                                num = (fz(a, b, c, z, x, y)
-                                                       * fz(a, y, d, p, z, q)
-                                                       * fz(b, c, d, q, y, r))
-                                                den = (fz(a, b, r, p, x, q)
-                                                       * fz(x, c, d, p, z, r))
-                                                if abs(den) < 1e-12:
-                                                    continue
-                                                val = num / den
-                                                if found is None:
-                                                    found = val
-                                                elif abs(val - found) > rep_tol:
-                                                    raise RepresentativeDependent(
-                                                        f"pentagon defect at grades {gt} "
-                                                        f"depends on the charge assignment: "
-                                                        f"{val} vs {found}")
+                                            num = 0j
+                                            for y in theory.fusion_outcomes(b, c):
+                                                num += (fz(a, b, c, z, x, y)
+                                                        * fz(a, y, d, p, z, q)
+                                                        * fz(b, c, d, q, y, r))
+                                            den = (fz(a, b, r, p, x, q)
+                                                   * fz(x, c, d, p, z, r))
+                                            if abs(den) < 1e-12:
+                                                continue
+                                            val = num / den
+                                            if found is None:
+                                                found = val
+                                            elif abs(val - found) > rep_tol:
+                                                raise RepresentativeDependent(
+                                                    f"pentagon defect at grades {gt} "
+                                                    f"depends on the charge assignment: "
+                                                    f"{val} vs {found}")
         values[gt] = found if found is not None else complex(1.0)
     cochain = Cochain(theory.group, 4, U1Module(root_order), values)
     validate_cocycle(cochain, max(tol, 1e-7), degree=4)
     return cochain
-

@@ -172,7 +172,7 @@ def test_criterion_6_spt_algebra():
     exact = True
     for alpha in classes:
         glued = cons.glue_spt(base, alpha)
-        twisted = torsor.apply_torsor(base, torsor.trivial_twist(base), alpha)
+        twisted = torsor.apply_torsor(base, oracles.trivial_twist(base), alpha)
         exact &= cat.tables_distance(glued, twisted) == 0.0
     report(6, "one-charge-per-grade theories form the coefficient torsor",
            ok_consistency and ok_group_law and exact)

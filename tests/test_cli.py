@@ -245,6 +245,75 @@ class TestMalformedTables:
         assert "Traceback" not in capsys.readouterr().err
 
 
+def _twist_json(args=(1, 1), value=1, degree=2):
+    return {"degree": degree, "entries": [{"args": list(args), "value": value}]}
+
+
+def _first_one_to_true(rows):
+    """Replace the first index 1 in ``rows`` by JSON true (equal to 1 in
+    Python, so a reader that lets bools through loads the same theory)."""
+    def mutate(blob):
+        for row in rows(blob):
+            if 1 in row:
+                row[row.index(1)] = True
+                return
+    return mutate
+
+
+# case -> the cochain file ("t" or "x") or the theory mutation it feeds in
+BOUNDARY_CASES = {
+    "t-args-out-of-range": ("t", _twist_json(args=[1, 5])),
+    "t-args-float": ("t", _twist_json(args=[1.9, 1])),
+    "t-args-text": ("t", _twist_json(args=["1", 1])),
+    "t-args-bool": ("t", _twist_json(args=[True, True])),
+    "t-args-too-few": ("t", _twist_json(args=[1])),
+    "t-charge-float": ("t", _twist_json(value=1.0)),
+    "t-charge-bool": ("t", _twist_json(value=True)),
+    "t-degree-bool": ("t", _twist_json(degree=True)),
+    "t-degree-float": ("t", _twist_json(degree=2.0)),
+    "x-phase-bool": ("x", _twist_json(args=[1, 1, 1], value=True, degree=3)),
+    "group-factor-bool": ("theory", lambda blob: blob.update(
+        group={"cyclic": [2, True]})),
+    "vacuum-bool": ("theory", lambda blob: blob.update(vacuum=False)),
+    "grade-bool": ("theory", lambda blob: blob["charges"][4].update(
+        grade=True)),
+    "fusion-bool": ("theory", _first_one_to_true(lambda blob: blob["fusion"])),
+    "f-key-bool": ("theory", _first_one_to_true(
+        lambda blob: (e["charges"] for e in blob["F"]))),
+    "dual-bool": ("theory", _first_one_to_true(lambda blob: [blob["dual"]])),
+    "f-value-bool": ("theory", lambda blob: blob["F"][5].update(value=True)),
+    "f-value-text": ("theory", lambda blob: blob["F"][5].update(
+        value={"re": "1", "im": "0"})),
+    "f-value-beyond-float": ("theory", lambda blob: blob["F"][5].update(
+        value={"re": 10 ** 400})),
+}
+
+
+class TestJsonBoundary:
+    @pytest.mark.parametrize("case", list(BOUNDARY_CASES))
+    def test_malformed_number_exits_65(self, tmp_path, toric_z2,
+                                       toric_z2_file, capsys, case):
+        # bools, floats and texts are not indices, an index must be in range,
+        # and a phase part is a JSON number that fits a float: the cochain
+        # or theory is malformed, never silently reread
+        where, change = BOUNDARY_CASES[case]
+        if where == "theory":
+            blob = cat.theory_to_json(toric_z2)
+            change(blob)
+            (tmp_path / "mutated.json").write_text(json.dumps(blob))
+            argv = ["check", str(tmp_path / "mutated.json")]
+        else:
+            files = {"t": _twist_json(), "x": _twist_json((1, 1, 1), 1.0, 3),
+                     where: change}
+            argv = ["torsor", toric_z2_file]
+            for name, obj in files.items():
+                (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+                argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+        assert main(argv) == 65
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err
+
+
 class TestTorsorCommands:
     def test_torsor_solve_and_check(self, tmp_path, toric_z2, toric_z2_file,
                                     capsys):
@@ -255,6 +324,26 @@ class TestTorsorCommands:
         assert code == 0
         capsys.readouterr()
         assert main(["check", str(out)]) == 0
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_fibonacci_extension_solves_and_checks(self, tmp_path, fib, order,
+                                                   capsys):
+        # non-abelian fusion: the defect phase sums the pentagon's h-terms
+        # before the quotient, so it does not depend on the charges
+        ext = tmp_path / "fib.json"
+        ext.write_text(json.dumps(cat.theory_to_json(
+            cons.trivial_extension(fib, FiniteGroup.cyclic(order)))))
+        t = tmp_path / "t.json"
+        t.write_text(json.dumps({"degree": 2, "entries": []}))
+        out = tmp_path / "twisted.json"
+        assert main(["torsor", str(ext), "--t", str(t), "--solve-x",
+                     "-o", str(out)]) == 0
+        assert main(["check", str(out), "-o", str(tmp_path / "r.json")]) == 0
+
+    def test_x_and_solve_x_are_exclusive(self, capsys):
+        assert main(["torsor", "T.json", "--t", "t.json", "--x", "x.json",
+                     "--solve-x"]) == 64
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_obstruction_report(self, tmp_path, toric_z2, toric_z2_file, capsys):
         tfile = write_twist(tmp_path, toric_z2, 3)
@@ -376,6 +465,26 @@ class TestBuild:
                      "-o", str(out)]) == 0
         theory = cat.theory_from_json(json.loads(out.read_text()))
         assert theory.num_charges == 8
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "toric-code", "--root-order", "5"],
+        ["build", "toric-code", "--tol", "0.5"],
+        ["build", "semion", "--group", "Z7"],
+        ["build", "fibonacci", "--alpha", "a.json"],
+        ["build", "z4-anyons", "--c0", "c0.json"],
+        ["build", "trivial-ext", "--c0", "c0.json", "--root-order", "8"],
+        ["build", "trivial-ext", "--c0", "c0.json", "--alpha", "a.json"],
+        ["build", "spt", "--c0", "c0.json"],
+        ["build", "trivial-ext"],
+        ["build", "no-such-kind"],
+    ], ids=["fixture-root-order", "fixture-tol", "fixture-group",
+            "fixture-alpha", "fixture-c0", "trivial-ext-root-order",
+            "trivial-ext-alpha", "spt-c0", "trivial-ext-without-c0",
+            "unknown-kind"])
+    def test_options_of_other_builders_are_usage_errors(self, argv, capsys):
+        # each builder takes only the options it reads
+        assert main(argv) == 64
+        assert "usage error" in capsys.readouterr().err
 
 
 class TestEnumerate:

@@ -210,6 +210,8 @@ KERNEL_THEORIES = {
         cons.semion(), FiniteGroup.from_cyclic_factors([2, 2])),
     "fibonacci": cons.fibonacci(),
     "fibonacci x Z2": cons.trivial_extension(cons.fibonacci(), Z2),
+    "fibonacci x Z3": cons.trivial_extension(
+        cons.fibonacci(), FiniteGroup.cyclic(3)),
     "toric x Z2 twisted": _toric_z2_twisted(),
 }
 

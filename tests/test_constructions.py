@@ -74,7 +74,7 @@ class TestGlueSpt:
 
     def test_glue_equals_torsor_with_cocycle_coefficients(self, toric_z2):
         alpha = alpha_z2(-1.0)
-        out = torsor.apply_torsor(toric_z2, torsor.trivial_twist(toric_z2), alpha)
+        out = torsor.apply_torsor(toric_z2, oracles.trivial_twist(toric_z2), alpha)
         glued = cons.glue_spt(toric_z2, alpha)
         assert cat.tables_distance(out, glued) == 0.0
 
@@ -117,7 +117,7 @@ class TestClosedForms:
         return twists, coeffs
 
     def test_trivial_inputs_reproduce_extension(self, toric, toric_z2):
-        t = torsor.trivial_twist(toric_z2)
+        t = oracles.trivial_twist(toric_z2)
         x = torsor.trivial_coefficients(toric_z2)
         closed = oracles.trivial_action_closed_forms(toric, Z2, t, x)
         assert cat.tables_distance(closed, toric_z2) == 0.0

@@ -309,7 +309,7 @@ class TestSemionDefectificationCollapse:
     def test_collapse_witnessed_end_to_end(self, semion_z2):
         alpha = Cochain(Z2, 3, U1Module(8), {(1, 1, 1): complex(-1.0)})
         plain = torsor.apply_torsor(
-            semion_z2, torsor.trivial_twist(semion_z2),
+            semion_z2, oracles.trivial_twist(semion_z2),
             torsor.trivial_coefficients(semion_z2))
         shifted = cons.glue_spt(semion_z2, alpha)
         module = cat.abelian_subgroup(semion_z2)

@@ -1,3 +1,6 @@
+import hashlib
+from fractions import Fraction
+
 import pytest
 
 from gxbtc import category as cat
@@ -5,8 +8,8 @@ from gxbtc import consistency as con
 from gxbtc import constructions as cons
 from gxbtc import torsor
 from gxbtc.errors import NotACocycle, SnapFailure
-from gxbtc.groups import Cochain, FiniteGroup, U1Module, is_cocycle
-from oracles import boundary_coefficients, dense_fusion_violations
+from gxbtc.groups import Cochain, FiniteGroup, U1Module, is_cocycle, turn_phase
+from oracles import boundary_coefficients, dense_fusion_violations, trivial_twist
 
 Z2 = FiniteGroup.cyclic(2)
 TOL = 1e-9
@@ -48,7 +51,7 @@ class TestChargeTransfer:
 
 class TestTorsoredFusion:
     def test_identity_twist_preserves_fusion(self, toric_z2):
-        t = torsor.trivial_twist(toric_z2)
+        t = trivial_twist(toric_z2)
         assert torsor.Twist(toric_z2, t).fusion[0] == toric_z2.fusion_triples()
 
     def test_defect_square_shifts_to_e(self, toric_z2):
@@ -64,7 +67,7 @@ class TestTorsoredFusion:
         broken = toric_z2.replace(fusion=triples)
         first = dense_fusion_violations(broken.num_charges, triples)[0]
         with pytest.raises(NotACocycle, match=r"at \(%d,%d,%d;%d\)" % first):
-            torsor.Twist(broken, torsor.trivial_twist(broken)).fusion
+            torsor.Twist(broken, trivial_twist(broken)).fusion
 
     def test_identity_sector_unchanged(self, toric_z2):
         t = twist(toric_z2, F)
@@ -76,7 +79,7 @@ class TestTorsoredFusion:
 
 class TestTorsoredAction:
     def test_identity_twist(self, toric_z2):
-        t = torsor.trivial_twist(toric_z2)
+        t = trivial_twist(toric_z2)
         assert torsor.torsored_action(torsor.Twist(toric_z2, t)) == toric_z2.action
 
     def test_identity_sector_fixed(self, toric_z2):
@@ -92,7 +95,7 @@ class TestTorsoredAction:
 
 class TestTorsoredTables:
     def test_trivial_input_is_identity_functor(self, toric_z2):
-        t = torsor.trivial_twist(toric_z2)
+        t = trivial_twist(toric_z2)
         x = torsor.trivial_coefficients(toric_z2)
         out = torsor.apply_torsor(toric_z2, t, x)
         assert cat.tables_distance(out, toric_z2) == 0.0
@@ -132,7 +135,7 @@ class TestTorsoredTables:
 
 class TestRelativeObstruction:
     def test_trivial_twist(self, toric_z2):
-        orr = torsor.relative_obstruction(toric_z2, torsor.trivial_twist(toric_z2))
+        orr = torsor.relative_obstruction(toric_z2, trivial_twist(toric_z2))
         assert orr.is_identity_cochain()
 
     def test_e_and_m_twists_unobstructed(self, toric_z2):
@@ -159,7 +162,7 @@ class TestRelativeObstruction:
 
 class TestSolveCocycleator:
     def test_trivial_obstruction_gives_all_ones(self, toric_z2):
-        x = torsor.solve_cocycleator(toric_z2, torsor.trivial_twist(toric_z2))
+        x = torsor.solve_cocycleator(toric_z2, trivial_twist(toric_z2))
         assert x is not None and x.is_identity_cochain()
 
     def test_fermion_twist_solution(self, toric_z2):
@@ -236,7 +239,7 @@ class TestEndToEnd:
     def test_spt_coefficient_shift_is_glue(self, toric_z2):
         # coefficients x = alpha (a 3-cocycle) act exactly like gluing
         alpha = Cochain(Z2, 3, U1Module(8), {(1, 1, 1): complex(-1.0)})
-        t = torsor.trivial_twist(toric_z2)
+        t = trivial_twist(toric_z2)
         out = torsor.apply_torsor(toric_z2, t, alpha)
         glued = cons.glue_spt(toric_z2, alpha)
         assert cat.tables_distance(out, glued) == 0.0
@@ -277,6 +280,27 @@ class TestEndToEnd:
         torsor.apply_torsor(toric_z2, twist(toric_z2, F))
         assert len(calls) == 1
 
+    def test_twisted_tables_built_once_per_class(self, semion_z22,
+                                                 monkeypatch):
+        # coefficients stack on after the tables, so each unobstructed
+        # fractionalization class builds F, U and eta once for all its alphas
+        counted = {name: [] for name in (
+            "torsored_f", "torsored_u", "torsored_eta")}
+        for name, calls in counted.items():
+            real = getattr(torsor, name)
+
+            def counting(*args, _real=real, _calls=calls):
+                _calls.append(args)
+                return _real(*args)
+
+            monkeypatch.setattr(torsor, name, counting)
+        _, _, extensions = torsor.enumerate_extensions(semion_z22)
+        built = {ext.fractionalization for ext in extensions
+                 if ext.theory is not None}
+        assert len(built) == 5
+        assert {name: len(calls) for name, calls in counted.items()} == \
+            dict.fromkeys(counted, 5)
+
     def test_twist_validated_once(self, toric_z2, monkeypatch):
         calls = []
         real = torsor.validate_two_cocycle
@@ -302,6 +326,32 @@ class TestEndToEnd:
         torsor.apply_torsor(toric_z2, twist(toric_z2, F))
         # one table: each (g, h) exactly once
         assert sorted(calls) == [(g, h) for g in (0, 1) for h in (0, 1)]
+
+
+def tables_digest(theories):
+    """SHA-256 of repr of each theory's four sorted tables, in order; a
+    change in any entry, down to a last bit or a signed zero, moves it."""
+    digest = hashlib.sha256()
+    for theory in theories:
+        digest.update(repr([sorted(theory.f_entries().items()),
+                            sorted(theory.r_entries().items()),
+                            sorted(theory.u_entries().items()),
+                            sorted(theory.eta_entries().items())]).encode())
+    return digest.hexdigest()
+
+
+class TestTwistedTablesGolden:
+    def test_enumerated_semion_z22(self, semion_z22):
+        _, _, extensions = torsor.enumerate_extensions(semion_z22)
+        assert tables_digest(ext.theory for ext in extensions
+                             if ext.theory is not None) == (
+            "19dbde0f5616861e9cbf448a83bc2744afb9b20be854e37a6217337e41ba3f54")
+
+    def test_apply_torsor_toric_z2(self, toric_z2):
+        x = Cochain(Z2, 3, U1Module(8), {(1, 1, 1): turn_phase(Fraction(3, 8))})
+        out = torsor.apply_torsor(toric_z2, twist(toric_z2, E), x)
+        assert tables_digest([out]) == (
+            "5d47499629e292ed395de45585bf801c68d201b1e6eb96024f7e2d14dd7741aa")
 
 
 class TestEnumerateExtensions:
@@ -348,7 +398,7 @@ class TestSptBaseTorsor:
         # coefficients rebuilds the corresponding theory table by table
         trivial = cons.build_spt(Z2, Cochain.identity(Z2, 3, U1Module(8)))
         alpha = Cochain(Z2, 3, U1Module(8), {(1, 1, 1): complex(-1.0)})
-        out = torsor.apply_torsor(trivial, torsor.trivial_twist(trivial), alpha)
+        out = torsor.apply_torsor(trivial, trivial_twist(trivial), alpha)
         built = cons.build_spt(Z2, alpha)
         assert cat.tables_distance(out, built) == 0.0
 
