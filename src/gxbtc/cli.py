@@ -79,17 +79,24 @@ def _parse_group(spec):
     return FiniteGroup.from_cyclic_factors(factors)
 
 
-def _load_twist(path, theory):
-    module = category.abelian_subgroup(theory)
+def _load_cochain(path, group, module, degree):
+    """The degree-``degree`` cochain in ``path``; an input error names the file."""
     blob = _load_json(path)
-    return cochain_from_json(blob, theory.group, module)
+    try:
+        return cochain_from_json(blob, group, module, degree)
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
+
+
+def _load_twist(path, theory):
+    return _load_cochain(path, theory.group, category.abelian_subgroup(theory), 2)
 
 
 def _load_coefficients(path, theory, root_order):
     """Coefficients from ``path``, or the trivial ones without a path."""
     if not path:
         return torsor.trivial_coefficients(theory, root_order)
-    return cochain_from_json(_load_json(path), theory.group, U1Module(root_order))
+    return _load_cochain(path, theory.group, U1Module(root_order), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +237,7 @@ def _cmd_build(args):
         group = _parse_group(args.group)
         order = args.root_order or torsor.default_group_root_order(group)
         if args.alpha:
-            alpha = cochain_from_json(_load_json(args.alpha), group,
-                                      U1Module(order))
+            alpha = _load_cochain(args.alpha, group, U1Module(order), 3)
         else:
             alpha = Cochain.identity(group, 3, U1Module(order))
         theory = constructions.build_spt(group, alpha, args.tol)

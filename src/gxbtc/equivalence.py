@@ -273,10 +273,7 @@ def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
             if turns != 0:
                 return None
             continue
-        row = [0] * len(index)
-        for i, coeff in pattern:
-            row[i] = coeff
-        matrix.append(row)
+        matrix.append(dict(pattern))
         rhs.append(turns)
     if not matrix:
         return GaugeTransform()

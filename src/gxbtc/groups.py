@@ -451,29 +451,27 @@ def _coboundary_matrix(group, degree, module):
     """Integer matrix of d: C^degree -> C^{degree+1} on normalized coordinates.
 
     Coordinates are (tuple, factor) pairs, tuples ordered lexicographically.
+    Each row is a sparse ``{column: entry}`` dict of its nonzero entries.
     """
     k = len(module.factors)
     src_tuples, src_pos = _tuple_index(group, degree)
     dst_tuples, _ = _tuple_index(group, degree + 1)
     rows = len(dst_tuples) * k
     cols = len(src_tuples) * k
-    mat = [[0] * cols for _ in range(rows)]
+    mat = []
     ident = group.identity
-    for ti, args in enumerate(dst_tuples):
-        base = ti * k
+    for args in dst_tuples:
+        block = [{} for _ in range(k)]
 
         def add_block(src_args, sign, matrix=None):
             if ident in src_args:
                 return
             j0 = src_pos[src_args] * k
-            if matrix is None:
-                for i in range(k):
-                    mat[base + i][j0 + i] += sign
-            else:
-                for i in range(k):
-                    for j in range(k):
-                        if matrix[i][j]:
-                            mat[base + i][j0 + j] += sign * matrix[i][j]
+            for i, row in enumerate(block):
+                for j in range(k):
+                    a = int(i == j) if matrix is None else matrix[i][j]
+                    if a:
+                        row[j0 + j] = row.get(j0 + j, 0) + sign * a
 
         add_block(args[1:], 1, module.action_matrix(args[0]))
         n = degree
@@ -481,6 +479,7 @@ def _coboundary_matrix(group, degree, module):
             merged = args[:j - 1] + (group.op(args[j - 1], args[j]),) + args[j + 1:]
             add_block(merged, 1 if j % 2 == 0 else -1)
         add_block(args[:n], 1 if (n + 1) % 2 == 0 else -1)
+        mat += [{j: a for j, a in row.items() if a} for row in block]
     return mat, rows, cols
 
 
@@ -507,10 +506,8 @@ def _scale_rows_to_lcm(mat, out_factors, tuples_count):
     """Scale each row so all congruences share the lcm of the output moduli."""
     mods = [m for _ in range(tuples_count) for m in out_factors]
     lcm = math.lcm(*mods) if mods else 1
-    scaled = []
-    for row, m in zip(mat, mods):
-        s = lcm // m
-        scaled.append([s * x for x in row] if s != 1 else list(row))
+    scaled = [{j: (lcm // m) * a for j, a in row.items()}
+              for row, m in zip(mat, mods)]
     return scaled, lcm
 
 
@@ -557,7 +554,7 @@ class CohomologyGroup:
         e = [cocycle.module.exponent_of(v) for v in _cochain_to_vec_u1(cocycle)]
         c = []
         for row in self._coboundary_rows:
-            q, r = divmod(sum(a * e[j] for j, a in row), n)
+            q, r = divmod(sum(a * e[j] for j, a in row.items()), n)
             if r:
                 raise NotACocycle(f"{cocycle!r} has nontrivial coboundary")
             c.append(q)
@@ -567,9 +564,8 @@ class CohomologyGroup:
 
     @cached_property
     def _coboundary_rows(self):
-        """Nonzero (column, entry) pairs of each row of the coboundary."""
-        mat, _, _ = _coboundary_matrix(self.group, self.degree, U1Module(1))
-        return [[(j, a) for j, a in enumerate(row) if a] for row in mat]
+        """Sparse rows of the integer coboundary out of this degree."""
+        return _coboundary_matrix(self.group, self.degree, U1Module(1))[0]
 
 
 def cohomology(group, degree, module):
@@ -618,7 +614,10 @@ def _cohomology_abelian(group, degree, module):
     scaled, lcm = _scale_rows_to_lcm(dmat, module.factors, rows // k)
     ambient = intlin.congruence_kernel_lattice(scaled, lcm, rows, cols)
     prev, prev_rows, prev_cols = _coboundary_matrix(group, degree - 1, module)
-    gens = [[prev[i][j] for i in range(prev_rows)] for j in range(prev_cols)]
+    gens = [[0] * prev_rows for _ in range(prev_cols)]
+    for i, row in enumerate(prev):
+        for j, a in row.items():
+            gens[j][i] = a
     mods = [m for _ in range(cols // k) for m in module.factors]
     gens += [[m if j == i else 0 for j in range(cols)] for i, m in enumerate(mods)]
     orders, vecs = intlin.quotient_group(ambient, gens)
@@ -764,10 +763,11 @@ def is_index(value, size):
         and 0 <= value < size
 
 
-def cochain_from_json(obj, group, module=None):
+def cochain_from_json(obj, group, module=None, degree=None):
     """Cochain from its JSON object; raise InvalidInput unless the degree,
     every argument and every charge or residue is an int (not a bool) in
-    range (:class:`Cochain` checks each entry's arity)."""
+    range (:class:`Cochain` checks each entry's arity), and unless the
+    degree is ``degree`` when that is given."""
     def index(value, size, what):
         if not is_index(value, size):
             raise InvalidInput(f"malformed cochain JSON: {what} {value!r} is "
@@ -775,7 +775,10 @@ def cochain_from_json(obj, group, module=None):
         return value
 
     try:
-        degree = index(obj["degree"], math.inf, "degree")
+        found = index(obj["degree"], math.inf, "degree")
+        if degree is not None and found != degree:
+            raise InvalidInput(f"expected a degree-{degree} cochain, "
+                               f"got degree {found}")
         desc = obj.get("module")
         if module is None:
             if isinstance(desc, dict) and "roots_of_unity" in desc:
@@ -798,7 +801,7 @@ def cochain_from_json(obj, group, module=None):
                 value = [index(v, m, "residue")
                          for v, m in zip(value, module.factors)]
             entries[args] = module.validate_element(value)
-        return Cochain(group, degree, module, entries)
+        return Cochain(group, found, module, entries)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed cochain JSON: {exc}") from exc
 

@@ -1,10 +1,14 @@
 """Exact integer linear algebra used by the cohomology and gauge solvers.
 
-Everything here works on plain Python ints (no overflow) and small dense
-matrices represented as lists of row lists.  The central primitive is the
-Smith normal form U A V = D.  V is kept as a dense matrix; U is kept as the
-log of the row operations that produced it, which is replayed to apply U to
-a vector or to read a column of its inverse.  Kernels, integer solves,
+Everything here works on plain Python ints (no overflow).  A matrix is a
+list of rows, and a row is a dense list or a sparse ``{column: entry}``
+dict.  The central primitive is the Smith normal form U A V = D.  It
+eliminates on sparse rows, so a row or column operation touches only
+nonzero entries, and it picks the same pivots and runs the same operations,
+in the same order, as the textbook dense elimination.  V is carried as
+sparse columns and made dense once, at the end; U is kept as the log of
+the row operations that produced it, which is replayed to apply U to a
+vector or to read a column of its inverse.  Kernels, integer solves,
 solves modulo N, and solves over the circle group (rational turns) are
 derived from it.
 """
@@ -13,10 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 # row operations of the Smith-form log, as (kind, i, j, c) tuples
@@ -29,7 +29,8 @@ class SmithForm:
     """Decomposition U @ A @ V = D with U, V unimodular and D diagonal.
 
     ``diag`` holds the nonnegative diagonal entries, each dividing the next.
-    ``v`` is the dense cols x cols matrix V.  U is the product of the row
+    ``v`` is the dense cols x cols matrix V, built once from the sparse
+    columns the elimination carries.  U is the product of the row
     operations in ``ops``, applied in order to the identity; it is never
     formed.  ``apply_u`` replays them on a vector and ``uinv_column``
     replays their inverses, in reverse, on a unit vector.
@@ -72,130 +73,137 @@ class SmithForm:
         return [sum(r[k] * y[k] for k in range(self.cols)) for r in self.v]
 
 
-def smith_normal_form(matrix, rows=None, cols=None):
-    """Compute the Smith normal form of an integer matrix.
+def smith_normal_form(matrix, rows, cols):
+    """Compute the Smith normal form of a ``rows`` x ``cols`` integer matrix.
 
-    Accepts an empty list of rows if ``rows``/``cols`` are given.
+    A row of ``matrix`` is a dense list or a ``{column: entry}`` dict.
     """
-    if rows is None:
-        rows = len(matrix)
-    if cols is None:
-        cols = len(matrix[0]) if matrix else 0
-    d = [list(row) for row in matrix]
+    d = [{j: a for j, a in (row.items() if isinstance(row, dict) else enumerate(row))
+          if a} for row in matrix]
     ops = []
-    v = identity_matrix(cols)
+    vcols = [{j: 1} for j in range(cols)]  # V by columns, made dense at the end
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
         ops.append((SWAP, i, j, 0))
 
     def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        # called while pivot t is placed or cleared; rows above t hold
+        # neither column
+        for row in d[t:]:
+            a, b = row.pop(i, 0), row.pop(j, 0)
+            if b:
+                row[i] = b
+            if a:
+                row[j] = a
+        vcols[i], vcols[j] = vcols[j], vcols[i]
+
+    def add_entries(dst, src, c):
+        # dst += c * src on sparse dicts, dropping the entries that cancel
+        for k, x in src.items():
+            y = dst.get(k, 0) + c * x
+            if y:
+                dst[k] = y
+            else:
+                del dst[k]
 
     def add_row(dst, src, c):
-        # row_dst += c * row_src
-        rd, rs = d[dst], d[src]
-        for k in range(cols):
-            rd[k] += c * rs[k]
+        add_entries(d[dst], d[src], c)
         ops.append((ADD, dst, src, c))
 
-    def add_col(dst, src, c):
-        # col_dst += c * col_src
-        for r in d:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
+    def add_col(dst, src, c, among):
+        # col_dst += c * col_src; ``among`` holds every row with an entry at src
+        for r in among:
+            row = d[r]
+            y = row.get(dst, 0) + c * row[src]
+            if y:
+                row[dst] = y
+            else:
+                del row[dst]
+        add_entries(vcols[dst], vcols[src], c)
 
     def negate_row(i):
-        d[i] = [-x for x in d[i]]
+        d[i] = {k: -x for k, x in d[i].items()}
         ops.append((NEGATE, i, i, 0))
 
+    # Rows t.. have entries only in columns t.., and rows ..t-1 are finished
+    # diagonal rows, so every scan below looks at rows t.. alone.
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        # locate a pivot of minimal magnitude in the trailing block
-        pivot = None
-        best = None
+        # the row-major first entry of minimal magnitude in the trailing block
+        best = 0
         for i in range(t, rows):
             row = d[i]
-            for j in range(t, cols):
-                a = row[j]
-                if a:
-                    a = abs(a)
-                    if best is None or a < best:
-                        best = a
-                        pivot = (i, j)
-                        if a == 1:
-                            break
-            if best == 1:
-                break
-        if pivot is None:
+            if row:
+                a = min(map(abs, row.values()))
+                if not best or a < best:
+                    best, pi = a, i
+                    if a == 1:
+                        break
+        if not best:
             break
-        pi, pj = pivot
+        pj = min(j for j, a in d[pi].items() if abs(a) == best)
         if pi != t:
             swap_rows(t, pi)
         if pj != t:
             swap_cols(t, pj)
-        while True:
-            # clear the pivot column
+        dirty = True
+        while dirty:
             dirty = False
-            for i in range(t + 1, rows):
-                a = d[i][t]
-                if a:
-                    q = a // d[t][t]
-                    if q:
-                        add_row(i, t, -q)
-                    if d[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-            # clear the pivot row
-            for j in range(t + 1, cols):
-                a = d[t][j]
-                if a:
-                    q = a // d[t][t]
-                    if q:
-                        add_col(j, t, -q)
-                    if d[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                col_ok = all(d[i][t] == 0 for i in range(t + 1, rows))
-                row_ok = all(d[t][j] == 0 for j in range(t + 1, cols))
-                if col_ok and row_ok:
-                    break
+            # clear the pivot column; step i changes only rows t and i
+            for i in [i for i in range(t + 1, rows) if t in d[i]]:
+                q = d[i][t] // d[t][t]
+                if q:
+                    add_row(i, t, -q)
+                if t in d[i]:
+                    swap_rows(t, i)
+                    dirty = True
+            # clear the pivot row; step j changes only columns t and j
+            among = [r for r in range(t, rows) if t in d[r]]
+            for j in sorted(j for j in d[t] if j != t):
+                q = d[t][j] // d[t][t]
+                if q:
+                    add_col(j, t, -q, among)
+                if j in d[t]:
+                    swap_cols(t, j)
+                    among = [r for r in range(t, rows) if t in d[r]]
+                    dirty = True
         if d[t][t] < 0:
             negate_row(t)
         t += 1
 
-    # enforce the divisibility chain d_i | d_{i+1}
+    # enforce the divisibility chain d_i | d_{i+1}; D is diagonal, and the
+    # step on the block of rows and columns i, i+1 leaves it diagonal
     changed = True
     while changed:
         changed = False
         for i in range(t - 1):
             if d[i + 1][i + 1] % d[i][i] != 0:
                 changed = True
-                add_col(i, i + 1, 1)
+                add_col(i, i + 1, 1, (i + 1,))
                 # Euclid on rows i, i+1 restricted to column i
-                while d[i + 1][i] != 0:
+                while d[i + 1].get(i):
                     q = d[i][i] // d[i + 1][i]
                     if q:
                         add_row(i, i + 1, -q)
                     swap_rows(i, i + 1)
                 # clear the junk the row ops left at (i, i+1)
-                if d[i][i + 1]:
-                    add_col(i + 1, i, -(d[i][i + 1] // d[i][i]))
+                if d[i].get(i + 1):
+                    add_col(i + 1, i, -(d[i][i + 1] // d[i][i]), (i,))
                 if d[i][i] < 0:
                     negate_row(i)
                 if d[i + 1][i + 1] < 0:
                     negate_row(i + 1)
-    diag = [d[i][i] for i in range(limit)]
+    diag = [d[i].get(i, 0) for i in range(limit)]
+    v = [[0] * cols for _ in range(cols)]
+    for j, col in enumerate(vcols):
+        for i, a in col.items():
+            v[i][j] = a
     return SmithForm(rows, cols, diag, ops, v)
 
 
-def integer_kernel(matrix, rows=None, cols=None):
+def integer_kernel(matrix, rows, cols):
     """Basis (list of length-``cols`` vectors) of {x : A x = 0} over Z."""
     sf = smith_normal_form(matrix, rows, cols)
     basis = []
@@ -276,7 +284,7 @@ def solve_turns(sf: SmithForm, b):
     return x
 
 
-def congruence_kernel_lattice(matrix, modulus, rows=None, cols=None):
+def congruence_kernel_lattice(matrix, modulus, rows, cols):
     """Basis of the full-rank lattice {x in Z^cols : A x == 0 (mod modulus)}."""
     sf = smith_normal_form(matrix, rows, cols)
     basis = []

@@ -745,8 +745,7 @@ def _boundary_lattice_u1(group, degree, root_order):
     if rows != n_coords:
         raise AssertionError("coordinate bookkeeping mismatch")
     # kernel of [D | K*I | -s*I] -> v-parts generate ((image(D) + K Z) /\ s Z) / s
-    aug = [dmat[i] + [big if j == i else 0 for j in range(rows)]
-           + [-scale if j == i else 0 for j in range(rows)]
+    aug = [{**dmat[i], cols + i: big, cols + rows + i: -scale}
            for i in range(rows)]
     kernel = intlin.integer_kernel(aug, rows, cols + 2 * rows)
     gens = [vec[cols + rows:] for vec in kernel]
@@ -774,7 +773,7 @@ def _cocycle_lattice(group, degree, module):
     if cols != n_coords:
         raise AssertionError("coordinate bookkeeping mismatch")
     if rows == 0:
-        return intlin.identity_matrix(n_coords), n_coords
+        return identity_matrix(n_coords), n_coords
     basis = intlin.congruence_kernel_lattice(scaled, lcm, rows, cols)
     return basis, n_coords
 

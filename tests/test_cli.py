@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import itertools
 import json
 import random
 
@@ -16,6 +17,7 @@ from gxbtc.groups import (
     FiniteGroup,
     U1Module,
     cochain_to_json,
+    cohomology,
     phase_from_json,
 )
 
@@ -345,6 +347,25 @@ class TestTorsorCommands:
                      "--solve-x"]) == 64
         assert "not allowed with argument" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, found, expected", [("x", 2, 3), ("t", 3, 2)])
+    def test_wrong_cochain_degree_exits_65_before_twisting(
+            self, tmp_path, toric_z2_file, capsys, monkeypatch, flag, found,
+            expected):
+        def twist(*args, **kwargs):
+            raise AssertionError("a twisted table was built")
+
+        monkeypatch.setattr(torsor, "apply_torsor", twist)
+        files = {"t": _twist_json(), "x": _twist_json((1, 1, 1), 1.0, 3)}
+        files[flag] = _twist_json((1,) * found, 1, found)
+        argv = ["torsor", toric_z2_file]
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+            argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+        assert main(argv) == 65
+        err = capsys.readouterr().err
+        assert f"{tmp_path / flag}.json: expected a degree-{expected} " \
+               f"cochain, got degree {found}" in err
+
     def test_obstruction_report(self, tmp_path, toric_z2, toric_z2_file, capsys):
         tfile = write_twist(tmp_path, toric_z2, 3)
         assert main(["obstruction", toric_z2_file, "--t", tfile]) == 0
@@ -592,6 +613,20 @@ class TestGoldenOutputs:
         argv = ["cohomology", "--group", group, "--coeff", coeff,
                 "--degree", str(degree)]
         assert stdout_digest(capsys, argv) == digest
+
+    def test_cohomology_s3(self):
+        # H^3(S3, U(1)) = Z6 through the library, written as the benchmark
+        # writes it; the CLI parses only products of cyclic groups
+        perms = list(itertools.permutations(range(3)))
+        index = {p: i for i, p in enumerate(perms)}
+        table = [[index[tuple(p[q[i]] for i in range(3))] for q in perms]
+                 for p in perms]
+        result = cohomology(FiniteGroup.from_table(table, "S3"), 3, U1Module(24))
+        text = json.dumps({"orders": result.orders, "representatives":
+                           [cochain_to_json(r) for r in result.representatives]},
+                          sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "6048ff8c44894cc380f1887f0ec04ed0cfe9853d518f491e2f641205d423263e"
 
     @pytest.mark.parametrize("c0, group, digest", [
         (cons.semion, "Z2x2",

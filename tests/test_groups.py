@@ -399,6 +399,14 @@ class TestJson:
         back = gr.cochain_from_json(blob, Z2, mod)
         assert back.equal(c)
 
+    def test_cochain_degree_checked_when_given(self):
+        mod = gr.U1Module(8)
+        blob = gr.cochain_to_json(gr.Cochain(Z2, 3, mod, {(1, 1, 1): mod.value(3)}))
+        assert gr.cochain_from_json(blob, Z2, mod, 3).degree == 3
+        with pytest.raises(InvalidInput, match="expected a degree-2 cochain, "
+                                               "got degree 3"):
+            gr.cochain_from_json(blob, Z2, mod, 2)
+
     def test_phase_json_fallback(self):
         z = complex(0.8, 0.6)
         blob = gr.phase_to_json(z)

@@ -56,7 +56,7 @@ def dense_u(sf):
 @given(small_matrices)
 def test_snf_decomposition(a):
     rows, cols = len(a), len(a[0])
-    sf = smith_normal_form(a)
+    sf = smith_normal_form(a, rows, cols)
     u, uinv = dense_u(sf)
     d = matmul(matmul(u, a), sf.v)
     for i in range(rows):
@@ -92,30 +92,70 @@ def oracle_matrices(draw):
             for i, row in enumerate(a)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(oracle_matrices(), st.data())
-def test_snf_matches_dense_oracle(a, data):
-    rows = len(a)
-    sf = smith_normal_form(a)
-    ref = oracles.dense_smith_normal_form(a)
+@st.composite
+def coboundary_shaped_matrices(draw):
+    """Sparse matrices shaped like integer coboundaries, up to 40x24.
+
+    A row of d: C^n -> C^{n+1} sums n + 2 signed faces, so each row here
+    sums 2 to 5 terms +-1 at drawn columns: its entries lie in -2..2, and
+    faces that meet add up or cancel.  Some rows and columns are zeroed.
+    Independent +-2 entries at this size would hit the entry growth of the
+    remainder swaps (ROADMAP item 2) in a few percent of draws, in the
+    dense oracle as well.
+    """
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 24))
+    face = st.tuples(st.integers(0, cols - 1), st.sampled_from([-1, 1]))
+    a = [[0] * cols for _ in range(rows)]
+    for row in a:
+        for j, sign in draw(st.lists(face, min_size=2, max_size=5)):
+            row[j] += sign
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows // 4))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols // 4))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(a)]
+
+
+def assert_matches_dense_oracle(a, b):
+    """Same D, V and U as the dense elimination, from list and dict rows."""
+    rows, cols = len(a), len(a[0])
+    sf = smith_normal_form(a, rows, cols)
+    ref = oracles.dense_smith_normal_form(a, rows, cols)
     assert sf.diag == ref.diag
     assert sf.v == ref.v
-    b = data.draw(st.lists(st.integers(-20, 20), min_size=rows, max_size=rows))
     assert sf.apply_u(b) == [sum(r[k] * b[k] for k in range(rows)) for r in ref.u]
     for i in range(rows):
         assert sf.uinv_column(i) == [r[i] for r in ref.uinv]
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in a]
+    other = smith_normal_form(sparse, rows, cols)
+    assert (other.diag, other.ops, other.v) == (sf.diag, sf.ops, sf.v)
+
+
+def right_hand_sides(a):
+    return st.lists(st.integers(-20, 20), min_size=len(a), max_size=len(a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_matrices(), st.data())
+def test_snf_matches_dense_oracle(a, data):
+    assert_matches_dense_oracle(a, data.draw(right_hand_sides(a)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coboundary_shaped_matrices(), st.data())
+def test_sparse_snf_bit_identical_on_coboundary_shapes(a, data):
+    assert_matches_dense_oracle(a, data.draw(right_hand_sides(a)))
 
 
 def test_solve_integer_basic():
     a = [[2, 0], [0, 3]]
-    sf = smith_normal_form(a)
+    sf = smith_normal_form(a, 2, 2)
     assert solve_integer(sf, [4, 9]) == [2, 3]
     assert solve_integer(sf, [1, 0]) is None
 
 
 def test_solve_mod_canonical_zero():
     a = [[2, 4], [0, 0]]
-    sf = smith_normal_form(a)
+    sf = smith_normal_form(a, 2, 2)
     assert solve_mod(sf, [0, 0], 8) == [0, 0]
     x = solve_mod(sf, [6, 0], 8)
     assert x is not None
@@ -124,22 +164,22 @@ def test_solve_mod_canonical_zero():
 
 def test_solve_mod_unsolvable():
     a = [[2]]
-    sf = smith_normal_form(a)
+    sf = smith_normal_form(a, 1, 1)
     assert solve_mod(sf, [1], 4) is None
 
 
 def test_solve_turns_divisible():
     # 2x = 1/2 has the solution x = 1/4 over Q/Z
-    sf = smith_normal_form([[2]])
+    sf = smith_normal_form([[2]], 1, 1)
     assert solve_turns(sf, [Fraction(1, 2)]) == [Fraction(1, 4)]
     # zero row forces exact consistency
-    sf2 = smith_normal_form([[1], [0]])
+    sf2 = smith_normal_form([[1], [0]], 2, 1)
     assert solve_turns(sf2, [Fraction(1, 3), Fraction(0)]) == [Fraction(1, 3)]
     assert solve_turns(sf2, [Fraction(1, 3), Fraction(1, 2)]) is None
 
 
 def test_integer_kernel():
-    ker = integer_kernel([[1, 2, 3]])
+    ker = integer_kernel([[1, 2, 3]], 1, 3)
     assert len(ker) == 2
     for v in ker:
         assert v[0] + 2 * v[1] + 3 * v[2] == 0
@@ -147,7 +187,7 @@ def test_integer_kernel():
 
 def test_congruence_kernel_lattice():
     # x with 2x == 0 mod 4 -> lattice 2Z
-    basis = congruence_kernel_lattice([[2]], 4)
+    basis = congruence_kernel_lattice([[2]], 4, 1, 1)
     assert len(basis) == 1 and abs(basis[0][0]) == 2
 
 
@@ -174,7 +214,7 @@ def test_lattice_basis_reduces():
 @given(small_matrices, st.integers(2, 12))
 def test_solve_mod_roundtrip(a, modulus):
     rows, cols = len(a), len(a[0])
-    sf = smith_normal_form(a)
+    sf = smith_normal_form(a, rows, cols)
     # build a solvable rhs from a random-ish x, then re-solve
     x0 = [(i * 7 + 3) % modulus for i in range(cols)]
     b = [sum(a[i][j] * x0[j] for j in range(cols)) % modulus for i in range(rows)]
