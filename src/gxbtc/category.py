@@ -22,7 +22,8 @@ from .groups import (
     FiniteGroup,
     is_index,
     phase_from_json,
-    phase_to_json,
+    snap_turns,
+    turns_to_json,
 )
 
 
@@ -563,6 +564,16 @@ def group_from_json(obj):
 
 
 def theory_to_json(theory):
+    # snap_turns once per distinct value: tables repeat a few phases many
+    # times.  Values equal up to the sign of a zero part share an entry;
+    # they snap alike, and each is still written from its own parts.
+    snapped = {}
+
+    def encode(value):
+        if value not in snapped:
+            snapped[value] = snap_turns(value)
+        return turns_to_json(value, snapped[value])
+
     return {
         "group": group_to_json(theory.group),
         "charges": [{"grade": g} for g in theory.grades],
@@ -570,13 +581,13 @@ def theory_to_json(theory):
         "dual": list(theory._dual),
         "fusion": [list(t) for t in theory.fusion_triples()],
         "action": [list(theory.action[g]) for g in theory.group.elements()],
-        "F": [{"charges": list(k), "value": phase_to_json(v)}
+        "F": [{"charges": list(k), "value": encode(v)}
               for k, v in sorted(theory.f_entries().items())],
-        "R": [{"charges": list(k), "value": phase_to_json(v)}
+        "R": [{"charges": list(k), "value": encode(v)}
               for k, v in sorted(theory.r_entries().items())],
-        "U": [{"sheet": k[0], "charges": list(k[1:]), "value": phase_to_json(v)}
+        "U": [{"sheet": k[0], "charges": list(k[1:]), "value": encode(v)}
               for k, v in sorted(theory.u_entries().items())],
-        "eta": [{"charge": k[0], "pair": list(k[1:]), "value": phase_to_json(v)}
+        "eta": [{"charge": k[0], "pair": list(k[1:]), "value": encode(v)}
                 for k, v in sorted(theory.eta_entries().items())],
         "metadata": theory.metadata,
     }

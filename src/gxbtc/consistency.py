@@ -2,15 +2,21 @@
 
 Each checker sweeps every admissible index tuple, compares both sides of
 its equation, and reports the worst residual together with the failing
-tuples.  Sweeps are exhaustive; inputs are desk scale by design.
+tuples.  Sweeps are exhaustive; inputs are desk scale by design.  A table
+entry that a sweep needs and the theory lacks reads as 0, and so does a
+quotient by one, so the equation fails there; ``category.validate`` names
+the entry.
 
-The pentagon sweeps (``check_pentagon``, and through it
-``base_theory_torsorable``, and ``defectification_obstruction``) share one
-numpy enumerator of admissible pentagon tuples, run in chunks of one first
-charge.  Its complex arithmetic is written out on float64 parts as
-CPython's complex ``*``, ``/`` and ``abs``, and its results are put back in
+Every sweep but the hexagon runs on one numpy index of the theory
+(:class:`TheoryIndex`): the pentagon sweeps (``check_pentagon``, and
+through it ``base_theory_torsorable``, and ``defectification_obstruction``),
+both heptagons, eta associativity and kappa sliding.  ``torsor`` builds its
+twisted F and U tables on the same index.  Complex arithmetic is written
+out on float64 parts as CPython's complex ``*``, ``/`` and ``abs``, sums
+add their terms from 0 in the loops' order, and results are put back in
 the nested-loop order, so reports and obstructions are bit-identical to the
-scalar loops kept in ``tests/oracles.py``.
+scalar loops kept in ``tests/oracles.py``.  The hexagon, a small share of a
+``check``, stays a loop.
 """
 
 from __future__ import annotations
@@ -18,10 +24,11 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import RepresentativeDependent
+from .errors import InadmissibleTuple, RepresentativeDependent
 from .groups import DEFAULT_TOL, Cochain, U1Module, validate_cocycle
 
 
@@ -61,25 +68,38 @@ class ConsistencyReport:
         }
 
 
-class _PentagonIndex:
-    """Admissible pentagon tuples of one theory, enumerated with numpy.
+def _record(rep, labels, lhs, rhs, tol, loop_keys=None):
+    """``rep.record`` for every tuple of one sweep, as the loop would call it.
 
-    Fusion triples sorted by (a, b, c) form a CSR index over the pair
-    a*n + b, a dense mask of size n**3 answers N(a, b, c), and F values are
-    looked up by ``searchsorted`` on sorted int64 key codes (n**6 stays
-    below 2**63 for any desk-scale n); a missing key reads as 0.
+    ``labels`` are the index columns, ``lhs`` and ``rhs`` (re, im) arrays.
+    Rows are in loop order unless ``loop_keys`` are given: then the failures
+    are taken in ``np.lexsort(loop_keys)`` order.
     """
+    rep.checked += len(lhs[0])
+    residual = np.hypot(lhs[0] - rhs[0], lhs[1] - rhs[1])
+    rep.worst_residual = max(rep.worst_residual,
+                             float(np.fmax.reduce(residual, initial=0.0)))
+    room = MAX_FAILURES - len(rep.failures)
+    failing = np.flatnonzero(residual > tol)
+    if not room or not len(failing):
+        return
+    if loop_keys is not None:
+        failing = failing[np.lexsort(_take(failing, *loop_keys))]
+    for i in failing[:room].tolist():
+        rep.failures.append((
+            tuple(int(x[i]) for x in labels),
+            complex(lhs[0][i], lhs[1][i]), complex(rhs[0][i], rhs[1][i])))
 
-    def __init__(self, theory):
-        n = self.n = theory.num_charges
-        triples = np.array(theory.fusion_triples(), dtype=np.int64).reshape(-1, 3)
-        pair = triples[:, 0] * n + triples[:, 1]
-        self.ptr = np.searchsorted(pair, np.arange(n * n + 1))
-        self.mid, self.out = triples[:, 1], triples[:, 2]
-        self.mask = np.zeros(n ** 3, dtype=bool)
-        self.mask[pair * n + self.out] = True
-        keys = np.array(list(theory.f_entries()), dtype=np.int64).reshape(-1, 6)
-        values = np.array(list(theory.f_entries().values()), dtype=complex)
+
+class _Table:
+    """One symbol table: int64 codes of its keys in the mixed radix
+    ``sizes``, sorted, with the float64 parts of their values.  A lookup is a
+    ``searchsorted``; a missing key reads as 0."""
+
+    def __init__(self, entries, sizes):
+        self.sizes = sizes
+        keys = np.array(list(entries), dtype=np.int64).reshape(-1, len(sizes))
+        values = np.array(list(entries.values()), dtype=complex)
         codes = self.code(*keys.T)
         order = np.argsort(codes, kind="stable")
         # a last, zero entry past every code: each searchsorted position is
@@ -87,25 +107,63 @@ class _PentagonIndex:
         self.codes = np.append(codes[order], np.iinfo(np.int64).max)
         self.re = np.append(values.real[order], 0.0)
         self.im = np.append(values.imag[order], 0.0)
-        ident = theory.group.identity
-        self.nontrivial = np.array([g != ident for g in theory.grades],
-                                   dtype=np.int64)
+        self.absent = len(self.codes) - 1
 
-    def code(self, *charges):
+    def code(self, *labels):
         acc = 0
-        for x in charges:
-            acc = acc * self.n + x
+        for x, size in zip(labels, self.sizes):
+            acc = acc * size + x
         return acc
 
-    def f(self, *labels):
-        """(re, im) arrays of F(a, b, c, d, e, f); 0 off the table."""
+    def at(self, *labels):
+        """Positions of the keys; ``absent`` for a missing one."""
         code = self.code(*labels)
         pos = np.searchsorted(self.codes, code)
-        pos[self.codes[pos] != code] = len(self.codes) - 1
+        pos[self.codes[pos] != code] = self.absent
+        return pos
+
+    def __call__(self, *labels):
+        """(re, im) arrays of the values; 0 off the table."""
+        pos = self.at(*labels)
         return self.re[pos], self.im[pos]
 
+
+class FusionIndex:
+    """Multiplicity-free fusion over the charges ``range(n)``, as arrays.
+
+    ``triples`` must be sorted by (a, b, c).  They form a CSR index over the
+    pair a*n + b; a dense mask of size n**3 answers N(a, b, c), and
+    ``single`` holds the outcome of each pair that has exactly one.
+    """
+
+    def __init__(self, n, triples):
+        self.n = n
+        self.triples = np.array(triples, dtype=np.int64).reshape(-1, 3)
+        pair = self.triples[:, 0] * n + self.triples[:, 1]
+        self.ptr = np.searchsorted(pair, np.arange(n * n + 1))
+        self.mid, self.out = self.triples[:, 1], self.triples[:, 2]
+        self.mask = np.zeros(n ** 3, dtype=bool)
+        self.mask[pair * n + self.out] = True
+        one = np.flatnonzero(np.diff(self.ptr) == 1)
+        self.single = np.full(n * n, -1)
+        self.single[one] = self.out[self.ptr[one]]
+
     def admissible(self, a, b, c):
-        return self.mask[self.code(a, b, c)]
+        return self.mask[(a * self.n + b) * self.n + c]
+
+    def translate(self, x, a):
+        """The one outcome of each pair (x, a), as ``GxTheory.translate``;
+        raises at the first pair with none or several."""
+        pair = x * self.n + a
+        out = self.single[pair]
+        bad = np.flatnonzero(out < 0)
+        if len(bad):
+            p = int(pair[bad[0]])
+            outcomes = tuple(self.out[self.ptr[p]:self.ptr[p + 1]].tolist())
+            raise InadmissibleTuple(
+                f"translation by {p // self.n} of {p % self.n} is not unique: "
+                f"outcomes {outcomes}")
+        return out
 
     @staticmethod
     def _spread(lo, hi):
@@ -125,7 +183,59 @@ class _PentagonIndex:
         rows, pos = self._spread(self.ptr[a * self.n], self.ptr[(a + 1) * self.n])
         return rows, self.mid[pos], self.out[pos]
 
-    def tuples(self, a, fewest, most):
+    def expand(self, x, y, *columns):
+        """Each row of ``columns`` once per outcome z of x (x) y, ascending;
+        returns the repeated columns, then z."""
+        rows, z = self.outcomes(x, y)
+        return (*_take(rows, *columns), z)
+
+
+class TheoryIndex(FusionIndex):
+    """A theory's fusion, grades, duals, group and action as arrays, and its
+    F, R, U and eta tables as :class:`_Table` lookups built on first use.
+
+    Group elements index ``mult``, ``inv`` and the rows of ``act``
+    (``act[g, a]`` is g acting on a).  Table keys are coded in the radix of
+    their labels; n**6 stays below 2**63 for any desk-scale n.
+    """
+
+    def __init__(self, theory):
+        super().__init__(theory.num_charges, theory.fusion_triples())
+        group = theory.group
+        self.order = group.order
+        self.vacuum = theory.vacuum
+        self.mult = np.array(group.mult, dtype=np.int64)
+        self.inv = np.array(group.inv, dtype=np.int64)
+        self.grade = np.array(theory.grades, dtype=np.int64)
+        self.dual = np.array([theory.dual(a) for a in theory.charges()],
+                             dtype=np.int64)
+        self.act = np.array([theory.action[g] for g in group.elements()],
+                            dtype=np.int64).reshape(group.order, self.n)
+        self.nontrivial = (self.grade != group.identity).astype(np.int64)
+        self._entries = (theory.f_entries(), theory.r_entries(),
+                         theory.u_entries(), theory.eta_entries())
+
+    def fuse_abelian(self, x, y):
+        """``GxTheory.fuse_abelian(x, y)``: the vacuum, then x, then y."""
+        return self.translate(self.translate(np.full_like(x, self.vacuum), x), y)
+
+    @cached_property
+    def f(self):
+        return _Table(self._entries[0], (self.n,) * 6)
+
+    @cached_property
+    def r(self):
+        return _Table(self._entries[1], (self.n,) * 3)
+
+    @cached_property
+    def u(self):
+        return _Table(self._entries[2], (self.order, self.n, self.n, self.n))
+
+    @cached_property
+    def eta(self):
+        return _Table(self._entries[3], (self.n, self.order, self.order))
+
+    def pentagon_tuples(self, a, fewest, most):
         """Columns (b, c, d, f, g, e, l, k) of the pentagon tuples with first
         charge ``a``: N(a,b,f) N(f,c,g) N(g,d,e) N(c,d,l) N(b,l,k) N(a,k,e),
         with between ``fewest`` and ``most`` nontrivial grades among
@@ -153,6 +263,17 @@ class _PentagonIndex:
         return _take(self.admissible(a, k, e), b, c, d, f, g, e, l, k)
 
 
+_INDEX_CACHE = weakref.WeakKeyDictionary()
+
+
+def theory_index(theory):
+    """The :class:`TheoryIndex` of ``theory``, built once per theory."""
+    index = _INDEX_CACHE.get(theory)
+    if index is None:
+        index = _INDEX_CACHE[theory] = TheoryIndex(theory)
+    return index
+
+
 def _take(index, *columns):
     return tuple(col[index] for col in columns)
 
@@ -168,22 +289,29 @@ def _heads(keys):
 # complex ``*`` and ``/`` so results match the scalar loops bit for bit
 # (numpy's complex128 ops differ in the last bit); ``np.hypot`` is abs().
 
-def _mul(x, y):
+def cmul(x, y):
     (xr, xi), (yr, yi) = x, y
     return xr * yr - xi * yi, xr * yi + xi * yr
 
 
-def _quot(x, y):
-    """x / y by CPython's two-branch formula; y must not be 0."""
+def cconj(x):
+    return x[0], -x[1]
+
+
+def cquot(x, y):
+    """x / y by CPython's two-branch formula, and 0 where y is 0 (a
+    quotient by a missing entry)."""
     (xr, xi), (yr, yi) = x, y
     out_r = np.full(len(xr), np.nan)
     out_i = np.full(len(xr), np.nan)
-    by_real = np.abs(yr) >= np.abs(yi)
+    zero = (yr == 0) & (yi == 0)
+    out_r[zero] = out_i[zero] = 0.0
+    by_real = ~zero & (np.abs(yr) >= np.abs(yi))
     ratio = yi[by_real] / yr[by_real]
     denom = yr[by_real] + yi[by_real] * ratio
     out_r[by_real] = (xr[by_real] + xi[by_real] * ratio) / denom
     out_i[by_real] = (xi[by_real] - xr[by_real] * ratio) / denom
-    by_imag = ~by_real & (np.abs(yi) >= np.abs(yr))  # neither: a NaN part
+    by_imag = ~zero & ~by_real & (np.abs(yi) >= np.abs(yr))  # neither: a NaN part
     ratio = yr[by_imag] / yi[by_imag]
     denom = yr[by_imag] * ratio + yi[by_imag]
     out_r[by_imag] = (xr[by_imag] * ratio + xi[by_imag]) / denom
@@ -191,21 +319,28 @@ def _quot(x, y):
     return out_r, out_i
 
 
-def _h_sum(index, a, b, c, d, f, g, e, l, k):
-    """(re, im) per tuple of the pentagon's right side, summed as the scalar
-    loop does: 0j, then += the term F(a,b,c;g)_{f,h} F(a,h,d;e)_{g,k}
-    F(b,c,d;k)_{h,l} of each h in b (x) c, in outcome order."""
-    total = np.zeros(len(b)), np.zeros(len(b))
-    rows, h = index.outcomes(b, c)
-    b, c, d, f, g, e, l, k = _take(rows, b, c, d, f, g, e, l, k)
-    term = _mul(_mul(index.f(a, b, c, g, f, h), index.f(a, h, d, e, g, k)),
-                index.f(b, c, d, k, h, l))
+def sum_in_order(size, rows, term):
+    """(re, im) per row of ``range(size)``: 0, then += each (re, im) ``term``
+    of the row, in order; ``rows`` is ascending."""
+    total = np.zeros(size), np.zeros(size)
     rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
     for j in range(int(rank.max(initial=-1)) + 1):
         at = rank == j
         for part, add in zip(total, term):
             part[rows[at]] = part[rows[at]] + add[at]
     return total
+
+
+def _h_sum(index, a, b, c, d, f, g, e, l, k):
+    """(re, im) per tuple of the pentagon's right side, summed as the scalar
+    loop does: 0j, then += the term F(a,b,c;g)_{f,h} F(a,h,d;e)_{g,k}
+    F(b,c,d;k)_{h,l} of each h in b (x) c, in outcome order."""
+    size = len(b)
+    rows, h = index.outcomes(b, c)
+    b, c, d, f, g, e, l, k = _take(rows, b, c, d, f, g, e, l, k)
+    term = cmul(cmul(index.f(a, b, c, g, f, h), index.f(a, h, d, e, g, k)),
+                index.f(b, c, d, k, h, l))
+    return sum_in_order(size, rows, term)
 
 
 def check_pentagon(theory, max_nontrivial_defects=4, tol=DEFAULT_TOL):
@@ -216,25 +351,15 @@ def check_pentagon(theory, max_nontrivial_defects=4, tol=DEFAULT_TOL):
     exactly what torsor wellformedness requires of its input.
     """
     rep = ConsistencyReport("pentagon")
-    index = _PentagonIndex(theory)
+    index = theory_index(theory)
     for a in theory.charges():
-        b, c, d, f, g, e, l, k = index.tuples(a, 0, max_nontrivial_defects)
-        rep.checked += len(b)
+        b, c, d, f, g, e, l, k = index.pentagon_tuples(a, 0, max_nontrivial_defects)
         if not len(b):
             continue
-        lhs = _mul(index.f(f, c, d, e, g, l), index.f(a, b, l, e, f, k))
+        lhs = cmul(index.f(f, c, d, e, g, l), index.f(a, b, l, e, f, k))
         rhs = _h_sum(index, a, b, c, d, f, g, e, l, k)
-        residual = np.hypot(lhs[0] - rhs[0], lhs[1] - rhs[1])
-        rep.worst_residual = max(rep.worst_residual,
-                                 float(np.fmax.reduce(residual, initial=0.0)))
-        room = MAX_FAILURES - len(rep.failures)
-        failing = np.flatnonzero(residual > tol)
-        if room and len(failing):
-            keys = _take(failing, k, l, e, g, f, d, c, b)
-            for i in failing[np.lexsort(keys)[:room]].tolist():
-                rep.failures.append((
-                    (a, *(int(x[i]) for x in (b, c, d, e, f, g, k, l))),
-                    complex(lhs[0][i], lhs[1][i]), complex(rhs[0][i], rhs[1][i])))
+        _record(rep, (np.full(len(b), a), b, c, d, e, f, g, k, l), lhs, rhs,
+                tol, loop_keys=(k, l, e, g, f, d, c, b))
     return rep
 
 
@@ -270,89 +395,93 @@ def check_hexagon(theory, tol=DEFAULT_TOL):
 
 
 def check_heptagons(theory, tol=DEFAULT_TOL):
-    """Both braiding coherence equations; returns [plus, minus] reports."""
+    """Both braiding coherence equations; returns [plus, minus] reports.
+
+    Both sweep the charges (a, b, c) of grades (g, h, k) in product order.
+    The counterclockwise equation has labels a_g, b_h, c_k, d_ghk, e_gk,
+    g_hk and moves b to b_k = k^-1 . b; the clockwise one has labels a_g,
+    b_h, c_k, d_kgh, e_kg, g_{g^-1 k g h} and moves c to c_g = g^-1 . c and
+    c_gh = (gh)^-1 . c.  The right sides sum over f in a (x) b.
+    """
+    ix = theory_index(theory)
+    n = ix.n
+    base = np.indices((n, n, n)).reshape(3, -1)
+
+    # counterclockwise
+    a, b, c = base
+    kbar = ix.inv[ix.grade[c]]
+    b_k = ix.act[kbar, b]
+    a, b, c, kbar, b_k, e = ix.expand(a, c, a, b, c, kbar, b_k)
+    a, b, c, kbar, b_k, e, g = ix.expand(b, c, a, b, c, kbar, b_k, e)
+    a, b, c, kbar, b_k, e, g, d = ix.expand(e, b_k, a, b, c, kbar, b_k, e, g)
+    a, b, c, kbar, b_k, e, g, d = _take(ix.admissible(a, g, d),
+                                        a, b, c, kbar, b_k, e, g, d)
+    lhs = cmul(cmul(ix.r(a, c, e), ix.f(a, c, b_k, d, e, g)), ix.r(b, c, g))
+    rows, f = ix.outcomes(a, b)
+    keep = ix.admissible(f, c[rows], d[rows])
+    rows, f = rows[keep], f[keep]
+    ta, tb, tc, td, te, tg, tkbar, tb_k = _take(rows, a, b, c, d, e, g, kbar, b_k)
+    term = cmul(cmul(cmul(
+        ix.f(tc, ix.act[tkbar, ta], tb_k, td, te, ix.act[tkbar, f]),
+        ix.u(ix.grade[tc], ta, tb, f)), ix.r(f, tc, td)),
+        ix.f(ta, tb, tc, td, f, tg))
     plus = ConsistencyReport("heptagon+")
+    _record(plus, (a, b, c, d, e, g), lhs, sum_in_order(len(a), rows, term), tol)
+
+    # clockwise
+    a, b, c = base
+    gg, hh = ix.grade[a], ix.grade[b]
+    c_g = ix.act[ix.inv[gg], c]
+    c_gh = ix.act[ix.inv[ix.mult[gg, hh]], c]
+    a, b, c, c_g, c_gh, e = ix.expand(c, a, a, b, c, c_g, c_gh)
+    a, b, c, c_g, c_gh, e, g = ix.expand(c_g, b, a, b, c, c_g, c_gh, e)
+    a, b, c, c_g, c_gh, e, g, d = ix.expand(e, b, a, b, c, c_g, c_gh, e, g)
+    a, b, c, c_g, c_gh, e, g, d = _take(ix.admissible(a, g, d),
+                                        a, b, c, c_g, c_gh, e, g, d)
+    lhs = cmul(cmul(cconj(ix.r(c, a, e)), ix.f(a, c_g, b, d, e, g)),
+               cconj(ix.r(c_g, b, g)))
+    rows, f = ix.outcomes(a, b)
+    keep = ix.admissible(c[rows], f, d[rows])
+    rows, f = rows[keep], f[keep]
+    ta, tb, tc, td, te, tg, tc_gh = _take(rows, a, b, c, d, e, g, c_gh)
+    term = cmul(cmul(cmul(
+        ix.f(tc, ta, tb, td, te, f),
+        ix.eta(tc, ix.grade[ta], ix.grade[tb])), cconj(ix.r(tc, f, td))),
+        ix.f(ta, tb, tc_gh, td, f, tg))
     minus = ConsistencyReport("heptagon-")
-    group = theory.group
-    fz = theory.f_or_zero
-    rz = theory.r_entries().get
-    uz = theory.u_entries().get
-    for a, b, c in itertools.product(theory.charges(), repeat=3):
-        gg = theory.grade(a)
-        hh = theory.grade(b)
-        kk = theory.grade(c)
-        kbar = group.inverse(kk)
-        gbar = group.inverse(gg)
-        a_k = theory.act(kbar, a)
-        b_k = theory.act(kbar, b)
-        # counterclockwise: labels a_g, b_h, c_k, d_ghk, e_gk, g_hk
-        for e in theory.fusion_outcomes(a, c):
-            for gout in theory.fusion_outcomes(b, c):
-                for d in theory.fusion_outcomes(e, b_k):
-                    if not theory.n(a, gout, d):
-                        continue
-                    lhs = (rz((a, c, e), 0j) * fz(a, c, b_k, d, e, gout)
-                           * rz((b, c, gout), 0j))
-                    rhs = 0j
-                    for f in theory.fusion_outcomes(a, b):
-                        if not theory.n(f, c, d):
-                            continue
-                        rhs += (fz(c, a_k, b_k, d, e, theory.act(kbar, f))
-                                * uz((kk, a, b, f), 0j)
-                                * rz((f, c, d), 0j)
-                                * fz(a, b, c, d, f, gout))
-                    plus.record((a, b, c, d, e, gout), lhs, rhs, tol)
-        # clockwise: labels a_g, b_h, c_k, d_kgh, e_kg, g_{g^-1 k g h}
-        c_g = theory.act(gbar, c)
-        c_gh = theory.act(group.inverse(group.op(gg, hh)), c)
-        for e in theory.fusion_outcomes(c, a):
-            for gout in theory.fusion_outcomes(c_g, b):
-                for d in theory.fusion_outcomes(e, b):
-                    if not theory.n(a, gout, d):
-                        continue
-                    lhs = (rz((c, a, e), 0j).conjugate()
-                           * fz(a, c_g, b, d, e, gout)
-                           * rz((c_g, b, gout), 0j).conjugate())
-                    rhs = 0j
-                    for f in theory.fusion_outcomes(a, b):
-                        if not theory.n(c, f, d):
-                            continue
-                        rhs += (fz(c, a, b, d, e, f)
-                                * theory.eta_symbol(c, gg, hh)
-                                * rz((c, f, d), 0j).conjugate()
-                                * fz(a, b, c_gh, d, f, gout))
-                    minus.record((a, b, c, d, e, gout), lhs, rhs, tol)
+    _record(minus, (a, b, c, d, e, g), lhs, sum_in_order(len(a), rows, term), tol)
     return [plus, minus]
 
 
 def check_eta_associativity(theory, tol=DEFAULT_TOL):
-    """Projective local-action phases compose across group multiplication."""
+    """Projective local-action phases compose across group multiplication:
+    eta_x(g, h) eta_x(gh, k) = eta_x(g, hk) eta_{g^-1 . x}(h, k), over every
+    charge x and group elements g, h, k in product order."""
+    ix = theory_index(theory)
+    x, g, h, k = np.indices((ix.n,) + (ix.order,) * 3).reshape(4, -1)
+    lhs = cmul(ix.eta(x, g, h), ix.eta(x, ix.mult[g, h], k))
+    rhs = cmul(ix.eta(x, g, ix.mult[h, k]), ix.eta(ix.act[ix.inv[g], x], h, k))
     rep = ConsistencyReport("eta-assoc")
-    group = theory.group
-    for x in theory.charges():
-        for g, h, k in itertools.product(group.elements(), repeat=3):
-            lhs = theory.eta_symbol(x, g, h) * theory.eta_symbol(x, group.op(g, h), k)
-            xg = theory.act(group.inverse(g), x)
-            rhs = theory.eta_symbol(x, g, group.op(h, k)) * theory.eta_symbol(xg, h, k)
-            rep.record((x, g, h, k), lhs, rhs, tol)
+    _record(rep, (x, g, h, k), lhs, rhs, tol)
     return rep
 
 
 def check_kappa_sliding(theory, tol=DEFAULT_TOL):
-    """Decomposition of the composite sheet phase into local eta factors."""
+    """Decomposition of the composite sheet phase into local eta factors:
+    eta_a(g, h) eta_b(g, h) / eta_c(g, h) against the conjugates of
+    U_g(a, b; c) and U_h(g^-1 . a, g^-1 . b; g^-1 . c) times U_gh(a, b; c),
+    over the fusion triples (a, b, c), then g, then h."""
+    ix = theory_index(theory)
+    i, g, h = np.indices((len(ix.triples), ix.order, ix.order)).reshape(3, -1)
+    a, b, c = ix.triples[i].T
+    gbar = ix.inv[g]
+    lhs = cquot(cmul(ix.eta(a, g, h), ix.eta(b, g, h)), ix.eta(c, g, h))
+    rhs = cmul(cmul(cconj(ix.u(g, a, b, c)),
+                    cconj(ix.u(h, ix.act[gbar, a], ix.act[gbar, b],
+                               ix.act[gbar, c]))),
+               ix.u(ix.mult[g, h], a, b, c))
     rep = ConsistencyReport("kappa-sliding")
-    group = theory.group
-    for a, b, c in theory.fusion_triples():
-        for g in group.elements():
-            gbar = group.inverse(g)
-            ag, bg, cg = theory.act(gbar, a), theory.act(gbar, b), theory.act(gbar, c)
-            for h in group.elements():
-                lhs = (theory.eta_symbol(a, g, h) * theory.eta_symbol(b, g, h)
-                       / theory.eta_symbol(c, g, h))
-                rhs = (theory.u_symbol(g, a, b, c).conjugate()
-                       * theory.u_symbol(h, ag, bg, cg).conjugate()
-                       * theory.u_symbol(group.op(g, h), a, b, c))
-                rep.record((a, b, c, g, h), lhs, rhs, tol)
+    _record(rep, (a, b, c, g, h), lhs, rhs, tol)
     return rep
 
 
@@ -388,18 +517,18 @@ def defectification_obstruction(theory, tol=DEFAULT_TOL, root_order=1):
     m = len(nonidentity)
     slot = {g: i for i, g in enumerate(nonidentity)}
     slots = np.array([slot.get(g, -1) for g in theory.grades], dtype=np.int64)
-    index = _PentagonIndex(theory)
+    index = theory_index(theory)
     # grade tuples are numbered in itertools.product order; per number, the
     # first phase in the loop order a, b, x, c, z, d, p, r, q of the
     # pentagon labels (x, z, p, r, q) = (f, g, e, l, k)
     found = {}
     clash = {}
     for a in theory.charges():
-        b, c, d, f, g, e, l, k = index.tuples(a, 4, 4)
+        b, c, d, f, g, e, l, k = index.pentagon_tuples(a, 4, 4)
         b, c, d, f, g, e, l, k = _take(index.admissible(f, l, e),
                                        b, c, d, f, g, e, l, k)
         num = _h_sum(index, a, b, c, d, f, g, e, l, k)
-        den = _mul(index.f(a, b, l, e, f, k), index.f(f, c, d, e, g, l))
+        den = cmul(index.f(a, b, l, e, f, k), index.f(f, c, d, e, g, l))
         keep = ~(np.hypot(*den) < 1e-12)
         if not keep.any():
             continue
@@ -408,7 +537,7 @@ def defectification_obstruction(theory, tol=DEFAULT_TOL, root_order=1):
         grade_no = ((slots[a] * m + slots[b]) * m + slots[c]) * m + slots[d]
         order = np.lexsort((k, l, e, d, g, c, f, b, grade_no))
         grade_no = grade_no[order]
-        val_r, val_i = _quot(_take(order, *num), _take(order, *den))
+        val_r, val_i = cquot(_take(order, *num), _take(order, *den))
         head = _heads(grade_no)
         numbers = grade_no[head].tolist()
         for no, i in zip(numbers, np.flatnonzero(head).tolist()):

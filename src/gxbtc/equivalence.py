@@ -66,10 +66,6 @@ class GaugeTransform:
                 raise InvalidInput("sheet phase of the vacuum must be 1")
         return self
 
-    def is_trivial(self, tol=DEFAULT_TOL):
-        return all(abs(v - 1.0) <= tol for v in self.vertex.values()) and \
-            all(abs(v - 1.0) <= tol for v in self.sheet.values())
-
 
 def _gauge_terms(theory):
     """How a gauge moves each symbol: (table, key, factors) per entry.
@@ -233,7 +229,7 @@ def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
 
     Each entry of :func:`_gauge_terms` gives one integer row in the gauge
     phases' turns, equal to the entry's turn ratio; identical rows are
-    kept once.  The vertex phases come first, then the sheet phases;
+    kept once, and each distinct pair of values is snapped once.  The vertex phases come first, then the sheet phases;
     those on the vacuum line or at the identity are pinned to 1.
     """
     if source.grades != target.grades or source.action != target.action \
@@ -253,8 +249,12 @@ def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
                 index[("s", (a, g))] = len(index)
 
     rows = {}
+    ratios = {}  # the tables repeat a few phases: one snap per pair
     for table, key, factors in _gauge_terms(source):
-        ratio = _phase_ratio_turns(theirs[table][key], ours[table][key])
+        pair = theirs[table][key], ours[table][key]
+        if pair not in ratios:
+            ratios[pair] = _phase_ratio_turns(*pair)
+        ratio = ratios[pair]
         if ratio is None:
             return None
         coeffs = {}

@@ -131,16 +131,6 @@ class FiniteGroup:
         """k g k^{-1}."""
         return self.prod(k, g, self.inv[k])
 
-    def element_order(self, g):
-        n, x = 1, g
-        while x != self.identity:
-            x = self.mult[x][g]
-            n += 1
-        return n
-
-    def exponent(self):
-        return math.lcm(*[self.element_order(g) for g in self.elements()])
-
     def nonidentity(self):
         return [g for g in self.elements() if g != self.identity]
 
@@ -703,7 +693,11 @@ def _cached_snf(group, degree, module):
 
 
 def phase_to_json(value):
-    turns = snap_turns(value)
+    return turns_to_json(value, snap_turns(value))
+
+
+def turns_to_json(value, turns):
+    """JSON form of ``value``, given ``turns = snap_turns(value)``."""
     if turns is not None:
         return {"turns": f"{turns.numerator}/{turns.denominator}"}
     return {"re": value.real, "im": value.imag}

@@ -6,6 +6,11 @@ the abelian identity-sector charges and phase coefficients ``x`` on group
 triples.  The relative obstruction measures whether coefficients exist
 making the four-defect pentagon close; when its class is trivial,
 :func:`solve_cocycleator` produces canonical coefficients.
+
+The twisted F and U tables, the largest, are evaluated as arrays on the
+base theory's numpy index (:func:`gxbtc.consistency.theory_index`), bit
+for bit as the scalar formulas kept in ``tests/oracles.py``; the R and eta
+tables, a small share of a twist, stay loops.
 """
 
 from __future__ import annotations
@@ -16,10 +21,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from . import consistency
 from .category import GxTheory, abelian_subgroup, fusion_violations, monodromy
+from .consistency import cconj, cmul, cquot
 from .constructions import stack_coefficients
 from .errors import (
+    InadmissibleTuple,
     InvalidInput,
     NotACocycle,
     RestrictionMismatch,
@@ -200,46 +209,111 @@ def torsored_action(twist):
     return action
 
 
-def _torsored_f_value(theory, t, a, b, c, d, e, f):
-    grp = theory.group
-    g, h, k = theory.grade(a), theory.grade(b), theory.grade(c)
-    t_gh = t(g, h)
-    t_hk = t(h, k)
-    t_gh_k = t(grp.op(g, h), k)
-    t_g_hk = t(g, grp.op(h, k))
-    gt_hk = theory.act(g, t_hk)
-    dual = theory.dual
-    tr = theory.translate
-    e1 = tr(dual(t_gh), e)
-    f1 = tr(dual(t_hk), f)
-    a1 = tr(gt_hk, a)
-    d1 = tr(dual(t_gh_k), d)
-    d2 = tr(dual(t_gh), d1)
-    d3 = tr(dual(t_g_hk), d)
-    value = theory.f_symbol(t_gh, e1, c, d1, e, d2)
-    value = value * theory.f_symbol(a, b, c, d2, e1, f1)
-    value = value * theory.f_symbol(
-        t_gh_k, t_gh, d2, d, theory.fuse_abelian(t_gh_k, t_gh), d1).conjugate()
-    value = value * theory.f_symbol(
-        t_g_hk, gt_hk, d2, d, theory.fuse_abelian(t_g_hk, gt_hk), tr(gt_hk, d2))
-    value = value * theory.f_symbol(gt_hk, a, f1, d3, a1, d2).conjugate()
-    value = value * theory.r_symbol(gt_hk, a, a1).conjugate()
-    return value * theory.f_symbol(a, t_hk, f1, d3, a1, f)
+class _Lookups:
+    """Base-theory symbols over arrays of keys, for the twisted tables.
+
+    Lookups are made in the scalar formula's order, and a missing key reads
+    as 0.  :meth:`check` then raises the InadmissibleTuple that the scalar
+    formula raises first: at the first row with a missing key, for its first
+    missing lookup.
+    """
+
+    def __init__(self, index):
+        self.index = index
+        self.missing = None  # (row, key text) of the first missing lookup
+
+    def _get(self, name, table, labels):
+        pos = table.at(*labels)
+        rows = np.flatnonzero(pos == table.absent)
+        if len(rows) and (self.missing is None or rows[0] < self.missing[0]):
+            row = int(rows[0])
+            self.missing = row, f"{name}{tuple(int(x[row]) for x in labels)}"
+        return table.re[pos], table.im[pos]
+
+    def f(self, *labels):
+        return self._get("F", self.index.f, labels)
+
+    def r(self, *labels):
+        return self._get("R", self.index.r, labels)
+
+    def u(self, *labels):
+        return self._get("U", self.index.u, labels)
+
+    def f_line(self, a, b, c):
+        tr = self.index.translate
+        e = tr(a, b)
+        f = tr(b, c)
+        return self.f(a, b, c, tr(e, c), e, f)
+
+    def r_line(self, a, b):
+        return self.r(a, b, self.index.translate(a, b))
+
+    def u_line(self, k, a, b):
+        return self.u(k, a, b, self.index.translate(a, b))
+
+    def check(self):
+        if self.missing is not None:
+            raise InadmissibleTuple(f"{self.missing[1]} is not an admissible tuple")
+
+
+def _group_table(grp, value):
+    """``value(g, h)`` as an array indexed [g, h]."""
+    return np.array([[value(g, h) for h in grp.elements()]
+                     for g in grp.elements()], dtype=np.int64)
+
+
+def _table_of(keys, value):
+    """{key: complex} from key columns and (re, im) arrays, in row order."""
+    values = np.empty(len(value[0]), dtype=complex)
+    values.real, values.imag = value
+    return dict(zip(zip(*(x.tolist() for x in keys)), values.tolist()))
 
 
 def torsored_f(twist):
-    """F table of the twisted theory at x = 1, keyed on twisted fusion tuples."""
-    theory, t = twist.theory, twist.t
-    triples, outcomes = twist.fusion
-    table = {}
-    for a, b, e in triples:
-        for c in theory.charges():
-            for d in outcomes.get((e, c), ()):
-                for f in outcomes.get((b, c), ()):
-                    if d in outcomes.get((a, f), ()):
-                        table[(a, b, c, d, e, f)] = _torsored_f_value(
-                            theory, t, a, b, c, d, e, f)
-    return table
+    """F table of the twisted theory at x = 1, keyed on twisted fusion tuples.
+
+    Keys come in the order of the loops over the twisted triples (a, b, e),
+    then c, then d in e (x) c and f in b (x) c with N(a, f, d).  Each value
+    is a product of seven base symbols, evaluated for all keys at once on
+    the base theory's index (:func:`gxbtc.consistency.theory_index`).
+    """
+    theory = twist.theory
+    ix = consistency.theory_index(theory)
+    fusion = consistency.FusionIndex(ix.n, twist.fusion[0])
+    rows = np.repeat(np.arange(len(fusion.triples)), ix.n)
+    a, b, e = fusion.triples[rows].T
+    c = np.tile(np.arange(ix.n), len(fusion.triples))
+    a, b, c, e, d = fusion.expand(e, c, a, b, c, e)
+    a, b, c, d, e, f = fusion.expand(b, c, a, b, c, d, e)
+    keep = fusion.admissible(a, f, d)
+    a, b, c, d, e, f = (x[keep] for x in (a, b, c, d, e, f))
+
+    t = _group_table(theory.group, twist.t)
+    mult, act, dual, tr = ix.mult, ix.act, ix.dual, ix.translate
+    g, h, k = ix.grade[a], ix.grade[b], ix.grade[c]
+    t_gh = t[g, h]
+    t_hk = t[h, k]
+    t_gh_k = t[mult[g, h], k]
+    t_g_hk = t[g, mult[h, k]]
+    gt_hk = act[g, t_hk]
+    e1 = tr(dual[t_gh], e)
+    f1 = tr(dual[t_hk], f)
+    a1 = tr(gt_hk, a)
+    d1 = tr(dual[t_gh_k], d)
+    d2 = tr(dual[t_gh], d1)
+    d3 = tr(dual[t_g_hk], d)
+    look = _Lookups(ix)
+    value = look.f(t_gh, e1, c, d1, e, d2)
+    value = cmul(value, look.f(a, b, c, d2, e1, f1))
+    value = cmul(value, cconj(look.f(
+        t_gh_k, t_gh, d2, d, ix.fuse_abelian(t_gh_k, t_gh), d1)))
+    value = cmul(value, look.f(
+        t_g_hk, gt_hk, d2, d, ix.fuse_abelian(t_g_hk, gt_hk), tr(gt_hk, d2)))
+    value = cmul(value, cconj(look.f(gt_hk, a, f1, d3, a1, d2)))
+    value = cmul(value, cconj(look.r(gt_hk, a, a1)))
+    value = cmul(value, look.f(a, t_hk, f1, d3, a1, f))
+    look.check()
+    return _table_of((a, b, c, d, e, f), value)
 
 
 def torsored_r(twist):
@@ -265,50 +339,60 @@ def torsored_r(twist):
     return table
 
 
-def _torsored_u_value(theory, t, q, k, a, b, c):
-    grp = theory.group
-    g, h = theory.grade(a), theory.grade(b)
-    kbar = grp.inverse(k)
-    kgk = grp.prod(kbar, g, k)
-    khk = grp.prod(kbar, h, k)
-    gh = grp.op(g, h)
-    gk = grp.op(g, k)
-    dual = theory.dual
-    tr = theory.translate
-    f3 = theory.f_line
-    t_gh = t(g, h)
-    kt = theory.act(k, t(kgk, khk))
-    gt_hk = theory.act(g, t(h, k))
-    gq_hk = theory.act(g, q[(h, k)])
-    a1 = tr(dual(q[(g, k)]), a)
-    b1 = tr(dual(q[(h, k)]), b)
-    c1 = tr(dual(q[(gh, k)]), c)
-    c2 = tr(dual(t_gh), c)
-    c3 = tr(dual(kt), c1)
-    c4 = tr(theory.act(g, dual(q[(h, k)])), c2)
-    qa = tr(gq_hk, a)
-    value = theory.u_symbol(k, a1, b1, c3)
-    value = value * theory.u_symbol(k, kt, c3, c1)
-    value = value * theory.u_line(g, gt_hk, gq_hk)
-    value = value * theory.r_line(gq_hk, a).conjugate()
-    value = value * theory.f_symbol(q[(g, k)], a1, b1, c4, a, c3).conjugate()
-    value = value * theory.f_symbol(gq_hk, a, b1, c2, qa, c4).conjugate()
-    value = value * theory.f_symbol(a, q[(h, k)], b1, c2, qa, b)
-    num = (f3(theory.fuse_abelian(t(gk, khk), t(g, k)), q[(g, k)], c3)
-           * f3(t(g, grp.op(h, k)), gt_hk, gq_hk)
-           * f3(theory.fuse_abelian(gt_hk, t(g, grp.op(h, k))), gq_hk, c4)
-           * f3(t(gh, k), t_gh, c2))
-    den = (f3(t(k, grp.prod(kbar, gh, k)), kt, c3)
-           * f3(t(gk, khk), t(g, k), q[(g, k)])
-           * f3(t(gh, k), q[(gh, k)], c1))
-    return value * (num / den)
-
-
 def torsored_u(twist):
-    """Sheet-over-vertex table of the twisted theory at x = 1."""
-    theory, t, q = twist.theory, twist.t, twist.transfer
-    return {(k, a, b, c): _torsored_u_value(theory, t, q, k, a, b, c)
-            for k in theory.group.elements() for a, b, c in twist.fusion[0]}
+    """Sheet-over-vertex table of the twisted theory at x = 1.
+
+    Keys are (k, a, b, c) for each group element k, then each twisted
+    triple (a, b, c).  Each value is a product of seven base symbols times
+    a quotient of F symbols on abelian lines, evaluated for all keys at
+    once on the base theory's index.
+    """
+    theory = twist.theory
+    ix = consistency.theory_index(theory)
+    triples = np.array(twist.fusion[0], dtype=np.int64).reshape(-1, 3)
+    k = np.repeat(np.arange(ix.order), len(triples))
+    a, b, c = np.tile(triples.T, ix.order)
+
+    t = _group_table(theory.group, twist.t)
+    q = _group_table(theory.group, lambda g, h: twist.transfer[(g, h)])
+    mult, act, dual, tr = ix.mult, ix.act, ix.dual, ix.translate
+    g, h = ix.grade[a], ix.grade[b]
+    kbar = ix.inv[k]
+    kgk = mult[mult[kbar, g], k]
+    khk = mult[mult[kbar, h], k]
+    gh = mult[g, h]
+    gk = mult[g, k]
+    t_gh = t[g, h]
+    t_g_hk = t[g, mult[h, k]]
+    kt = act[k, t[kgk, khk]]
+    gt_hk = act[g, t[h, k]]
+    gq_hk = act[g, q[h, k]]
+    a1 = tr(dual[q[g, k]], a)
+    b1 = tr(dual[q[h, k]], b)
+    c1 = tr(dual[q[gh, k]], c)
+    c2 = tr(dual[t_gh], c)
+    c3 = tr(dual[kt], c1)
+    c4 = tr(act[g, dual[q[h, k]]], c2)
+    qa = tr(gq_hk, a)
+    look = _Lookups(ix)
+    value = look.u(k, a1, b1, c3)
+    value = cmul(value, look.u(k, kt, c3, c1))
+    value = cmul(value, look.u_line(g, gt_hk, gq_hk))
+    value = cmul(value, cconj(look.r_line(gq_hk, a)))
+    value = cmul(value, cconj(look.f(q[g, k], a1, b1, c4, a, c3)))
+    value = cmul(value, cconj(look.f(gq_hk, a, b1, c2, qa, c4)))
+    value = cmul(value, look.f(a, q[h, k], b1, c2, qa, b))
+    num = cmul(cmul(cmul(
+        look.f_line(ix.fuse_abelian(t[gk, khk], t[g, k]), q[g, k], c3),
+        look.f_line(t_g_hk, gt_hk, gq_hk)),
+        look.f_line(ix.fuse_abelian(gt_hk, t_g_hk), gq_hk, c4)),
+        look.f_line(t[gh, k], t_gh, c2))
+    den = cmul(cmul(
+        look.f_line(t[k, mult[mult[kbar, gh], k]], kt, c3),
+        look.f_line(t[gk, khk], t[g, k], q[g, k])),
+        look.f_line(t[gh, k], q[gh, k], c1))
+    look.check()
+    return _table_of((k, a, b, c), cmul(value, cquot(num, den)))
 
 
 def _torsored_eta_value(theory, t, q, xc, g, h):

@@ -44,6 +44,24 @@ from gxbtc.groups import (
 from gxbtc.torsor import apply_torsor, default_root_order
 
 
+def group_exponent(group):
+    """The lcm of the orders of the elements of ``group``."""
+    orders = []
+    for g in group.elements():
+        n, x = 1, g
+        while x != group.identity:
+            x = group.op(x, g)
+            n += 1
+        orders.append(n)
+    return math.lcm(*orders)
+
+
+def gauge_is_trivial(gauge, tol=DEFAULT_TOL):
+    """Every vertex and sheet phase of ``gauge`` is 1 within ``tol``."""
+    return all(abs(v - 1.0) <= tol for v in gauge.vertex.values()) and \
+        all(abs(v - 1.0) <= tol for v in gauge.sheet.values())
+
+
 def all_normalized_cochains(group, degree, module_order):
     """Yield all normalized cochains as dicts tuple -> exponent (additive)."""
     tuples = list(itertools.product(group.nonidentity(), repeat=degree))
@@ -719,13 +737,13 @@ def structure_matching_relabelings(source, target):
 def lattice_u1_cohomology(group, degree, module):
     """H^degree(group, U(1)) at ``module``'s root order, by lattices."""
     result = _cohomology_u1(group, degree, module.order)
-    if module.order % group.exponent() != 0:
+    if module.order % group_exponent(group) != 0:
         canonical = _cohomology_u1(
-            group, degree, math.lcm(module.order, group.exponent()))
+            group, degree, math.lcm(module.order, group_exponent(group)))
         if math.prod(canonical.orders or [1]) != math.prod(result.orders or [1]):
             raise RootOrderTooSmall(
                 f"root order {module.order} misses classes of H^{degree}; "
-                f"use a multiple of the group exponent {group.exponent()}")
+                f"use a multiple of the group exponent {group_exponent(group)}")
     return result
 
 
@@ -877,3 +895,190 @@ def loop_defectification_obstruction(theory, tol=DEFAULT_TOL, rep_tol=None,
     cochain = Cochain(theory.group, 4, U1Module(root_order), values)
     validate_cocycle(cochain, max(tol, 1e-7), degree=4)
     return cochain
+
+
+# Nested-loop references for the other array sweeps of gxbtc.consistency.
+# A table entry the theory lacks reads as 0, and so does a quotient by one.
+
+
+def loop_check_heptagons(theory, tol=DEFAULT_TOL):
+    """Both braiding coherence equations; returns [plus, minus] reports."""
+    plus = ConsistencyReport("heptagon+")
+    minus = ConsistencyReport("heptagon-")
+    group = theory.group
+    fz = theory.f_or_zero
+    rz = theory.r_entries().get
+    uz = theory.u_entries().get
+    etaz = theory.eta_entries().get
+    for a, b, c in itertools.product(theory.charges(), repeat=3):
+        gg = theory.grade(a)
+        hh = theory.grade(b)
+        kk = theory.grade(c)
+        kbar = group.inverse(kk)
+        gbar = group.inverse(gg)
+        a_k = theory.act(kbar, a)
+        b_k = theory.act(kbar, b)
+        # counterclockwise: labels a_g, b_h, c_k, d_ghk, e_gk, g_hk
+        for e in theory.fusion_outcomes(a, c):
+            for gout in theory.fusion_outcomes(b, c):
+                for d in theory.fusion_outcomes(e, b_k):
+                    if not theory.n(a, gout, d):
+                        continue
+                    lhs = (rz((a, c, e), 0j) * fz(a, c, b_k, d, e, gout)
+                           * rz((b, c, gout), 0j))
+                    rhs = 0j
+                    for f in theory.fusion_outcomes(a, b):
+                        if not theory.n(f, c, d):
+                            continue
+                        rhs += (fz(c, a_k, b_k, d, e, theory.act(kbar, f))
+                                * uz((kk, a, b, f), 0j)
+                                * rz((f, c, d), 0j)
+                                * fz(a, b, c, d, f, gout))
+                    plus.record((a, b, c, d, e, gout), lhs, rhs, tol)
+        # clockwise: labels a_g, b_h, c_k, d_kgh, e_kg, g_{g^-1 k g h}
+        c_g = theory.act(gbar, c)
+        c_gh = theory.act(group.inverse(group.op(gg, hh)), c)
+        for e in theory.fusion_outcomes(c, a):
+            for gout in theory.fusion_outcomes(c_g, b):
+                for d in theory.fusion_outcomes(e, b):
+                    if not theory.n(a, gout, d):
+                        continue
+                    lhs = (rz((c, a, e), 0j).conjugate()
+                           * fz(a, c_g, b, d, e, gout)
+                           * rz((c_g, b, gout), 0j).conjugate())
+                    rhs = 0j
+                    for f in theory.fusion_outcomes(a, b):
+                        if not theory.n(c, f, d):
+                            continue
+                        rhs += (fz(c, a, b, d, e, f)
+                                * etaz((c, gg, hh), 0j)
+                                * rz((c, f, d), 0j).conjugate()
+                                * fz(a, b, c_gh, d, f, gout))
+                    minus.record((a, b, c, d, e, gout), lhs, rhs, tol)
+    return [plus, minus]
+
+
+def loop_check_eta_associativity(theory, tol=DEFAULT_TOL):
+    """Projective local-action phases compose across group multiplication."""
+    rep = ConsistencyReport("eta-assoc")
+    group = theory.group
+    etaz = theory.eta_entries().get
+    for x in theory.charges():
+        for g, h, k in itertools.product(group.elements(), repeat=3):
+            lhs = etaz((x, g, h), 0j) * etaz((x, group.op(g, h), k), 0j)
+            xg = theory.act(group.inverse(g), x)
+            rhs = etaz((x, g, group.op(h, k)), 0j) * etaz((xg, h, k), 0j)
+            rep.record((x, g, h, k), lhs, rhs, tol)
+    return rep
+
+
+def loop_check_kappa_sliding(theory, tol=DEFAULT_TOL):
+    """Decomposition of the composite sheet phase into local eta factors."""
+    rep = ConsistencyReport("kappa-sliding")
+    group = theory.group
+    uz = theory.u_entries().get
+    etaz = theory.eta_entries().get
+    for a, b, c in theory.fusion_triples():
+        for g in group.elements():
+            gbar = group.inverse(g)
+            ag, bg, cg = theory.act(gbar, a), theory.act(gbar, b), theory.act(gbar, c)
+            for h in group.elements():
+                num = etaz((a, g, h), 0j) * etaz((b, g, h), 0j)
+                den = etaz((c, g, h), 0j)
+                lhs = num / den if den else 0j
+                rhs = (uz((g, a, b, c), 0j).conjugate()
+                       * uz((h, ag, bg, cg), 0j).conjugate()
+                       * uz((group.op(g, h), a, b, c), 0j))
+                rep.record((a, b, c, g, h), lhs, rhs, tol)
+    return rep
+
+
+# Nested-loop references for the twisted F and U tables of gxbtc.torsor.
+
+
+def _loop_torsored_f_value(theory, t, a, b, c, d, e, f):
+    grp = theory.group
+    g, h, k = theory.grade(a), theory.grade(b), theory.grade(c)
+    t_gh = t(g, h)
+    t_hk = t(h, k)
+    t_gh_k = t(grp.op(g, h), k)
+    t_g_hk = t(g, grp.op(h, k))
+    gt_hk = theory.act(g, t_hk)
+    dual = theory.dual
+    tr = theory.translate
+    e1 = tr(dual(t_gh), e)
+    f1 = tr(dual(t_hk), f)
+    a1 = tr(gt_hk, a)
+    d1 = tr(dual(t_gh_k), d)
+    d2 = tr(dual(t_gh), d1)
+    d3 = tr(dual(t_g_hk), d)
+    value = theory.f_symbol(t_gh, e1, c, d1, e, d2)
+    value = value * theory.f_symbol(a, b, c, d2, e1, f1)
+    value = value * theory.f_symbol(
+        t_gh_k, t_gh, d2, d, theory.fuse_abelian(t_gh_k, t_gh), d1).conjugate()
+    value = value * theory.f_symbol(
+        t_g_hk, gt_hk, d2, d, theory.fuse_abelian(t_g_hk, gt_hk), tr(gt_hk, d2))
+    value = value * theory.f_symbol(gt_hk, a, f1, d3, a1, d2).conjugate()
+    value = value * theory.r_symbol(gt_hk, a, a1).conjugate()
+    return value * theory.f_symbol(a, t_hk, f1, d3, a1, f)
+
+
+def loop_torsored_f(twist):
+    """F table of the twisted theory at x = 1, keyed on twisted fusion tuples."""
+    theory, t = twist.theory, twist.t
+    triples, outcomes = twist.fusion
+    table = {}
+    for a, b, e in triples:
+        for c in theory.charges():
+            for d in outcomes.get((e, c), ()):
+                for f in outcomes.get((b, c), ()):
+                    if d in outcomes.get((a, f), ()):
+                        table[(a, b, c, d, e, f)] = _loop_torsored_f_value(
+                            theory, t, a, b, c, d, e, f)
+    return table
+
+
+def _loop_torsored_u_value(theory, t, q, k, a, b, c):
+    grp = theory.group
+    g, h = theory.grade(a), theory.grade(b)
+    kbar = grp.inverse(k)
+    kgk = grp.prod(kbar, g, k)
+    khk = grp.prod(kbar, h, k)
+    gh = grp.op(g, h)
+    gk = grp.op(g, k)
+    dual = theory.dual
+    tr = theory.translate
+    f3 = theory.f_line
+    t_gh = t(g, h)
+    kt = theory.act(k, t(kgk, khk))
+    gt_hk = theory.act(g, t(h, k))
+    gq_hk = theory.act(g, q[(h, k)])
+    a1 = tr(dual(q[(g, k)]), a)
+    b1 = tr(dual(q[(h, k)]), b)
+    c1 = tr(dual(q[(gh, k)]), c)
+    c2 = tr(dual(t_gh), c)
+    c3 = tr(dual(kt), c1)
+    c4 = tr(theory.act(g, dual(q[(h, k)])), c2)
+    qa = tr(gq_hk, a)
+    value = theory.u_symbol(k, a1, b1, c3)
+    value = value * theory.u_symbol(k, kt, c3, c1)
+    value = value * theory.u_line(g, gt_hk, gq_hk)
+    value = value * theory.r_line(gq_hk, a).conjugate()
+    value = value * theory.f_symbol(q[(g, k)], a1, b1, c4, a, c3).conjugate()
+    value = value * theory.f_symbol(gq_hk, a, b1, c2, qa, c4).conjugate()
+    value = value * theory.f_symbol(a, q[(h, k)], b1, c2, qa, b)
+    num = (f3(theory.fuse_abelian(t(gk, khk), t(g, k)), q[(g, k)], c3)
+           * f3(t(g, grp.op(h, k)), gt_hk, gq_hk)
+           * f3(theory.fuse_abelian(gt_hk, t(g, grp.op(h, k))), gq_hk, c4)
+           * f3(t(gh, k), t_gh, c2))
+    den = (f3(t(k, grp.prod(kbar, gh, k)), kt, c3)
+           * f3(t(gk, khk), t(g, k), q[(g, k)])
+           * f3(t(gh, k), q[(gh, k)], c1))
+    return value * (num / den)
+
+
+def loop_torsored_u(twist):
+    """Sheet-over-vertex table of the twisted theory at x = 1."""
+    theory, t, q = twist.theory, twist.t, twist.transfer
+    return {(k, a, b, c): _loop_torsored_u_value(theory, t, q, k, a, b, c)
+            for k in theory.group.elements() for a, b, c in twist.fusion[0]}

@@ -269,6 +269,19 @@ class TestJsonRoundtrip:
         blob2 = cat.theory_to_json(back)
         assert blob == blob2
 
+    def test_each_value_written_from_its_own_parts(self, toric):
+        # 0.3+0j and 0.3-0j are equal and hash alike, and neither snaps;
+        # the snap is shared, but each writes its own imaginary part
+        keys = sorted(toric.r_entries())[:3]
+        r = dict(toric.r_entries())
+        r[keys[0]], r[keys[1]], r[keys[2]] = \
+            complex(0.3, 0.0), complex(0.3, -0.0), complex(-1.0, -0.0)
+        blob = cat.theory_to_json(toric.replace(r=r))
+        values = {tuple(e["charges"]): e["value"] for e in blob["R"]}
+        assert [repr(values[k]) for k in keys] == [
+            "{'re': 0.3, 'im': 0.0}", "{'re': 0.3, 'im': -0.0}",
+            "{'turns': '1/2'}"]
+
     def test_bad_dual_rejected(self, toric):
         blob = cat.theory_to_json(toric)
         blob["dual"] = [0, 2, 1, 3]

@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -65,6 +66,35 @@ class TestCheck:
         path = tmp_path / "broken.json"
         path.write_text(json.dumps(blob))
         assert main(["check", str(path)]) == 1
+
+    @pytest.mark.parametrize("table, key, note", [
+        ("F", [5, 5, 1, 1, 0, 4], "missing F entry at (5, 5, 1, 1, 0, 4)"),
+        ("R", [1, 2, 3], "missing R entry at (1,2,3)"),
+        ("U", [1, 1, 2, 3], "missing U entry at (1,1,2,3)"),
+        ("eta", [3, 1, 1], "missing eta entry at (3,1,1)"),
+    ])
+    def test_missing_entry_exits_one_with_structure_note(
+            self, tmp_path, toric_z2, capsys, table, key, note):
+        # every sweep reads the entry as 0, a quotient by it too, and fails
+        # with a finite residual; the structure report names the entry
+        key_of = {"F": lambda e: e["charges"], "R": lambda e: e["charges"],
+                  "U": lambda e: [e["sheet"], *e["charges"]],
+                  "eta": lambda e: [e["charge"], *e["pair"]]}[table]
+        blob = cat.theory_to_json(toric_z2)
+        kept = [e for e in blob[table] if key_of(e) != key]
+        assert len(kept) == len(blob[table]) - 1
+        blob[table] = kept
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(blob))
+        assert main(["check", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        reports = payload["reports"]
+        assert reports.pop("structure") == [note]
+        residuals = [rep["worst_residual"] for rep in reports.values()]
+        assert all(math.isfinite(r) for r in residuals)
+        assert max(residuals) >= 1.0
+        if table == "eta":
+            assert reports["kappa-sliding"]["worst_residual"] >= 1.0
 
     def test_malformed_file_exits_65(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -7,6 +7,8 @@ from gxbtc import equivalence as eq
 from gxbtc import torsor
 from gxbtc.groups import Cochain, FiniteGroup, is_cocycle
 
+import oracles
+
 Z2 = FiniteGroup.cyclic(2)
 TOL = 1e-9
 E, M, F = 1, 2, 3
@@ -33,7 +35,7 @@ class TestComposeTorsors:
         composite, gauge = cmp.compose_torsors(toric_z2, trivial, other)
         assert composite.t.equal(other.t)
         assert composite.x.equal(other.x, 1e-12)
-        assert gauge.is_trivial()
+        assert oracles.gauge_is_trivial(gauge)
 
     def test_twists_multiply(self, toric_z2):
         composite, _ = cmp.compose_torsors(
@@ -169,7 +171,7 @@ class TestNontrivialGaugeComposition:
         mid = torsor.apply_torsor(ext, t1, ones)
         sequential = torsor.apply_torsor(mid, t2, ones)
         composite, gauge = cmp.compose_torsors(ext, first, second)
-        assert not gauge.is_trivial()
+        assert not oracles.gauge_is_trivial(gauge)
         single = torsor.apply_torsor(ext, composite.t, composite.x)
         assert cat.tables_distance(eq.apply_gauge(single, gauge),
                                    sequential) < TOL

@@ -1,9 +1,8 @@
-import cmath
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gxbtc import category as cat
 from gxbtc import consistency as con
@@ -14,6 +13,7 @@ from gxbtc.groups import Cochain, FiniteGroup, U1Module, is_cocycle
 
 import oracles
 import solver_oracle
+import strategies
 
 Z2 = FiniteGroup.cyclic(2)
 TOL = 1e-9
@@ -199,35 +199,27 @@ class TestRepresentativeDependence:
 def _toric_z2_twisted():
     # unit coefficients leave the relative obstruction in the four-defect
     # pentagon, so the defect phase has nontrivial entries
-    base = cons.trivial_extension(cons.toric_code(), Z2)
-    t = Cochain(Z2, 2, cat.abelian_subgroup(base), {(1, 1): 3})
+    base, t = strategies.toric_z2_twist()
     return torsor.apply_torsor(base, t, torsor.trivial_coefficients(base))
 
 
-KERNEL_THEORIES = {
-    "toric x Z2": cons.trivial_extension(cons.toric_code(), Z2),
-    "semion x Z2xZ2": cons.trivial_extension(
-        cons.semion(), FiniteGroup.from_cyclic_factors([2, 2])),
-    "fibonacci": cons.fibonacci(),
-    "fibonacci x Z2": cons.trivial_extension(cons.fibonacci(), Z2),
-    "fibonacci x Z3": cons.trivial_extension(
+KERNEL_THEORIES = {name: functools.cache(build) for name, build in {
+    "toric x Z2": lambda: strategies.toric_z2_twist()[0],
+    "semion x Z2xZ2": lambda: strategies.semion_z2xz2_twist()[0],
+    "fibonacci": cons.fibonacci,
+    "fibonacci x Z2": lambda: strategies.fibonacci_z2_twist()[0],
+    "fibonacci x Z3": lambda: cons.trivial_extension(
         cons.fibonacci(), FiniteGroup.cyclic(3)),
-    "toric x Z2 twisted": _toric_z2_twisted(),
+    "toric x Z2 twisted": _toric_z2_twisted,
+}.items()}
+
+# The pentagon loops cost seconds on 24 charges; the other sweeps also
+# draw toric x S3, whose action moves charges between grades.
+SWEEP_THEORIES = {
+    **KERNEL_THEORIES,
+    "toric x S3": lambda: strategies.toric_s3_twist()[0],
+    "toric x S3 twisted": strategies.toric_s3_twisted,
 }
-
-
-@st.composite
-def perturbed_theories(draw):
-    """A kernel theory with a drawn share of its F values turned by e^{i theta},
-    |theta| up to a drawn scale (from rounding-size to any angle)."""
-    theory = KERNEL_THEORIES[draw(st.sampled_from(sorted(KERNEL_THEORIES)))]
-    rng = draw(st.randoms(use_true_random=False))
-    scale = draw(st.sampled_from([0.0, 1e-13, 1e-8, 0.3, cmath.pi]))
-    share = draw(st.sampled_from([0.02, 0.3, 1.0]))
-    return theory.replace(f={
-        key: value * cmath.exp(1j * rng.uniform(-scale, scale))
-        if rng.random() < share else value
-        for key, value in sorted(theory.f_entries().items())})
 
 
 def _defect_outcome(sweep, theory):
@@ -237,20 +229,59 @@ def _defect_outcome(sweep, theory):
         return f"{type(exc).__name__}: {exc}"
 
 
+def _reports(sweep, theory):
+    reports = sweep(theory)
+    return repr([rep.to_json() for rep in
+                 (reports if isinstance(reports, list) else [reports])])
+
+
 class TestPentagonKernel:
     """The numpy kernel against the nested loops of tests/oracles.py, compared
     through repr so a last-bit or signed-zero difference fails."""
 
     @settings(max_examples=40, deadline=None)
-    @given(perturbed_theories())
+    @given(strategies.perturbed(KERNEL_THEORIES))
     @pytest.mark.parametrize("cap", [3, 4])
     def test_report_matches_loops(self, cap, theory):
         assert repr(con.check_pentagon(theory, cap).to_json()) == \
             repr(oracles.loop_check_pentagon(theory, cap).to_json())
 
     @settings(max_examples=40, deadline=None)
-    @given(perturbed_theories())
+    @given(strategies.perturbed(KERNEL_THEORIES))
     def test_defect_obstruction_matches_loops(self, theory):
         # equal entries, or the same RepresentativeDependent message
         assert _defect_outcome(con.defectification_obstruction, theory) == \
             _defect_outcome(oracles.loop_defectification_obstruction, theory)
+
+
+class TestSweepKernels:
+    """Heptagons, eta associativity and kappa sliding on the numpy index
+    against the loops of tests/oracles.py, compared through repr."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(strategies.perturbed(SWEEP_THEORIES))
+    def test_heptagons_match_loops(self, theory):
+        assert _reports(con.check_heptagons, theory) == \
+            _reports(oracles.loop_check_heptagons, theory)
+
+    @settings(max_examples=30, deadline=None)
+    @given(strategies.perturbed(SWEEP_THEORIES))
+    def test_eta_associativity_matches_loops(self, theory):
+        assert _reports(con.check_eta_associativity, theory) == \
+            _reports(oracles.loop_check_eta_associativity, theory)
+
+    @settings(max_examples=30, deadline=None)
+    @given(strategies.perturbed(SWEEP_THEORIES))
+    def test_kappa_sliding_matches_loops(self, theory):
+        assert _reports(con.check_kappa_sliding, theory) == \
+            _reports(oracles.loop_check_kappa_sliding, theory)
+
+    def test_missing_eta_fails_kappa_sliding(self, toric_z2):
+        # eta_f(1, 1) divides the left side at (e, m; f): it reads as 0
+        # there, a finite residual, and the equation fails
+        eta = dict(toric_z2.eta_entries())
+        del eta[(3, 1, 1)]
+        rep = con.check_kappa_sliding(toric_z2.replace(eta=eta))
+        assert not rep.passed(TOL)
+        assert rep.worst_residual == pytest.approx(1.0)
+        assert ((1, 2, 3, 1, 1), 0j, 1 + 0j) in rep.failures

@@ -201,7 +201,7 @@ class TestCoboundaryEquivalence:
         coeffs, gauge = oracles.coboundary_equivalence(
             toric_z2, one_cochain(toric_z2, 0))
         assert coeffs.is_identity_cochain()
-        assert gauge.is_trivial()
+        assert oracles.gauge_is_trivial(gauge)
 
     @pytest.mark.parametrize("value", [1, 2, 3])
     def test_toric_collapse(self, toric_z2, value):
@@ -266,7 +266,7 @@ class TestTheoriesEquivalent:
         assert witness is not None
         relabeling, gauge = witness
         assert relabeling.perm == tuple(toric_z2.charges())
-        assert gauge.is_trivial()
+        assert oracles.gauge_is_trivial(gauge)
 
     def test_gauged_theory_found(self, toric_z2):
         gauged = eq.apply_gauge(toric_z2, random_gauge(toric_z2, random.Random(11)))

@@ -2,14 +2,19 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gxbtc import category as cat
 from gxbtc import consistency as con
 from gxbtc import constructions as cons
 from gxbtc import torsor
-from gxbtc.errors import NotACocycle, SnapFailure
+from gxbtc.errors import GxError, NotACocycle, SnapFailure
 from gxbtc.groups import Cochain, FiniteGroup, U1Module, is_cocycle, turn_phase
 from oracles import boundary_coefficients, dense_fusion_violations, trivial_twist
+
+import oracles
+import strategies
 
 Z2 = FiniteGroup.cyclic(2)
 TOL = 1e-9
@@ -573,3 +578,58 @@ class TestObstructionGaugeVariation:
         expected = orr.combine(mu.coboundary())
         for args in expected.support():
             assert abs(orr_gauged(*args) - expected(*args)) < TOL
+
+
+TWIST_CASES = {
+    "toric x Z2": strategies.toric_z2_twist,
+    "semion x Z2xZ2": strategies.semion_z2xz2_twist,
+    "fibonacci x Z2": strategies.fibonacci_z2_twist,
+    "toric x S3": strategies.toric_s3_twist,
+}
+
+
+@st.composite
+def perturbed_twists(draw):
+    """The twist of a drawn case, on its base theory with perturbed tables."""
+    name = draw(st.sampled_from(sorted(TWIST_CASES)))
+    base, t = TWIST_CASES[name]()
+    theory = draw(strategies.perturbed({name: lambda: base}))
+    return torsor.Twist(theory, t)
+
+
+def _table_outcome(build, twist):
+    try:
+        return repr(list(build(twist).items()))
+    except GxError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestTwistedTableKernels:
+    """torsored_f and torsored_u on the numpy index against the loops of
+    tests/oracles.py, compared through repr: the same keys in the same
+    order with the same values, or the same error for a dropped entry."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(perturbed_twists())
+    def test_f_matches_loops(self, twist):
+        assert _table_outcome(torsor.torsored_f, twist) == \
+            _table_outcome(oracles.loop_torsored_f, twist)
+
+    @settings(max_examples=30, deadline=None)
+    @given(perturbed_twists())
+    def test_u_matches_loops(self, twist):
+        assert _table_outcome(torsor.torsored_u, twist) == \
+            _table_outcome(oracles.loop_torsored_u, twist)
+
+    @pytest.mark.parametrize("table, key", [
+        ("f", (5, 5, 1, 1, 0, 4)), ("r", (3, 5, 6)), ("u", (1, 1, 2, 3))])
+    def test_missing_base_entry_names_first_lookup(self, table, key):
+        base, t = strategies.toric_z2_twist()
+        entries = dict(getattr(base, f"{table}_entries")())
+        del entries[key]
+        twist = torsor.Twist(base.replace(**{table: entries}), t)
+        outcomes = [_table_outcome(build, twist) for build in (
+            torsor.torsored_f, torsor.torsored_u)]
+        assert outcomes == [_table_outcome(loop, twist) for loop in (
+            oracles.loop_torsored_f, oracles.loop_torsored_u)]
+        assert any(out.startswith("InadmissibleTuple: ") for out in outcomes)
