@@ -2,14 +2,18 @@
 equivalence search, and extension enumeration with machine-readable output.
 
 Exit codes: 0 success, 1 check failed / not equivalent, 2 inconclusive,
-64 usage error, 65 malformed input, 70 internal invariant breach.
+64 usage error, 65 malformed input, 70 internal invariant breach,
+74 output error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
+import os
+import stat
 import sys
 import traceback
 
@@ -35,9 +39,16 @@ from .groups import (
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
+EX_IOERR = 74
+
+_FLUSH_PIECES = 4096   # buffered text pieces per write to the output
 
 
 class _ArgumentError(Exception):
+    pass
+
+
+class _OutputError(Exception):
     pass
 
 
@@ -46,13 +57,117 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
+def _float_text(value):
+    """A float as ``json`` spells it."""
+    if value != value:
+        return "NaN"
+    if value == float("inf"):
+        return "Infinity"
+    if value == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _write_json(payload, stream):
+    """Write ``json.dumps(payload, indent=2, sort_keys=True) + "\n"`` to
+    ``stream``, a few thousand pieces at a time, never the whole text.
+
+    Takes what ``json`` takes with str dict keys: any other key or value
+    type raises TypeError.
+    """
+    quote = json.encoder.encode_basestring_ascii
+    pieces = []
+
+    def encode(value, indent):
+        if isinstance(value, str):
+            pieces.append(quote(value))
+        elif value is None:
+            pieces.append("null")
+        elif value is True:
+            pieces.append("true")
+        elif value is False:
+            pieces.append("false")
+        elif isinstance(value, int):
+            pieces.append(int.__repr__(value))
+        elif isinstance(value, float):
+            pieces.append(_float_text(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                pieces.append("[]")
+                return
+            inner = indent + "  "
+            if all(type(item) is int for item in value):
+                pieces.append(f"[\n{inner}" + f",\n{inner}".join(
+                    map(int.__repr__, value)) + f"\n{indent}]")
+                return
+            head = f"[\n{inner}"
+            for item in value:
+                pieces.append(head)
+                head = f",\n{inner}"
+                encode(item, inner)
+            pieces.append(f"\n{indent}]")
+        elif isinstance(value, dict):
+            if not value:
+                pieces.append("{}")
+                return
+            inner = indent + "  "
+            head = f"{{\n{inner}"
+            # quote raises TypeError on a key that is not a str
+            for key, item in sorted(value.items()):
+                pieces.append(f"{head}{quote(key)}: ")
+                head = f",\n{inner}"
+                encode(item, inner)
+            pieces.append(f"\n{indent}}}")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            "is not JSON serializable")
+        if len(pieces) >= _FLUSH_PIECES:
+            stream.write("".join(pieces))
+            pieces.clear()
+
+    encode(payload, "")
+    pieces.append("\n")
+    stream.write("".join(pieces))
+
+
 def _emit(payload, out=None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    """Write ``payload`` as indented, key-sorted JSON to ``out`` or stdout.
+
+    An OSError from opening, writing or closing the output becomes an
+    _OutputError.  A partly written ``out`` file is removed.
+    """
+    try:
+        if not out:
+            try:
+                _write_json(payload, sys.stdout)
+                sys.stdout.flush()
+            except OSError:
+                _discard_stdout()
+                raise
+            return
+        fh = open(out, "w")
+        try:
+            with fh:
+                _write_json(payload, fh)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(out).st_mode):
+                    os.remove(out)
+            raise
+    except OSError as exc:
+        raise _OutputError(exc) from exc
+
+
+def _discard_stdout():
+    """Point a failed stdout at the null device: the text it still holds
+    would otherwise fail again, uncaught, in the flush at interpreter exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _load_json(path):
@@ -339,97 +454,132 @@ def _collapse_classes(base, h3, extensions, tol):
 # parser
 
 
-def build_parser():
-    parser = _Parser(prog="gxbtc", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, *options):
+    """-o/--output, and the options ("tol", "root-order") ``p`` reads."""
+    if "tol" in options:
+        p.add_argument("--tol", type=float, default=1e-9)
+    if "root-order" in options:
+        p.add_argument("--root-order", type=int, default=None)
+    p.add_argument("-o", "--output", default=None)
 
-    def common(p, *options):
-        """-o/--output, and the options ("tol", "root-order") ``p`` reads."""
-        if "tol" in options:
-            p.add_argument("--tol", type=float, default=1e-9)
-        if "root-order" in options:
-            p.add_argument("--root-order", type=int, default=None)
-        p.add_argument("-o", "--output", default=None)
 
-    p = sub.add_parser("check", help="run consistency equations on a theory")
+def _check_options(p):
     p.add_argument("theory")
     p.add_argument("--eq", choices=["pentagon", "heptagon", "all"], default="all")
     p.add_argument("--max-defects", type=int, choices=[3, 4], default=4)
-    common(p, "tol")
-    p.set_defaults(func=_cmd_check)
+    _common(p, "tol")
+    return _cmd_check
 
-    p = sub.add_parser("torsor", help="apply a twist functor to a theory")
+
+def _torsor_options(p):
     p.add_argument("theory")
     p.add_argument("--t", required=True)
     coefficients = p.add_mutually_exclusive_group()
     coefficients.add_argument("--x", default=None)
     coefficients.add_argument("--solve-x", action="store_true")
-    common(p, "tol", "root-order")
-    p.set_defaults(func=_cmd_torsor)
+    _common(p, "tol", "root-order")
+    return _cmd_torsor
 
-    p = sub.add_parser("obstruction", help="relative obstruction of a twist")
+
+def _obstruction_options(p):
     p.add_argument("theory")
     p.add_argument("--t", required=True)
-    common(p, "tol", "root-order")
-    p.set_defaults(func=_cmd_obstruction)
+    _common(p, "tol", "root-order")
+    return _cmd_obstruction
 
-    p = sub.add_parser("compose", help="compose two twist functors")
+
+def _compose_options(p):
     p.add_argument("theory")
     p.add_argument("--t1", required=True)
     p.add_argument("--x1", default=None)
     p.add_argument("--t2", required=True)
     p.add_argument("--x2", default=None)
-    common(p, "root-order")
-    p.set_defaults(func=_cmd_compose)
+    _common(p, "root-order")
+    return _cmd_compose
 
-    p = sub.add_parser("equiv", help="search for a relabel+gauge equivalence")
+
+def _equiv_options(p):
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--budget", type=int, default=10000)
-    common(p, "tol")
-    p.set_defaults(func=_cmd_equiv)
+    _common(p, "tol")
+    return _cmd_equiv
 
-    p = sub.add_parser("cohomology", help="group cohomology via Smith form")
+
+def _cohomology_options(p):
     p.add_argument("--group", required=True)
     p.add_argument("--coeff", required=True,
                    help="'u1' or cyclic factors like 'z2' or 'z2x4'")
     p.add_argument("--degree", type=int, required=True)
-    common(p, "root-order")
-    p.set_defaults(func=_cmd_cohomology)
+    _common(p, "root-order")
+    return _cmd_cohomology
 
-    p = sub.add_parser("build", help="build canonical theories")
+
+def _build_options(p):
     kinds = p.add_subparsers(dest="kind", required=True)
     q = kinds.add_parser("spt", help="one charge per grade, from --alpha")
     q.add_argument("--group", default="Z2")
     q.add_argument("--alpha", default=None)
-    common(q, "tol", "root-order")
+    _common(q, "tol", "root-order")
     q = kinds.add_parser("trivial-ext", help="--c0 extended by --group")
     q.add_argument("--c0", required=True)
     q.add_argument("--group", default="Z2")
-    common(q)
+    _common(q)
     for kind in BUILDERS:
-        common(kinds.add_parser(kind, help="fixture"))
-    p.set_defaults(func=_cmd_build)
+        _common(kinds.add_parser(kind, help="fixture"))
+    return _cmd_build
 
-    p = sub.add_parser("enumerate-extensions",
-                       help="twist a trivial extension through all classes")
+
+def _enumerate_options(p):
     p.add_argument("--c0", required=True)
     p.add_argument("--group", required=True)
-    common(p, "tol", "root-order")
-    p.set_defaults(func=_cmd_enumerate)
+    _common(p, "tol", "root-order")
+    return _cmd_enumerate
 
+
+# command -> (help, function that adds its options and returns its handler)
+COMMANDS = {
+    "check": ("run consistency equations on a theory", _check_options),
+    "torsor": ("apply a twist functor to a theory", _torsor_options),
+    "obstruction": ("relative obstruction of a twist", _obstruction_options),
+    "compose": ("compose two twist functors", _compose_options),
+    "equiv": ("search for a relabel+gauge equivalence", _equiv_options),
+    "cohomology": ("group cohomology via Smith form", _cohomology_options),
+    "build": ("build canonical theories", _build_options),
+    "enumerate-extensions": ("twist a trivial extension through all classes",
+                             _enumerate_options),
+}
+
+
+def build_parser(command=None):
+    """The parser, with only ``command``'s subparser when it names one.
+
+    Its help and error messages for that command are those of the parser
+    with every subparser; building one saves most of a short call's
+    parsing time.
+    """
+    parser = _Parser(prog="gxbtc", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options) in COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            p.set_defaults(func=add_options(p))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except _ArgumentError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
     try:
         return args.func(args)
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EX_IOERR
     except (InvalidInput, NotACocycle) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EX_DATAERR

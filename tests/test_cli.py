@@ -1,11 +1,20 @@
 import cmath
+import errno
 import hashlib
+import io
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gxbtc import category as cat
 from gxbtc import cli
@@ -735,3 +744,258 @@ class TestGoldenOutputs:
         argv = ["torsor", path, "--t", tfile, "--solve-x"]
         assert stdout_digest(capsys, argv) == \
             "83e5283f5261c4da7665bccf78ce4c9b1ae3d4ccd1f82127e7a7c973b2602870"
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("toric-code",
+         "d7fd1baabf1df5dcfc261dcd88059ea4e1bb3ac09e1342cadbc9c34d122d3953"),
+        ("semion",
+         "57cb1052ccb2267f31e7bcaa2e9f14ceef12299380ecec63ed8dfebf4177cde2"),
+        ("double-semion",
+         "a155e56449bb47dd6770269f721d0ad07b6c54b4f6f84256382c8a5585142e28"),
+        ("z4-anyons",
+         "44c3c39c93b4521dac0f57a3be89f5b5adf1563fd318581e62fbb13e115aa9f9"),
+        ("fibonacci",
+         "e0acff341107bb74925fb9cb9c4986e364d8bc3003cf0388521c91e50654a7d4"),
+    ])
+    def test_build_fixture(self, capsys, kind, digest):
+        assert stdout_digest(capsys, ["build", kind]) == digest
+
+    def test_build_spt(self, in_tmp, capsys):
+        # the generator of H^3(Z3, U(1)) = Z3, at the group's root order
+        z3 = FiniteGroup.cyclic(3)
+        module = U1Module(torsor.default_group_root_order(z3))
+        alpha = cohomology(z3, 3, module).representatives[0]
+        with open("alpha.json", "w") as fh:
+            json.dump(cochain_to_json(alpha), fh)
+        argv = ["build", "spt", "--group", "Z3", "--alpha", "alpha.json"]
+        assert stdout_digest(capsys, argv) == \
+            "06109e6e49a0407664fa041deea6562e97a09cba2643f5fac60161e7830e9ea0"
+
+    def test_build_trivial_ext(self, in_tmp, capsys):
+        path = self.write(cons.semion(), "semion.json")
+        argv = ["build", "trivial-ext", "--c0", path, "--group", "Z2x2"]
+        assert stdout_digest(capsys, argv) == \
+            "ed577bcf18f2f718786b901f72fe99fece71b26b28e9ae5a162b38cd41b19b75"
+
+    @pytest.mark.parametrize("value, digest", [
+        (1,
+         "f9db53b3c424b38ee84260b9b0bde9e552b4e6539169530e2e9acd4fbad1921e"),
+        (3,
+         "585c09c90e1704849879c892bae30245c09ce333e281983855b2f7aff88c9ac2"),
+    ])
+    def test_obstruction(self, tmp_path, toric_z2, toric_z2_file, capsys,
+                         value, digest):
+        tfile = write_twist(tmp_path, toric_z2, value)
+        argv = ["obstruction", toric_z2_file, "--t", tfile]
+        assert stdout_digest(capsys, argv) == digest
+
+    def test_compose(self, tmp_path, toric_z2, toric_z2_file, capsys):
+        # e and e x m on toric x Z2 compose to m, with a trivial gauge
+        t1 = write_twist(tmp_path, toric_z2, 1, "t1.json")
+        t2 = write_twist(tmp_path, toric_z2, 3, "t2.json")
+        argv = ["compose", toric_z2_file, "--t1", t1, "--t2", t2]
+        assert stdout_digest(capsys, argv) == \
+            "0cdf997c6b173fecc6d8f7d4baff6aa818e4eb69a2530d5624be37fa8398ffd3"
+
+
+def run_cli(argv, stdout):
+    """Run ``python -m gxbtc.cli`` in a fresh interpreter with a buffered
+    stdout; its exit code and stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-m", "gxbtc.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          text=True, timeout=120)
+    return done.returncode, done.stderr
+
+
+class TestOutputErrors:
+    """An output that cannot be opened, written or closed exits 74 with
+    one ``output error`` line and no traceback."""
+
+    @staticmethod
+    def assert_output_error(err, reason):
+        assert err.startswith("output error: ")
+        assert reason in err
+        assert "Traceback" not in err and "Exception ignored" not in err
+
+    def test_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "x.json"
+        assert main(["build", "toric-code", "-o", str(out)]) == 74
+        self.assert_output_error(capsys.readouterr().err,
+                                 "No such file or directory")
+        assert not out.parent.exists()
+
+    def test_output_is_a_directory(self, tmp_path, capsys):
+        assert main(["build", "toric-code", "-o", str(tmp_path)]) == 74
+        self.assert_output_error(capsys.readouterr().err, "Is a directory")
+        assert tmp_path.is_dir()
+
+    # a text shorter than stdout's buffer, and a longer one
+    STDOUT_ARGVS = pytest.mark.parametrize("argv", [
+        ["cohomology", "--group", "Z2", "--coeff", "u1", "--degree", "3"],
+        ["build", "toric-code"]], ids=["short", "long"])
+
+    @STDOUT_ARGVS
+    def test_closed_pipe(self, argv):
+        # gxbtc cohomology ... | head -c 0
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            code, err = run_cli(argv, write_end)
+        finally:
+            os.close(write_end)
+        assert code == 74
+        self.assert_output_error(err, "Broken pipe")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a /dev/full device")
+    @STDOUT_ARGVS
+    def test_full_device(self, argv):
+        # gxbtc build toric-code > /dev/full
+        with open("/dev/full", "w") as full:
+            code, err = run_cli(argv, full)
+        assert code == 74
+        self.assert_output_error(err, "No space left on device")
+
+    def test_partly_written_file_is_removed(self, tmp_path, monkeypatch,
+                                            capsys):
+        # the disk fills up halfway through a write
+        class FillingFile(io.StringIO):
+            def write(self, text):
+                with open(out, "a") as fh:
+                    fh.write(text[:len(text) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        out = tmp_path / "x.json"
+        out.write_text("an earlier output")
+        monkeypatch.setattr(cli, "open", lambda path, mode: FillingFile(),
+                            raising=False)
+        assert main(["build", "toric-code", "-o", str(out)]) == 74
+        self.assert_output_error(capsys.readouterr().err,
+                                 "No space left on device")
+        assert not out.exists()
+
+
+_STRING_CHARS = st.characters(blacklist_categories=("Cs",)) | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u00e9", "\u2028",
+     "\U0001f600"])
+_JSON_STRINGS = st.text(_STRING_CHARS, max_size=8)
+_JSON_SCALARS = (
+    st.none() | st.booleans() | _JSON_STRINGS
+    | st.integers() | st.integers(2 ** 64, 2 ** 200)
+    | st.integers(-2 ** 200, -2 ** 64)
+    | st.floats() | st.sampled_from([-0.0, 1e300, math.nan, math.inf,
+                                     -math.inf]))
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.lists(st.integers() | st.booleans(), max_size=5)
+                   | st.dictionaries(_JSON_STRINGS, inner, max_size=5)),
+    max_leaves=30)
+
+
+def written(payload):
+    buf = io.StringIO()
+    cli._write_json(payload, buf)
+    return buf.getvalue()
+
+
+class TestJsonWriter:
+    """``cli._write_json`` writes exactly the text of
+    ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_PAYLOADS)
+    def test_matches_json_dumps(self, payload):
+        assert written(payload).encode() == \
+            (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_JSON_PAYLOADS,
+           st.none() | st.booleans() | st.integers() | st.floats()
+           | st.tuples(st.integers()))
+    def test_key_that_is_not_a_string_raises(self, payload, key):
+        with pytest.raises(TypeError):
+            written([payload, {key: payload}])
+
+    @pytest.mark.parametrize("value", [
+        object(), {1, 2}, b"bytes", 1j, range(3), np.int64(3)],
+        ids=["object", "set", "bytes", "complex", "range", "numpy-int"])
+    def test_unsupported_type_raises(self, value):
+        with pytest.raises(TypeError):
+            written({"a": [1, value]})
+
+    def test_writes_in_bounded_chunks(self):
+        payload = [{"charges": [i, i + 1], "value": {"re": 0.5, "im": -0.5}}
+                   for i in range(20000)]
+        sizes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        stream = Recorder()
+        cli._write_json(payload, stream)
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert stream.getvalue() == text
+        assert len(sizes) > 10 and max(sizes) < len(text) // 10
+
+
+class TestParser:
+    """A call builds only its command's subparser; its help and usage
+    errors are those of the parser with every subparser."""
+
+    COMMAND_ARGVS = [[name] for name in cli.COMMANDS if name != "build"] + [
+        ["build"]] + [["build", kind] for kind in
+                      ["spt", "trivial-ext", *cli.BUILDERS]]
+
+    @staticmethod
+    def full_help(argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.build_parser().parse_args(argv)
+        assert info.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=" ".join)
+    def test_help_matches_full_parser(self, argv, capsys):
+        expected = self.full_help([*argv, "-h"], capsys)
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "-h"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == expected
+        assert expected.startswith(f"usage: gxbtc {' '.join(argv)} ")
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compose", "t.json"],
+         "the following arguments are required: --t1, --t2"),
+        (["check", "x.json", "--nope"], "unrecognized arguments: --nope"),
+        (["build", "toric-code", "--root-order", "5"],
+         "unrecognized arguments: --root-order 5"),
+        (["torsor", "th.json", "--t", "t.json", "--x", "a", "--solve-x"],
+         "argument --solve-x: not allowed with argument --x"),
+        (["cohomology", "--group", "Z2", "--coeff", "u1", "--degree", "x"],
+         "argument --degree: invalid int value: 'x'"),
+        (["build"], "the following arguments are required: kind"),
+        (["frobnicate"],
+         "argument command: invalid choice: 'frobnicate' (choose from "
+         "'check', 'torsor', 'obstruction', 'compose', 'equiv', "
+         "'cohomology', 'build', 'enumerate-extensions')"),
+        ([], "the following arguments are required: command"),
+    ], ids=["missing-argument", "unknown-option", "other-builder-option",
+            "exclusive-options", "bad-value", "missing-kind",
+            "unknown-command", "empty"])
+    def test_usage_errors_unchanged(self, argv, message, capsys):
+        with pytest.raises(cli._ArgumentError) as info:
+            cli.build_parser().parse_args(argv)
+        assert str(info.value) == message
+        assert main(argv) == 64
+        assert capsys.readouterr().err == f"usage error: {message}\n"
