@@ -13,8 +13,6 @@ import math
 import weakref
 from types import MappingProxyType
 
-import numpy as np
-
 from .errors import InadmissibleTuple, InvalidInput, NotAbelianMonodromy
 from .groups import (
     DEFAULT_TOL,
@@ -341,6 +339,7 @@ def validate(theory, tol=DEFAULT_TOL):
             (val,) = entries.values()
             unitary = abs(val * val.conjugate() - 1) <= max(tol, 1e-9) + 1e-5
         else:
+            import numpy as np  # only here: abelian theories never load it
             mat = np.array([[entries.get((e, f), 0j) for f in fs] for e in es])
             unitary = np.allclose(mat @ mat.conj().T, np.eye(len(es)),
                                   atol=max(tol, 1e-9))
@@ -367,6 +366,7 @@ def validate(theory, tol=DEFAULT_TOL):
 
 def quantum_dimensions(theory):
     """Per-charge quantum dimensions (spectral radii) plus the total D."""
+    import numpy as np
     n = theory.num_charges
     dims = {}
     for a in theory.charges():

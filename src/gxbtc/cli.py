@@ -13,6 +13,7 @@ import contextlib
 import itertools
 import json
 import os
+import re
 import stat
 import sys
 import traceback
@@ -183,15 +184,13 @@ def _load_theory(path):
 
 
 def _parse_group(spec):
-    name = spec.strip()
-    upper = name.upper()
-    if not upper.startswith("Z"):
+    """The product of cyclic groups ``Z<n>`` joined by ``x``, each later
+    factor with or without its ``Z``, case-insensitive, n >= 1."""
+    upper = spec.strip().upper()
+    if not re.fullmatch(r"Z[1-9][0-9]*(XZ?[1-9][0-9]*)*", upper):
         raise InvalidInput(f"unknown group spec {spec!r}; use Z2, Z3, Z2x2, ...")
-    try:
-        factors = [int(part.lstrip("zZ") or "1") for part in upper.split("X")]
-    except ValueError as exc:
-        raise InvalidInput(f"unknown group spec {spec!r}") from exc
-    return FiniteGroup.from_cyclic_factors(factors)
+    return FiniteGroup.from_cyclic_factors(
+        [int(part.lstrip("Z")) for part in upper.split("X")])
 
 
 def _load_cochain(path, group, module, degree):
@@ -205,6 +204,15 @@ def _load_cochain(path, group, module, degree):
 
 def _load_twist(path, theory):
     return _load_cochain(path, theory.group, category.abelian_subgroup(theory), 2)
+
+
+def _root_order(args, default, source):
+    """``--root-order``, or ``default(source)`` when it was not given."""
+    if args.root_order is None:
+        return default(source)
+    if args.root_order < 1:
+        raise InvalidInput("root order must be positive")
+    return args.root_order
 
 
 def _load_coefficients(path, theory, root_order):
@@ -251,7 +259,7 @@ def _cmd_check(args):
 def _cmd_torsor(args):
     theory = _load_theory(args.theory)
     t = _load_twist(args.t, theory)
-    order = args.root_order or torsor.default_root_order(theory)
+    order = _root_order(args, torsor.default_root_order, theory)
     x = None if args.solve_x else _load_coefficients(args.x, theory, order)
     out = torsor.apply_torsor(theory, t, x, tol=args.tol, root_order=order)
     _emit(category.theory_to_json(out), args.output)
@@ -261,7 +269,7 @@ def _cmd_torsor(args):
 def _cmd_obstruction(args):
     theory = _load_theory(args.theory)
     t = _load_twist(args.t, theory)
-    order = args.root_order or torsor.default_root_order(theory)
+    order = _root_order(args, torsor.default_root_order, theory)
     orr = torsor.relative_obstruction(theory, t, order, args.tol)
     x = torsor.solve_coefficients_for(orr)
     payload = {
@@ -275,7 +283,7 @@ def _cmd_obstruction(args):
 
 def _cmd_compose(args):
     theory = _load_theory(args.theory)
-    order = args.root_order or torsor.default_root_order(theory)
+    order = _root_order(args, torsor.default_root_order, theory)
     first = torsor.TorsorInput(_load_twist(args.t1, theory),
                                _load_coefficients(args.x1, theory, order))
     second = torsor.TorsorInput(_load_twist(args.t2, theory),
@@ -322,7 +330,7 @@ def _cmd_equiv(args):
 def _cmd_cohomology(args):
     group = _parse_group(args.group)
     if args.coeff.lower() == "u1":
-        order = args.root_order or torsor.default_group_root_order(group)
+        order = _root_order(args, torsor.default_group_root_order, group)
         module = U1Module(order)
     else:
         factors = [int(x) for x in args.coeff.lower().lstrip("z").split("x")]
@@ -350,7 +358,7 @@ BUILDERS = {"toric-code": constructions.toric_code,
 def _cmd_build(args):
     if args.kind == "spt":
         group = _parse_group(args.group)
-        order = args.root_order or torsor.default_group_root_order(group)
+        order = _root_order(args, torsor.default_group_root_order, group)
         if args.alpha:
             alpha = _load_cochain(args.alpha, group, U1Module(order), 3)
         else:
@@ -370,7 +378,7 @@ def _cmd_enumerate(args):
     c0 = _load_theory(args.c0)
     group = _parse_group(args.group)
     base = constructions.trivial_extension(c0, group)
-    order = args.root_order or torsor.default_root_order(base)
+    order = _root_order(args, torsor.default_root_order, base)
     h2, h3, extensions = torsor.enumerate_extensions(base, order, args.tol)
     entries = []
     unobstructed = []

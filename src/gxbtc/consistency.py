@@ -17,6 +17,9 @@ add their terms from 0 in the loops' order, and results are put back in
 the nested-loop order, so reports and obstructions are bit-identical to the
 scalar loops kept in ``tests/oracles.py``.  The hexagon, a small share of a
 ``check``, stays a loop.
+
+Each function that builds arrays imports numpy itself, so a command that
+builds none, such as ``cohomology`` or ``equiv``, never loads it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ import itertools
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
 
 from .errors import InadmissibleTuple, RepresentativeDependent
 from .groups import DEFAULT_TOL, Cochain, U1Module, validate_cocycle
@@ -37,26 +38,31 @@ MAX_FAILURES = 32
 
 @dataclass
 class ConsistencyReport:
-    """One checker sweep; keeps only the first ``MAX_FAILURES`` failures."""
+    """One checker sweep; lists the first ``MAX_FAILURES`` failures and
+    counts the rest in ``unlisted_failures``."""
 
     equation: str
     worst_residual: float = 0.0
     failures: list = field(default_factory=list)
     checked: int = 0
+    unlisted_failures: int = 0
 
     def record(self, index, lhs, rhs, tol):
         self.checked += 1
         residual = abs(lhs - rhs)
         if residual > self.worst_residual:
             self.worst_residual = residual
-        if residual > tol and len(self.failures) < MAX_FAILURES:
-            self.failures.append((index, lhs, rhs))
+        if residual > tol:
+            if len(self.failures) < MAX_FAILURES:
+                self.failures.append((index, lhs, rhs))
+            else:
+                self.unlisted_failures += 1
 
     def passed(self, tol=DEFAULT_TOL):
         return self.worst_residual < tol
 
     def to_json(self):
-        return {
+        out = {
             "equation": self.equation,
             "worst_residual": self.worst_residual,
             "checked": self.checked,
@@ -66,6 +72,9 @@ class ConsistencyReport:
                 for idx, lhs, rhs in self.failures
             ],
         }
+        if self.unlisted_failures:
+            out["unlisted_failures"] = self.unlisted_failures
+        return out
 
 
 def _record(rep, labels, lhs, rhs, tol, loop_keys=None):
@@ -75,12 +84,14 @@ def _record(rep, labels, lhs, rhs, tol, loop_keys=None):
     Rows are in loop order unless ``loop_keys`` are given: then the failures
     are taken in ``np.lexsort(loop_keys)`` order.
     """
+    import numpy as np
     rep.checked += len(lhs[0])
     residual = np.hypot(lhs[0] - rhs[0], lhs[1] - rhs[1])
     rep.worst_residual = max(rep.worst_residual,
                              float(np.fmax.reduce(residual, initial=0.0)))
     room = MAX_FAILURES - len(rep.failures)
     failing = np.flatnonzero(residual > tol)
+    rep.unlisted_failures += max(len(failing) - room, 0)
     if not room or not len(failing):
         return
     if loop_keys is not None:
@@ -97,6 +108,7 @@ class _Table:
     ``searchsorted``; a missing key reads as 0."""
 
     def __init__(self, entries, sizes):
+        import numpy as np
         self.sizes = sizes
         keys = np.array(list(entries), dtype=np.int64).reshape(-1, len(sizes))
         values = np.array(list(entries.values()), dtype=complex)
@@ -118,7 +130,7 @@ class _Table:
     def at(self, *labels):
         """Positions of the keys; ``absent`` for a missing one."""
         code = self.code(*labels)
-        pos = np.searchsorted(self.codes, code)
+        pos = self.codes.searchsorted(code)
         pos[self.codes[pos] != code] = self.absent
         return pos
 
@@ -137,6 +149,7 @@ class FusionIndex:
     """
 
     def __init__(self, n, triples):
+        import numpy as np
         self.n = n
         self.triples = np.array(triples, dtype=np.int64).reshape(-1, 3)
         pair = self.triples[:, 0] * n + self.triples[:, 1]
@@ -154,6 +167,7 @@ class FusionIndex:
     def translate(self, x, a):
         """The one outcome of each pair (x, a), as ``GxTheory.translate``;
         raises at the first pair with none or several."""
+        import numpy as np
         pair = x * self.n + a
         out = self.single[pair]
         bad = np.flatnonzero(out < 0)
@@ -168,6 +182,7 @@ class FusionIndex:
     @staticmethod
     def _spread(lo, hi):
         """Each row i repeated hi[i] - lo[i] times, with positions lo..hi-1."""
+        import numpy as np
         count = hi - lo
         rows = np.repeat(np.arange(len(lo)), count)
         return rows, np.arange(len(rows)) + np.repeat(lo - np.cumsum(count) + count, count)
@@ -200,6 +215,7 @@ class TheoryIndex(FusionIndex):
     """
 
     def __init__(self, theory):
+        import numpy as np
         super().__init__(theory.num_charges, theory.fusion_triples())
         group = theory.group
         self.order = group.order
@@ -217,6 +233,7 @@ class TheoryIndex(FusionIndex):
 
     def fuse_abelian(self, x, y):
         """``GxTheory.fuse_abelian(x, y)``: the vacuum, then x, then y."""
+        import numpy as np
         return self.translate(self.translate(np.full_like(x, self.vacuum), x), y)
 
     @cached_property
@@ -242,6 +259,7 @@ class TheoryIndex(FusionIndex):
         a, b, c, d.  Rows are pruned as each of b, c, d is placed, so one
         call holds about n**3 rows for multiplicity-free abelian fusion.
         """
+        import numpy as np
         nt = self.nontrivial
 
         def within(*charges):
@@ -280,6 +298,7 @@ def _take(index, *columns):
 
 def _heads(keys):
     """Mask of the first row of each run of equal values in sorted ``keys``."""
+    import numpy as np
     head = np.ones(len(keys), dtype=bool)
     head[1:] = keys[1:] != keys[:-1]
     return head
@@ -301,6 +320,7 @@ def cconj(x):
 def cquot(x, y):
     """x / y by CPython's two-branch formula, and 0 where y is 0 (a
     quotient by a missing entry)."""
+    import numpy as np
     (xr, xi), (yr, yi) = x, y
     out_r = np.full(len(xr), np.nan)
     out_i = np.full(len(xr), np.nan)
@@ -322,6 +342,7 @@ def cquot(x, y):
 def sum_in_order(size, rows, term):
     """(re, im) per row of ``range(size)``: 0, then += each (re, im) ``term``
     of the row, in order; ``rows`` is ascending."""
+    import numpy as np
     total = np.zeros(size), np.zeros(size)
     rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
     for j in range(int(rank.max(initial=-1)) + 1):
@@ -350,6 +371,7 @@ def check_pentagon(theory, max_nontrivial_defects=4, tol=DEFAULT_TOL):
     fused charges all carry nontrivial grades; that restricted equation is
     exactly what torsor wellformedness requires of its input.
     """
+    import numpy as np
     rep = ConsistencyReport("pentagon")
     index = theory_index(theory)
     for a in theory.charges():
@@ -403,6 +425,7 @@ def check_heptagons(theory, tol=DEFAULT_TOL):
     b_h, c_k, d_kgh, e_kg, g_{g^-1 k g h} and moves c to c_g = g^-1 . c and
     c_gh = (gh)^-1 . c.  The right sides sum over f in a (x) b.
     """
+    import numpy as np
     ix = theory_index(theory)
     n = ix.n
     base = np.indices((n, n, n)).reshape(3, -1)
@@ -457,6 +480,7 @@ def check_eta_associativity(theory, tol=DEFAULT_TOL):
     """Projective local-action phases compose across group multiplication:
     eta_x(g, h) eta_x(gh, k) = eta_x(g, hk) eta_{g^-1 . x}(h, k), over every
     charge x and group elements g, h, k in product order."""
+    import numpy as np
     ix = theory_index(theory)
     x, g, h, k = np.indices((ix.n,) + (ix.order,) * 3).reshape(4, -1)
     lhs = cmul(ix.eta(x, g, h), ix.eta(x, ix.mult[g, h], k))
@@ -471,6 +495,7 @@ def check_kappa_sliding(theory, tol=DEFAULT_TOL):
     eta_a(g, h) eta_b(g, h) / eta_c(g, h) against the conjugates of
     U_g(a, b; c) and U_h(g^-1 . a, g^-1 . b; g^-1 . c) times U_gh(a, b; c),
     over the fusion triples (a, b, c), then g, then h."""
+    import numpy as np
     ix = theory_index(theory)
     i, g, h = np.indices((len(ix.triples), ix.order, ix.order)).reshape(3, -1)
     a, b, c = ix.triples[i].T
@@ -512,6 +537,7 @@ def defectification_obstruction(theory, tol=DEFAULT_TOL, root_order=1):
     assignment whose two-F side |F(a,b,r;p) F(x,c,d;p)| is below 1e-12 gives
     no phase and is skipped.
     """
+    import numpy as np
     group = theory.group
     nonidentity = group.nonidentity()
     m = len(nonidentity)

@@ -10,7 +10,8 @@ making the four-defect pentagon close; when its class is trivial,
 The twisted F and U tables, the largest, are evaluated as arrays on the
 base theory's numpy index (:func:`gxbtc.consistency.theory_index`), bit
 for bit as the scalar formulas kept in ``tests/oracles.py``; the R and eta
-tables, a small share of a twist, stay loops.
+tables, a small share of a twist, stay loops.  As in ``consistency``, the
+functions that build arrays import numpy themselves.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from . import consistency
 from .category import GxTheory, abelian_subgroup, fusion_violations, monodromy
@@ -223,6 +222,7 @@ class _Lookups:
         self.missing = None  # (row, key text) of the first missing lookup
 
     def _get(self, name, table, labels):
+        import numpy as np
         pos = table.at(*labels)
         rows = np.flatnonzero(pos == table.absent)
         if len(rows) and (self.missing is None or rows[0] < self.missing[0]):
@@ -258,12 +258,14 @@ class _Lookups:
 
 def _group_table(grp, value):
     """``value(g, h)`` as an array indexed [g, h]."""
+    import numpy as np
     return np.array([[value(g, h) for h in grp.elements()]
                      for g in grp.elements()], dtype=np.int64)
 
 
 def _table_of(keys, value):
     """{key: complex} from key columns and (re, im) arrays, in row order."""
+    import numpy as np
     values = np.empty(len(value[0]), dtype=complex)
     values.real, values.imag = value
     return dict(zip(zip(*(x.tolist() for x in keys)), values.tolist()))
@@ -277,6 +279,7 @@ def torsored_f(twist):
     is a product of seven base symbols, evaluated for all keys at once on
     the base theory's index (:func:`gxbtc.consistency.theory_index`).
     """
+    import numpy as np
     theory = twist.theory
     ix = consistency.theory_index(theory)
     fusion = consistency.FusionIndex(ix.n, twist.fusion[0])
@@ -347,6 +350,7 @@ def torsored_u(twist):
     a quotient of F symbols on abelian lines, evaluated for all keys at
     once on the base theory's index.
     """
+    import numpy as np
     theory = twist.theory
     ix = consistency.theory_index(theory)
     triples = np.array(twist.fusion[0], dtype=np.int64).reshape(-1, 3)

@@ -1,5 +1,7 @@
+import cmath
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,30 @@ def test_report_keeps_first_failures_only():
     assert rep.checked == con.MAX_FAILURES + 9
     assert [idx for idx, _, _ in rep.failures] == [(i,) for i in range(32)]
     assert [f["index"] for f in rep.to_json()["failures"]] == [[str(i)] for i in range(32)]
+    assert rep.unlisted_failures == 8
+    assert rep.to_json()["unlisted_failures"] == 8
+
+
+def test_report_without_unlisted_failures_has_no_count():
+    rep = con.ConsistencyReport("x")
+    for i in range(con.MAX_FAILURES):
+        rep.record((i,), 1.0, 0.0, TOL)
+    assert rep.unlisted_failures == 0
+    assert "unlisted_failures" not in rep.to_json()
+
+
+def test_unlisted_pentagon_failures_match_loops(toric_z2):
+    # every F value of toric x Z2 turned by a seeded angle: thousands of
+    # failing pentagon tuples, all but MAX_FAILURES of them unlisted
+    rng = random.Random(11)
+    theory = toric_z2.replace(f={
+        key: value * cmath.exp(1j * rng.uniform(-0.2, 0.2))
+        for key, value in sorted(toric_z2.f_entries().items())})
+    rep = con.check_pentagon(theory)
+    loop = oracles.loop_check_pentagon(theory)
+    assert len(rep.failures) == con.MAX_FAILURES
+    assert rep.unlisted_failures == loop.unlisted_failures == 4064
+    assert repr(rep.to_json()) == repr(loop.to_json())
 
 
 class TestPentagon:
