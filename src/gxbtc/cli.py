@@ -183,14 +183,17 @@ def _load_theory(path):
     return category.theory_from_json(_load_json(path))
 
 
-def _parse_group(spec):
-    """The product of cyclic groups ``Z<n>`` joined by ``x``, each later
-    factor with or without its ``Z``, case-insensitive, n >= 1."""
+def _cyclic_factors(spec, what, also=""):
+    """The orders n of a product of cyclic groups ``Z<n>`` joined by ``x``,
+    each later factor with or without its ``Z``, case-insensitive, n >= 1."""
     upper = spec.strip().upper()
     if not re.fullmatch(r"Z[1-9][0-9]*(XZ?[1-9][0-9]*)*", upper):
-        raise InvalidInput(f"unknown group spec {spec!r}; use Z2, Z3, Z2x2, ...")
-    return FiniteGroup.from_cyclic_factors(
-        [int(part.lstrip("Z")) for part in upper.split("X")])
+        raise InvalidInput(f"unknown {what} {spec!r}; use {also}Z2, Z3, Z2x2, ...")
+    return [int(part.lstrip("Z")) for part in upper.split("X")]
+
+
+def _parse_group(spec):
+    return FiniteGroup.from_cyclic_factors(_cyclic_factors(spec, "group spec"))
 
 
 def _load_cochain(path, group, module, degree):
@@ -333,8 +336,8 @@ def _cmd_cohomology(args):
         order = _root_order(args, torsor.default_group_root_order, group)
         module = U1Module(order)
     else:
-        factors = [int(x) for x in args.coeff.lower().lstrip("z").split("x")]
-        module = AbelianModule(factors, group)
+        module = AbelianModule(
+            _cyclic_factors(args.coeff, "coefficient spec", "u1, "), group)
     result = cohomology(group, args.degree, module)
     payload = {
         "group": group.name,

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from .category import monodromy
 from .equivalence import GaugeTransform
 from .errors import InvalidInput, NotAbelianMonodromy
-from .groups import Cochain, U1Module
+from .groups import Cochain
 from .torsor import (
     TorsorInput,
     Twist,
-    default_root_order,
+    root_module,
     validate_two_cocycle,
 )
 
@@ -36,6 +36,7 @@ def correction_coefficients(theory, t1, t2, root_order=None):
     Multiplies the naive product of the two coefficient cochains in the
     composite functor.
     """
+    module = root_module(theory, root_order)
     grp = theory.group
     act = theory.act
     tr = theory.translate
@@ -63,8 +64,7 @@ def correction_coefficients(theory, t1, t2, root_order=None):
     entries = {}
     for args in itertools.product(grp.elements(), repeat=3):
         entries[args] = value(*args)
-    order = root_order or default_root_order(theory)
-    return Cochain(grp, 3, U1Module(order), entries)
+    return Cochain(grp, 3, module, entries)
 
 
 def composition_gauge(first, second, composite):
@@ -149,7 +149,7 @@ def commutator_class(theory, t1, t2, root_order=None):
     validate_two_cocycle(theory, t1)
     validate_two_cocycle(theory, t2)
     grp = theory.group
-    order = root_order or default_root_order(theory)
+    module = root_module(theory, root_order)
 
     def mono(a, b):
         try:
@@ -167,11 +167,11 @@ def commutator_class(theory, t1, t2, root_order=None):
     entries = {}
     for args in itertools.product(grp.elements(), repeat=3):
         entries[args] = value(*args)
-    cochain = Cochain(grp, 3, U1Module(order), entries)
+    cochain = Cochain(grp, 3, module, entries)
     xi = Cochain.from_function(
-        grp, 2, U1Module(order), lambda g, h: mono(t1(g, h), t2(g, h)))
-    y12 = correction_coefficients(theory, t1, t2, order)
-    y21 = correction_coefficients(theory, t2, t1, order)
+        grp, 2, module, lambda g, h: mono(t1(g, h), t2(g, h)))
+    y12 = correction_coefficients(theory, t1, t2, module.order)
+    y21 = correction_coefficients(theory, t2, t1, module.order)
     shifted = cochain.combine(xi.coboundary()).combine(y12)
     residual = 0.0
     for args in shifted.support():

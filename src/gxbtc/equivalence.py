@@ -24,13 +24,12 @@ from .errors import (
 from .groups import (
     DEFAULT_TOL,
     Cochain,
-    U1Module,
     is_cocycle,
     snap_turns,
     turn_phase,
     validate_cocycle,
 )
-from .torsor import default_root_order
+from .torsor import root_module
 
 
 @dataclass
@@ -308,6 +307,7 @@ def cocycle_relabel_class(theory, z, tol=DEFAULT_TOL, root_order=None):
     """
     if not is_cocycle(z):
         raise NotA1Cocycle("relabeling 1-cochain must be closed")
+    module = root_module(theory, root_order)
     grp = theory.group
     dual = theory.dual
     act = theory.act
@@ -327,8 +327,7 @@ def cocycle_relabel_class(theory, z, tol=DEFAULT_TOL, root_order=None):
     entries = {}
     for args in itertools.product(grp.elements(), repeat=3):
         entries[args] = value(*args)
-    order = root_order or default_root_order(theory)
-    out = Cochain(grp, 3, U1Module(order), entries)
+    out = Cochain(grp, 3, module, entries)
     validate_cocycle(out, max(tol, 1e-7), degree=3)
     return out
 

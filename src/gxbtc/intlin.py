@@ -4,25 +4,32 @@ Everything here works on plain Python ints (no overflow).  A matrix is a
 list of rows, and a row is a dense list or a sparse ``{column: entry}``
 dict.  The central primitive is the Smith normal form U A V = D.  It
 eliminates on sparse rows, so a row or column operation touches only
-nonzero entries, and it picks the same pivots and runs the same operations,
-in the same order, as the textbook dense elimination.  V is carried as
-sparse columns and made dense once, at the end; U is kept as the log of
-the row operations that produced it, which is replayed to apply U to a
-vector or to read a column of its inverse.  Kernels, integer solves,
-solves modulo N, and solves over the circle group (rational turns) are
-derived from it.
+nonzero entries.  Its pivots keep the fill-in small: a unit in the row
+with the fewest nonzeros, in that row's column with the fewest nonzeros,
+and only when no unit is left the entry of least magnitude, reduced by
+extended-gcd (Bezout) 2x2 steps so that no entry grows by repeated
+remainders (Dumas, Saunders and Villard, J. Symbolic Comput. 32 (2001);
+Cohen, GTM 138, section 2.4).  V is carried as sparse columns and made
+dense once, at the end; U is kept as the log of the row operations that
+produced it, which is replayed to apply U to a vector or to read a column
+of its inverse.  Kernels, integer solves, solves modulo N, and solves over
+the circle group (rational turns) are derived from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd
+from operator import contains
 
 
 # row operations of the Smith-form log, as (kind, i, j, c) tuples
 SWAP = 0    # swap rows i and j
 ADD = 1     # row i += c * row j
 NEGATE = 2  # row i = -row i
+BEZOUT = 3  # rows i, j = s row i + u row j, v row i + w row j; c = (s, u, v, w),
+            # s w - u v = 1
 
 
 class SmithForm:
@@ -51,6 +58,9 @@ class SmithForm:
                 x[i] += c * x[j]
             elif kind == SWAP:
                 x[i], x[j] = x[j], x[i]
+            elif kind == BEZOUT:
+                s, u, v, w = c
+                x[i], x[j] = s * x[i] + u * x[j], v * x[i] + w * x[j]
             else:
                 x[i] = -x[i]
         return x
@@ -64,6 +74,9 @@ class SmithForm:
                 x[i] -= c * x[j]
             elif kind == SWAP:
                 x[i], x[j] = x[j], x[i]
+            elif kind == BEZOUT:
+                s, u, v, w = c
+                x[i], x[j] = w * x[i] - u * x[j], s * x[j] - v * x[i]
             else:
                 x[i] = -x[i]
         return x
@@ -82,21 +95,20 @@ def smith_normal_form(matrix, rows, cols):
           if a} for row in matrix]
     ops = []
     vcols = [{j: 1} for j in range(cols)]  # V by columns, made dense at the end
+    count = [0] * cols  # nonzeros of each column in the rows t..
+    for row in d:
+        for j in row:
+            count[j] += 1
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        ops.append((SWAP, i, j, 0))
-
-    def swap_cols(i, j):
-        # called while pivot t is placed or cleared; rows above t hold
-        # neither column
-        for row in d[t:]:
-            a, b = row.pop(i, 0), row.pop(j, 0)
-            if b:
-                row[i] = b
-            if a:
-                row[j] = a
-        vcols[i], vcols[j] = vcols[j], vcols[i]
+    def put(row, k, y):
+        # set one entry of a row, keeping the column counts
+        if y:
+            if k not in row:
+                count[k] += 1
+            row[k] = y
+        elif k in row:
+            del row[k]
+            count[k] -= 1
 
     def add_entries(dst, src, c):
         # dst += c * src on sparse dicts, dropping the entries that cancel
@@ -107,100 +119,168 @@ def smith_normal_form(matrix, rows, cols):
             else:
                 del dst[k]
 
+    def combine(x, y, s, u):
+        # the sparse vector s * x + u * y
+        out = {k: s * a for k, a in x.items()} if s else {}
+        if u:
+            add_entries(out, y, u)
+        return out
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        ops.append((SWAP, i, j, 0))
+
     def add_row(dst, src, c):
-        add_entries(d[dst], d[src], c)
+        # row dst += c * row src
+        row = d[dst]
+        for k, x in d[src].items():
+            y = row.get(k)
+            if y is None:
+                row[k] = c * x
+                count[k] += 1
+            elif y + c * x:
+                row[k] = y + c * x
+            else:
+                del row[k]
+                count[k] -= 1
         ops.append((ADD, dst, src, c))
 
     def add_col(dst, src, c, among):
-        # col_dst += c * col_src; ``among`` holds every row with an entry at src
+        # col dst += c * col src; ``among`` holds every row with an entry at src
         for r in among:
             row = d[r]
-            y = row.get(dst, 0) + c * row[src]
-            if y:
-                row[dst] = y
-            else:
-                del row[dst]
+            put(row, dst, row.get(dst, 0) + c * row[src])
         add_entries(vcols[dst], vcols[src], c)
 
     def negate_row(i):
         d[i] = {k: -x for k, x in d[i].items()}
         ops.append((NEGATE, i, i, 0))
 
-    # Rows t.. have entries only in columns t.., and rows ..t-1 are finished
-    # diagonal rows, so every scan below looks at rows t.. alone.
+    def bezout_rows(i, j, k):
+        # rows i, j by the determinant-1 step that leaves gcd(a, b) at (i, k)
+        # and 0 at (j, k), where a, b are the entries at (i, k) and (j, k)
+        a, b = d[i][k], d[j][k]
+        g, s, u = _xgcd(a, b)
+        v, w = -(b // g), a // g
+        ri, rj = d[i], d[j]
+        for row in (ri, rj):
+            for m in row:
+                count[m] -= 1
+        d[i], d[j] = combine(ri, rj, s, u), combine(ri, rj, v, w)
+        for row in (d[i], d[j]):
+            for m in row:
+                count[m] += 1
+        ops.append((BEZOUT, i, j, (s, u, v, w)))
+
+    def bezout_cols(i, j):
+        # columns i, j by the same step on row t, leaving 0 at (t, j)
+        a, b = d[t][i], d[t][j]
+        g, s, u = _xgcd(a, b)
+        v, w = -(b // g), a // g
+        for r in live:
+            row = d[r]
+            x, y = row.get(i, 0), row.get(j, 0)
+            if x or y:
+                put(row, i, s * x + u * y)
+                put(row, j, v * x + w * y)
+        ci, cj = vcols[i], vcols[j]
+        vcols[i], vcols[j] = combine(ci, cj, s, u), combine(ci, cj, v, w)
+
+    def lightest(m):
+        # the live row with the fewest nonzeros among those holding +-m,
+        # the first one on a tie; the scans over ``live`` run in C
+        sizes = list(map(len, map(d.__getitem__, live)))
+        for n in sorted(set(sizes) - {0}):
+            k = -1
+            for _ in range(sizes.count(n)):
+                k = sizes.index(n, k + 1)
+                vals = d[live[k]].values()
+                if m in vals or -m in vals:
+                    return live[k]
+        return -1
+
+    # Row t is moved to index t by row swaps.  Its pivot column pcol[t] keeps
+    # its index, and V's columns are put in pivot order at the end.  Rows t..
+    # have no entry in the pivot columns of the finished rows ..t-1, each of
+    # which holds its pivot alone, so every scan below looks at rows t..
+    # alone, and of those only at ``live``: a row that empties stays empty.
+    live = list(range(rows))  # a superset of the nonempty rows t.., in order
+    pcol = []
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        # the row-major first entry of minimal magnitude in the trailing block
-        best = 0
-        for i in range(t, rows):
-            row = d[i]
-            if row:
-                a = min(map(abs, row.values()))
-                if not best or a < best:
-                    best, pi = a, i
-                    if a == 1:
-                        break
-        if not best:
-            break
-        pj = min(j for j, a in d[pi].items() if abs(a) == best)
+        # a unit in the sparsest row if there is one, else the least
+        # magnitude; within the row, the column with the fewest nonzeros
+        m, pi = 1, lightest(1)
+        if pi < 0:
+            m = min((min(map(abs, d[i].values())) for i in live if d[i]), default=0)
+            if not m:
+                break
+            pi = lightest(m)
+        c = min((count[j], j) for j, a in d[pi].items() if abs(a) == m)[1]
         if pi != t:
             swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        dirty = True
-        while dirty:
-            dirty = False
-            # clear the pivot column; step i changes only rows t and i
-            for i in [i for i in range(t + 1, rows) if t in d[i]]:
-                q = d[i][t] // d[t][t]
-                if q:
+        # index t now holds the pivot row, and pi the old row t
+        live = list(compress(live, map(d.__getitem__, live)))
+        if live[:1] != [t]:
+            live.insert(0, t)
+        while True:
+            # clear the pivot column; a remainder takes a Bezout step
+            for i in compress(live[1:], map(contains, map(d.__getitem__, live[1:]),
+                                            repeat(c))):
+                q, r = divmod(d[i][c], d[t][c])
+                if r:
+                    bezout_rows(t, i, c)
+                else:
                     add_row(i, t, -q)
-                if t in d[i]:
-                    swap_rows(t, i)
-                    dirty = True
-            # clear the pivot row; step j changes only columns t and j
-            among = [r for r in range(t, rows) if t in d[r]]
-            for j in sorted(j for j in d[t] if j != t):
-                q = d[t][j] // d[t][t]
-                if q:
-                    add_col(j, t, -q, among)
-                if j in d[t]:
-                    swap_cols(t, j)
-                    among = [r for r in range(t, rows) if t in d[r]]
-                    dirty = True
-        if d[t][t] < 0:
+            # clear the pivot row; column c now has row t alone, until a
+            # Bezout step brings in a column that other rows hold
+            for j in sorted(j for j in d[t] if j != c):
+                q, r = divmod(d[t][j], d[t][c])
+                if r:
+                    bezout_cols(c, j)
+                    break
+                add_col(j, c, -q, (t,))
+            else:
+                break
+        if d[t][c] < 0:
             negate_row(t)
+        pcol.append(c)
+        del live[0]
         t += 1
 
-    # enforce the divisibility chain d_i | d_{i+1}; D is diagonal, and the
-    # step on the block of rows and columns i, i+1 leaves it diagonal
+    # pivot columns first, in pivot order, then the others in index order
+    vcols = [vcols[j] for j in pcol + sorted(set(range(cols)).difference(pcol))]
+    for i, j in enumerate(pcol):
+        d[i] = {i: d[i][j]}
+    # enforce the divisibility chain d_i | d_{i+1}: the block a, b of rows
+    # and columns i, i+1 becomes gcd(a, b), lcm(a, b)
     changed = True
     while changed:
         changed = False
         for i in range(t - 1):
-            if d[i + 1][i + 1] % d[i][i] != 0:
+            if d[i + 1][i + 1] % d[i][i]:
                 changed = True
                 add_col(i, i + 1, 1, (i + 1,))
-                # Euclid on rows i, i+1 restricted to column i
-                while d[i + 1].get(i):
-                    q = d[i][i] // d[i + 1][i]
-                    if q:
-                        add_row(i, i + 1, -q)
-                    swap_rows(i, i + 1)
-                # clear the junk the row ops left at (i, i+1)
-                if d[i].get(i + 1):
-                    add_col(i + 1, i, -(d[i][i + 1] // d[i][i]), (i,))
-                if d[i][i] < 0:
-                    negate_row(i)
-                if d[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
+                bezout_rows(i, i + 1, i)
+                add_col(i + 1, i, -(d[i][i + 1] // d[i][i]), (i,))
     diag = [d[i].get(i, 0) for i in range(limit)]
     v = [[0] * cols for _ in range(cols)]
     for j, col in enumerate(vcols):
         for i, a in col.items():
             v[i][j] = a
     return SmithForm(rows, cols, diag, ops, v)
+
+
+def _xgcd(a, b):
+    """(g, s, u) with g = gcd(a, b) > 0 and s a + u b = g."""
+    s0, s1, u0, u1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        u0, u1 = u1, u0 - q * u1
+    return (a, s0, u0) if a > 0 else (-a, -s0, -u0)
 
 
 def integer_kernel(matrix, rows, cols):

@@ -56,6 +56,11 @@ def default_root_order(theory):
     return math.lcm(default_group_root_order(theory.group), max(module.order, 1))
 
 
+def root_module(theory, root_order=None):
+    """U(1) at ``root_order``; None, and only None, means the default."""
+    return U1Module(default_root_order(theory) if root_order is None else root_order)
+
+
 @dataclass
 class TorsorInput:
     """Pairing of the fusion-twisting 2-cocycle and phase coefficients."""
@@ -78,8 +83,7 @@ def validate_two_cocycle(theory, t):
 
 
 def trivial_coefficients(theory, root_order=None):
-    order = root_order or default_root_order(theory)
-    return Cochain.identity(theory.group, 3, U1Module(order))
+    return Cochain.identity(theory.group, 3, root_module(theory, root_order))
 
 
 def charge_transfer(theory, t, g, h):
@@ -475,12 +479,13 @@ def relative_obstruction(theory, t, root_order=None, tol=DEFAULT_TOL):
 
     Returns a normalized U(1) 4-cochain, verified to be closed.
     """
+    module = root_module(theory, root_order)
     twist = Twist(theory, t)
     _require_torsorable(theory, tol)
-    return _obstruction(twist, root_order or default_root_order(theory), tol)
+    return _obstruction(twist, module, tol)
 
 
-def _obstruction(twist, order, tol):
+def _obstruction(twist, module, tol):
     """Body of :func:`relative_obstruction` for a validated twist."""
     theory, t = twist.theory, twist.t
     grp = theory.group
@@ -509,7 +514,7 @@ def _obstruction(twist, order, tol):
     entries = {}
     for args in itertools.product(grp.elements(), repeat=4):
         entries[args] = value(*args)
-    cochain = Cochain(grp, 4, U1Module(order), entries)
+    cochain = Cochain(grp, 4, module, entries)
     if not is_cocycle(cochain, max(tol, 1e-7)):
         raise NotACocycle("relative obstruction came out non-closed; "
                           "the input theory is inconsistent")
@@ -547,11 +552,11 @@ def apply_torsor(theory, t, x=None, tol=DEFAULT_TOL, root_order=None,
     known solution) to land elsewhere on the coefficient torsor.  The
     resulting obstruction data is recorded in the metadata.
     """
+    module = root_module(theory, root_order)
     twist = Twist(theory, t, tol)
     if check_preconditions:
         _require_torsorable(theory, tol)
-    order = root_order or default_root_order(theory)
-    orr = _obstruction(twist, order, tol)
+    orr = _obstruction(twist, module, tol)
     if x is None:
         x = solve_coefficients_for(orr)
         if x is None:
@@ -560,7 +565,8 @@ def apply_torsor(theory, t, x=None, tol=DEFAULT_TOL, root_order=None,
                 "no coefficients make the twisted theory consistent")
 
     def base_obstruction():
-        return consistency.defectification_obstruction(theory, tol, root_order=order)
+        return consistency.defectification_obstruction(theory, tol,
+                                                       root_order=module.order)
 
     return _assemble(twist, orr, x, base_obstruction)
 
@@ -611,20 +617,20 @@ def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
     built once per call.
     """
     grp = base.group
-    order = root_order or default_root_order(base)
+    module = root_module(base, root_order)
     h2 = cohomology(grp, 2, abelian_subgroup(base))
-    h3 = cohomology(grp, 3, U1Module(order))
+    h3 = cohomology(grp, 3, module)
     alphas = h3.all_classes()
     _require_torsorable(base, tol)
 
     @functools.cache
     def base_obstruction():
-        return consistency.defectification_obstruction(base, tol, root_order=order)
+        return consistency.defectification_obstruction(base, tol, root_order=module.order)
 
     extensions = []
     for it, t in enumerate(h2.all_classes()):
         twist = Twist(base, t, tol)
-        orr = _obstruction(twist, order, tol)
+        orr = _obstruction(twist, module, tol)
         base_x = solve_coefficients_for(orr)
         for ia, alpha in enumerate(alphas):
             theory = None

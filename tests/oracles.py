@@ -9,7 +9,6 @@ Only usable for tiny groups and modules.
 import cmath
 import itertools
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 from gxbtc import equivalence, intlin
@@ -220,40 +219,34 @@ def loop_snap_turns(value, max_denominator=96, snap_tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form with dense transforms
-
-DenseSmithForm = namedtuple("DenseSmithForm", "rows cols diag u uinv v")
+# invariant factors by textbook dense elimination
 
 
 def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def dense_smith_normal_form(matrix, rows=None, cols=None):
-    """Reference for intlin.smith_normal_form: the same elimination, with
-    U and U^-1 carried as dense matrices through every row operation.
+def dense_invariant_factors(matrix, rows=None, cols=None):
+    """Reference diagonal for intlin.smith_normal_form, by the textbook
+    dense elimination: the row-major first entry of least magnitude as the
+    pivot, and a remainder swapped in as the next pivot.
 
-    Accepts an empty list of rows if ``rows``/``cols`` are given.
+    The invariant factors are unique, so they must agree with any pivot
+    order.  The remainder swaps let entries grow on dense inputs with a
+    larger rank and larger entries, so callers keep to small or sparse
+    ones.  Accepts an empty list of rows if ``rows``/``cols`` are given.
     """
     if rows is None:
         rows = len(matrix)
     if cols is None:
         cols = len(matrix[0]) if matrix else 0
     d = [list(row) for row in matrix]
-    u = identity_matrix(rows)
-    uinv = identity_matrix(rows)
-    v = identity_matrix(cols)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in uinv:
-            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
             r[i], r[j] = r[j], r[i]
 
     def add_row(dst, src, c):
@@ -261,24 +254,11 @@ def dense_smith_normal_form(matrix, rows=None, cols=None):
         rd, rs = d[dst], d[src]
         for k in range(cols):
             rd[k] += c * rs[k]
-        rd2, rs2 = u[dst], u[src]
-        for k in range(rows):
-            rd2[k] += c * rs2[k]
-        for r in uinv:
-            r[src] -= c * r[dst]
 
     def add_col(dst, src, c):
         # col_dst += c * col_src
         for r in d:
             r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for r in uinv:
-            r[i] = -r[i]
 
     t = 0
     limit = min(rows, cols)
@@ -333,33 +313,19 @@ def dense_smith_normal_form(matrix, rows=None, cols=None):
                 row_ok = all(d[t][j] == 0 for j in range(t + 1, cols))
                 if col_ok and row_ok:
                     break
-        if d[t][t] < 0:
-            negate_row(t)
         t += 1
 
     # enforce the divisibility chain d_i | d_{i+1}
+    diag = [abs(d[i][i]) for i in range(t)]
     changed = True
     while changed:
         changed = False
         for i in range(t - 1):
-            if d[i + 1][i + 1] % d[i][i] != 0:
+            a, b = diag[i], diag[i + 1]
+            if b % a:
                 changed = True
-                add_col(i, i + 1, 1)
-                # Euclid on rows i, i+1 restricted to column i
-                while d[i + 1][i] != 0:
-                    q = d[i][i] // d[i + 1][i]
-                    if q:
-                        add_row(i, i + 1, -q)
-                    swap_rows(i, i + 1)
-                # clear the junk the row ops left at (i, i+1)
-                if d[i][i + 1]:
-                    add_col(i + 1, i, -(d[i][i + 1] // d[i][i]))
-                if d[i][i] < 0:
-                    negate_row(i)
-                if d[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-    diag = [d[i][i] for i in range(limit)]
-    return DenseSmithForm(rows, cols, diag, u, uinv, v)
+                diag[i], diag[i + 1] = math.gcd(a, b), math.lcm(a, b)
+    return diag + [0] * (limit - t)
 
 
 # ---------------------------------------------------------------------------

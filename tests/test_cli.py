@@ -509,6 +509,22 @@ class TestCohomology:
         payload = json.loads(capsys.readouterr().out)
         assert payload["orders"] == [2, 2]
 
+    @pytest.mark.parametrize("coeff", ["foo", "z2x", "2", "z0", "Z2xx2", "u2", ""])
+    def test_malformed_coeff_exits_65(self, capsys, coeff):
+        argv = ["cohomology", "--group", "Z2", "--coeff", coeff, "--degree", "2"]
+        assert main(argv) == 65
+        err = capsys.readouterr().err
+        assert f"unknown coefficient spec {coeff!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("coeff, orders", [
+        ("z2x2", [2, 2]), ("Z2xZ2", [2, 2]), ("z2", [2]), ("z1", []), ("U1", []),
+    ], ids=["z2x2", "Z2xZ2", "z2", "z1", "U1"])
+    def test_coeff_spec(self, capsys, coeff, orders):
+        argv = ["cohomology", "--group", "Z2", "--coeff", coeff, "--degree", "2"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["orders"] == orders
+
 
 class TestGroupSpec:
     @pytest.mark.parametrize("spec", ["Z2x", "Z2xx2", "Z2x2x", "ZZ2", "Z+2",
@@ -690,17 +706,17 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("group, coeff, degree, digest", [
         ("Z2x2", "u1", 3,
-         "fdb679c9c659ea9bf0d87c0f48bb1aec0b809cd5d9d9b8a8534ab7b821d6dd62"),
+         "1d55c7494f0b37895b74667d2ded374aa09dfb80117b1f32670226c55d53b968"),
         ("Z4", "u1", 4,
          "45a9fe1be0351fbca09687a1099b98a66bab567ac5022bcd8629614d27435ad2"),
         ("Z2x2", "z2x2", 3,
-         "fa0cbb374fc0781b33b079a54979c5e5e2b1c49b1619170624e8260da28978a0"),
+         "1ba19acd6948fb3f02a82825f598fd9c9a5c937e16d69eaebcb0e75528ef9f54"),
         # representatives checked by tests/test_groups.py: closed, of exact
         # order d_i, with unit class coordinates
         ("Z6", "u1", 3,
-         "56cb3fb4f5574912ac4c2e49f30aa7a7e105099837d9a040735946669b6e7ccc"),
+         "384a565727f49cb0fd00fc30ef411ce907d00ce9ca22ea660679d1ea02e06c1c"),
         ("Z2x2", "u1", 4,
-         "f04926fec98ae4893b07321be3a9ca08d43dc76a9f2bb57cc1a45fde20c6129a"),
+         "6c21c05740b3e81b8ed0bda9565d6025a37709b34dd7c9c001003532099e989d"),
     ])
     def test_cohomology(self, capsys, group, coeff, degree, digest):
         argv = ["cohomology", "--group", group, "--coeff", coeff,
@@ -719,11 +735,11 @@ class TestGoldenOutputs:
                            [cochain_to_json(r) for r in result.representatives]},
                           sort_keys=True) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == \
-            "6048ff8c44894cc380f1887f0ec04ed0cfe9853d518f491e2f641205d423263e"
+            "7fa8c2c9c78bb0ada8580505896f55aaf0fe2fa582b9d5b94a40bd00c747eb17"
 
     @pytest.mark.parametrize("c0, group, digest", [
         (cons.semion, "Z2x2",
-         "077655dc05336e7d2091c1cc6600837ce01ead0cc2fd58e103d76b40216db2e8"),
+         "049de608c46fa92794996202e7a6f659084f6ef878f8da6510446683af0e0015"),
         (cons.toric_code, "Z2",
          "b7cbcd02c207258fefecc7a7b0ca4b0b101df83f8b6b7277392aa1efe1ec90e0"),
     ])
@@ -750,7 +766,7 @@ class TestGoldenOutputs:
         path = tmp_path / "moved.json"
         path.write_text(json.dumps(cat.theory_to_json(moved)))
         assert stdout_digest(capsys, ["equiv", toric_z2_file, str(path)]) == \
-            "8861b972bd5a7124858d2597c3292d03ca08712bf7282c2389736b20faf1d3ab"
+            "d13f1595398ac9948abe1fe424246aba07e23be3bb83fe2905cca9275d501ab5"
 
     @pytest.fixture()
     def in_tmp(self, tmp_path, monkeypatch):
@@ -832,7 +848,7 @@ class TestGoldenOutputs:
             json.dump(cochain_to_json(alpha), fh)
         argv = ["build", "spt", "--group", "Z3", "--alpha", "alpha.json"]
         assert stdout_digest(capsys, argv) == \
-            "06109e6e49a0407664fa041deea6562e97a09cba2643f5fac60161e7830e9ea0"
+            "81a6de1e18ef83aaf5f36a46e89b605d030d31e7636a5fed4ed9d69f84c0e6f5"
 
     def test_build_trivial_ext(self, in_tmp, capsys):
         path = self.write(cons.semion(), "semion.json")

@@ -126,11 +126,11 @@ class TestGaugeGolden:
 
     @pytest.mark.parametrize("name, digest", [
         ("toric x Z2",
-         "88343878664d32a88fedb3ba63c69f47a7bebe586c36620d0091c510704ff605"),
+         "506e2ea60edc56c690048afc761fc7ccbbf9a2c8eb1d04c6af36c9e0575b2746"),
         ("fibonacci x Z2",
-         "07d39e5496619e10187cab9bde861c822cd4cb59286062e7227d1e0792915507"),
+         "f7c8166fd8199dbb7a5418e4c932917723b2f8ad5b52bcef246a34afa264224d"),
         ("semion x Z2xZ2",
-         "a693954e8691b4eabfe5011db3bd1db85cb9f45769305f87a689e449f28a4c9f"),
+         "2adf35f456ed2d494225245cb162cecfde1b08fb8fe9927d144f2e2542b91e94"),
     ])
     def test_gauged_tables_and_witness(self, name, digest):
         theory = GOLDEN_GAUGE_THEORIES[name]

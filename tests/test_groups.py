@@ -355,6 +355,16 @@ def test_h3_z2_cubed_u1():
         assert h.class_of(rep) == [int(j == i) for j in range(7)]
 
 
+def test_h3_z3_squared_u1():
+    # a 4096 x 512 coboundary; sparsest-unit pivots keep it under a second
+    group = gr.FiniteGroup.from_cyclic_factors([3, 3])
+    h = gr.cohomology(group, 3, gr.U1Module(9))
+    assert h.orders == [3] * 3
+    for i, rep in enumerate(h.representatives):
+        assert gr.is_cocycle(rep, 1e-7)
+        assert h.class_of(rep) == [int(j == i) for j in range(3)]
+
+
 class TestCohomologous:
     def test_self_witness_is_identity(self):
         mod = gr.U1Module(8)

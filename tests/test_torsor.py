@@ -6,10 +6,12 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from gxbtc import category as cat
+from gxbtc import compose as cmp
 from gxbtc import consistency as con
 from gxbtc import constructions as cons
+from gxbtc import equivalence as eq
 from gxbtc import torsor
-from gxbtc.errors import GxError, NotACocycle, SnapFailure
+from gxbtc.errors import GxError, InvalidInput, NotACocycle, SnapFailure
 from gxbtc.groups import Cochain, FiniteGroup, U1Module, is_cocycle, turn_phase
 from oracles import boundary_coefficients, dense_fusion_violations, trivial_twist
 
@@ -52,6 +54,31 @@ class TestChargeTransfer:
     def test_toric_transfer_is_vacuum(self, toric_z2):
         t = twist(toric_z2, E)
         assert torsor.charge_transfer(toric_z2, t, 1, 1) == toric_z2.vacuum
+
+
+class TestRootOrderZero:
+    """A root order of 0 reaches U1Module and is rejected; only None means
+    the default."""
+
+    CALLS = {
+        "trivial_coefficients": lambda th, t: torsor.trivial_coefficients(th, 0),
+        "relative_obstruction": lambda th, t: torsor.relative_obstruction(
+            th, t, root_order=0),
+        "apply_torsor": lambda th, t: torsor.apply_torsor(th, t, root_order=0),
+        "enumerate_extensions": lambda th, t: torsor.enumerate_extensions(
+            th, root_order=0),
+        "correction_coefficients": lambda th, t: cmp.correction_coefficients(
+            th, t, t, root_order=0),
+        "commutator_class": lambda th, t: cmp.commutator_class(th, t, t, root_order=0),
+        "cocycle_relabel_class": lambda th, t: eq.cocycle_relabel_class(
+            th, Cochain(th.group, 1, cat.abelian_subgroup(th), {(1,): E}),
+            root_order=0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_zero_is_rejected(self, toric_z2, name):
+        with pytest.raises(InvalidInput, match="root order must be positive"):
+            self.CALLS[name](toric_z2, twist(toric_z2, E))
 
 
 class TestTorsoredFusion:
@@ -350,7 +377,7 @@ class TestTwistedTablesGolden:
         _, _, extensions = torsor.enumerate_extensions(semion_z22)
         assert tables_digest(ext.theory for ext in extensions
                              if ext.theory is not None) == (
-            "19dbde0f5616861e9cbf448a83bc2744afb9b20be854e37a6217337e41ba3f54")
+            "d136dd41b3ca2f8c20c419d51ef4aea3cc133c11bab80de156461846129ffb97")
 
     def test_apply_torsor_toric_z2(self, toric_z2):
         x = Cochain(Z2, 3, U1Module(8), {(1, 1, 1): turn_phase(Fraction(3, 8))})
