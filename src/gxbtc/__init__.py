@@ -25,7 +25,6 @@ from .groups import (
     Cochain,
     FiniteGroup,
     U1Module,
-    coboundary,
     cohomologous,
     cohomology,
     is_cocycle,
@@ -38,7 +37,7 @@ __all__ = [
     "GxTheory", "FiniteGroup", "Cochain", "U1Module", "AbelianModule",
     "TorsorInput",
     "abelian_subgroup", "monodromy", "quantum_dimensions", "validate",
-    "coboundary", "is_cocycle", "cohomology", "cohomologous",
+    "is_cocycle", "cohomology", "cohomologous",
     "apply_torsor", "relative_obstruction", "solve_cocycleator",
     "theory_to_json", "theory_from_json",
     "category", "compose", "consistency", "constructions", "equivalence",

@@ -400,23 +400,8 @@ class ChargeModule(AbelianModule):
         self._vector_of = vectors
         self._charge_of = {v: c for c, v in vectors.items()}
 
-    def op(self, a, b):
-        return self.theory.translate(a, b)
-
-    def inv(self, a):
-        return self.theory.dual(a)
-
     def act(self, g, a):
         return self.theory.act(g, a)
-
-    def close(self, a, b, tol=None):
-        return a == b
-
-    def is_identity(self, a, tol=None):
-        return a == self.identity
-
-    def elements(self):
-        return self.charges
 
     def to_vec(self, a):
         return self._vector_of[a]

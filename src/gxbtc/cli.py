@@ -366,7 +366,7 @@ def _cmd_build(args):
             alpha = _load_cochain(args.alpha, group, U1Module(order), 3)
         else:
             alpha = Cochain.identity(group, 3, U1Module(order))
-        theory = constructions.build_spt(group, alpha, args.tol)
+        theory = constructions.build_spt(group, alpha)
     elif args.kind == "trivial-ext":
         group = _parse_group(args.group)
         c0 = _load_theory(args.c0)
@@ -394,7 +394,7 @@ def _cmd_enumerate(args):
             entry["theory_index"] = len(unobstructed)
             unobstructed.append(ext)
         entries.append(entry)
-    collapse = _collapse_classes(base, h3, unobstructed, args.tol)
+    collapse = _collapse_classes(base, h3, unobstructed)
     payload = {
         "base": c0.metadata.get("name", args.c0),
         "group": group.name,
@@ -407,7 +407,7 @@ def _cmd_enumerate(args):
     return 0
 
 
-def _collapse_classes(base, h3, extensions, tol):
+def _collapse_classes(base, h3, extensions):
     """Group unobstructed extensions under 1-cochain relabel equivalence.
 
     ``extensions`` are the unobstructed ones, indexed by theory index, and
@@ -436,7 +436,7 @@ def _collapse_classes(base, h3, extensions, tol):
         theory = ext.theory
         shifts[ext.fractionalization] = {
             tuple(h3.class_of(equivalence.cocycle_relabel_class(
-                theory, z, tol, h3.module.order)))
+                theory, z, h3.module.order)))
             for z in zs
             if equivalence.relabeling_from_1cochain(theory, z).fixes(theory)}
     coords = [h3.class_of(ext.alpha) for ext in extensions]
@@ -531,7 +531,7 @@ def _build_options(p):
     q = kinds.add_parser("spt", help="one charge per grade, from --alpha")
     q.add_argument("--group", default="Z2")
     q.add_argument("--alpha", default=None)
-    _common(q, "tol", "root-order")
+    _common(q, "root-order")
     q = kinds.add_parser("trivial-ext", help="--c0 extended by --group")
     q.add_argument("--c0", required=True)
     q.add_argument("--group", default="Z2")

@@ -173,7 +173,6 @@ def commutator_class(theory, t1, t2, root_order=None):
     y12 = correction_coefficients(theory, t1, t2, module.order)
     y21 = correction_coefficients(theory, t2, t1, module.order)
     shifted = cochain.combine(xi.coboundary()).combine(y12)
-    residual = 0.0
-    for args in shifted.support():
-        residual = max(residual, abs(y21(*args) - shifted(*args)))
+    residual = max((abs(y21(*args) - shifted(*args)) for args in shifted.support()),
+                   default=0.0)
     return CommutatorResult(cochain, xi, residual)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InadmissibleTuple, RepresentativeDependent
-from .groups import DEFAULT_TOL, Cochain, U1Module, validate_cocycle
+from .groups import DEFAULT_TOL
 
 
 MAX_FAILURES = 32
@@ -525,15 +525,15 @@ def base_theory_torsorable(theory, tol=DEFAULT_TOL):
     return worst
 
 
-def defectification_obstruction(theory, tol=DEFAULT_TOL, root_order=1):
+def defectification_obstruction(theory, tol=DEFAULT_TOL):
     """Phase by which the four-defect pentagon fails, per grade 4-tuple.
 
-    The phase of an admissible charge assignment is the pentagon's right
-    side, summed over h, over its two-F side.  Every assignment for a given
-    grade tuple must produce the same phase; disagreement beyond
+    Returns {(g, h, k, l): complex} over the non-identity grades in product
+    order.  The phase of an admissible charge assignment is the pentagon's
+    right side, summed over h, over its two-F side.  Every assignment for a
+    given grade tuple must produce the same phase; disagreement beyond
     max(tol, 1e-9) raises, since it means the three-defect consistency
-    precondition did not actually hold.  ``root_order`` only tags the root
-    order of the returned cochain's module for downstream exact solving.  An
+    precondition did not actually hold.  An
     assignment whose two-F side |F(a,b,r;p) F(x,c,d;p)| is below 1e-12 gives
     no phase and is skipped.
     """
@@ -581,8 +581,4 @@ def defectification_obstruction(theory, tol=DEFAULT_TOL, root_order=1):
         raise RepresentativeDependent(
             f"pentagon defect at grades {grade_tuples[no]} "
             f"depends on the charge assignment: {clash[no]} vs {found[no]}")
-    values = {gt: found.get(no, complex(1.0))
-              for no, gt in enumerate(grade_tuples)}
-    cochain = Cochain(theory.group, 4, U1Module(root_order), values)
-    validate_cocycle(cochain, max(tol, 1e-7), degree=4)
-    return cochain
+    return {gt: found.get(no, complex(1.0)) for no, gt in enumerate(grade_tuples)}

@@ -156,8 +156,16 @@ def fibonacci():
 
 
 def _spt_tables(group, alpha):
-    """F/R/U/eta for the one-charge-per-grade theory built from a 3-cochain."""
+    """F/R/U/eta for the one-charge-per-grade theory built from a U(1)
+    3-cochain, each the root of unity of a sum of its exponents."""
     g = group
+    exponent = dict(zip(alpha.support(), alpha.vec)).get
+    phase = [alpha.module.value(k) for k in range(alpha.module.order)]
+
+    def ratio(top, first=None, second=None):
+        return phase[(exponent(top, 0) - exponent(first, 0) - exponent(second, 0))
+                     % len(phase)]
+
     f = {}
     r = {}
     u = {}
@@ -167,30 +175,30 @@ def _spt_tables(group, alpha):
             ab = g.op(a, b)
             r[(a, b, ab)] = ONE
             for c in g.elements():
-                f[(a, b, c, g.op(ab, c), ab, g.op(b, c))] = alpha(a, b, c)
+                f[(a, b, c, g.op(ab, c), ab, g.op(b, c))] = ratio((a, b, c))
     for k in g.elements():
         kbar = g.inverse(k)
         for a in g.elements():
             for b in g.elements():
-                u[(k, a, b, g.op(a, b))] = (
-                    alpha(a, k, g.prod(kbar, b, k))
-                    / (alpha(a, b, k) * alpha(k, g.prod(kbar, a, k), g.prod(kbar, b, k))))
+                u[(k, a, b, g.op(a, b))] = ratio(
+                    (a, k, g.prod(kbar, b, k)),
+                    (a, b, k), (k, g.prod(kbar, a, k), g.prod(kbar, b, k)))
     for k in g.elements():
         for a in g.elements():
             for b in g.elements():
                 abar, bbar = g.inverse(a), g.inverse(b)
-                eta[(k, a, b)] = (
-                    alpha(a, g.prod(abar, k, a), b)
-                    / (alpha(a, b, g.prod(bbar, abar, k, a, b)) * alpha(k, a, b)))
+                eta[(k, a, b)] = ratio(
+                    (a, g.prod(abar, k, a), b),
+                    (a, b, g.prod(bbar, abar, k, a, b)), (k, a, b))
     return f, r, u, eta
 
 
-def build_spt(group, alpha, tol=1e-9):
+def build_spt(group, alpha):
     """The G-crossed theory with one charge per grade and data from ``alpha``.
 
     ``alpha`` must be a normalized U(1) 3-cocycle on ``group``.
     """
-    validate_cocycle(alpha, tol, degree=3)
+    validate_cocycle(alpha, degree=3)
     return _build_spt_unchecked(group, alpha)
 
 
@@ -204,9 +212,9 @@ def _build_spt_unchecked(group, alpha):
                     metadata={"name": "spt"})
 
 
-def glue_spt(theory, alpha, tol=1e-9):
+def glue_spt(theory, alpha):
     """Entrywise product of a theory with the SPT data at matching grades."""
-    validate_cocycle(alpha, tol, degree=3)
+    validate_cocycle(alpha, degree=3)
     meta = dict(theory.metadata)
     meta["name"] = meta.get("name", "theory") + "+spt"
     return stack_coefficients(theory, alpha, metadata=meta)
@@ -214,7 +222,7 @@ def glue_spt(theory, alpha, tol=1e-9):
 
 def stack_coefficients(theory, x, **changes):
     """``theory`` with F, U and eta times the SPT symbols of the unvalidated
-    3-cochain ``x`` at their grades, and ``changes`` as in ``replace``.  This
+    U(1) 3-cochain ``x`` at their grades, and ``changes`` as in ``replace``.  This
     is how twist coefficients act (arXiv:1410.4540)."""
     spt_f, _, spt_u, spt_eta = _spt_tables(theory.group, x)
     gr = theory.grades

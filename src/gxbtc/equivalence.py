@@ -9,11 +9,11 @@ inequivalence rather than a search failure.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from . import intlin
+from . import consistency, intlin
 from .category import GxTheory, tables_distance
+from .consistency import cmul, cquot
 from .errors import (
     BudgetExceeded,
     GradeViolation,
@@ -29,7 +29,7 @@ from .groups import (
     turn_phase,
     validate_cocycle,
 )
-from .torsor import root_module
+from .torsor import _Lookups, _table_of, root_module
 
 
 @dataclass
@@ -294,7 +294,7 @@ def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
 # the closed-form relabel class
 
 
-def cocycle_relabel_class(theory, z, tol=DEFAULT_TOL, root_order=None):
+def cocycle_relabel_class(theory, z, root_order=None):
     """The 3-cocycle omega_z that relabeling by a closed 1-cochain ``z`` adds.
 
     For a twist T_{t,x} of a theory and a closed ``z`` whose relabeling
@@ -302,34 +302,36 @@ def cocycle_relabel_class(theory, z, tol=DEFAULT_TOL, root_order=None):
     relabel_z(T_{t,x}) is gauge equivalent to T_{t,x*omega_z}.  So
     defectification classes alpha and alpha*omega_z of one fractionalization
     class t name the same theory.  omega_z reads only identity-graded
-    symbols, which do not depend on x, so any T_{t,x} gives it.  Values lie
-    in U(1) at ``root_order`` (default: :func:`default_root_order`).
+    symbols, which do not depend on x, so any T_{t,x} gives it.  Its phases
+    (:func:`_relabel_phases`) are snapped to U(1) at ``root_order``
+    (default: :func:`default_root_order`).
     """
     if not is_cocycle(z):
         raise NotA1Cocycle("relabeling 1-cochain must be closed")
     module = root_module(theory, root_order)
-    grp = theory.group
-    dual = theory.dual
-    act = theory.act
-    tr = theory.translate
-
-    def value(g, h, k):
-        gh = grp.op(g, h)
-        hk = grp.op(h, k)
-        ghk = grp.op(gh, k)
-        ghzbar_k = act(gh, dual(z(k)))
-        zk_zhk = act(g, tr(z(k), dual(z(hk))))
-        zhk_zghk = tr(act(g, z(hk)), dual(z(ghk)))
-        val = theory.eta_symbol(ghzbar_k, g, h)
-        val = val * theory.u_line(g, zk_zhk, ghzbar_k)
-        return val / theory.f_line(zhk_zghk, zk_zhk, ghzbar_k)
-
-    entries = {}
-    for args in itertools.product(grp.elements(), repeat=3):
-        entries[args] = value(*args)
-    out = Cochain(grp, 3, module, entries)
-    validate_cocycle(out, max(tol, 1e-7), degree=3)
+    out = Cochain(theory.group, 3, module, _relabel_phases(theory, z))
+    validate_cocycle(out, degree=3)
     return out
+
+
+def _relabel_phases(theory, z):
+    """Phases {(g, h, k): complex} of omega_z over G^3 in product order, on
+    the numpy index, bit for bit as the scalar formula of the oracles."""
+    import numpy as np
+    ix = consistency.theory_index(theory)
+    mult, act, dual, tr = ix.mult, ix.act, ix.dual, ix.translate
+    zg = np.array([z(g) for g in theory.group.elements()], dtype=np.int64)
+    g, h, k = np.indices((ix.order,) * 3).reshape(3, -1)
+    gh, hk = mult[g, h], mult[h, k]
+    ghzbar_k = act[gh, dual[zg[k]]]
+    zk_zhk = act[g, tr(zg[k], dual[zg[hk]])]
+    zhk_zghk = tr(act[g, zg[hk]], dual[zg[mult[gh, k]]])
+    look = _Lookups(ix)
+    val = look.eta(ghzbar_k, g, h)
+    val = cmul(val, look.u_line(g, zk_zhk, ghzbar_k))
+    val = cquot(val, look.f_line(zhk_zghk, zk_zhk, ghzbar_k))
+    look.check()
+    return _table_of((g, h, k), val)
 
 
 # ---------------------------------------------------------------------------

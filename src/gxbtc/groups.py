@@ -1,11 +1,15 @@
 """Finite groups, coefficient modules, normalized cochains, and cohomology.
 
-Cochains are normalized maps G^n -> M stored sparsely over tuples of
+A normalized cochain G^n -> M is an integer vector over the tuples of
 non-identity group elements.  M is either a finite abelian group presented
-by cyclic factors (optionally with a twisting G-action) or the circle group
-restricted in practice to roots of unity.  Cohomology is computed by exact
-integer linear algebra on the linearized coboundary operator; enumeration
-never enters except in the test oracles.
+by cyclic factors (optionally with a twisting G-action), held as residues,
+or the N-th roots of unity in U(1), held as exponents mod N; a complex
+value enters only through :meth:`U1Module.exponent_of`, which snaps it or
+raises SnapFailure.  Products, inverses and coboundaries are integer vector
+operations, and one face rule (:func:`_faces`) states the coboundary for
+both the cochains and the integer matrix that the Smith forms read.
+Cohomology is computed by exact integer linear algebra on that matrix;
+enumeration never enters except in the test oracles.
 """
 
 from __future__ import annotations
@@ -142,8 +146,8 @@ class FiniteGroup:
 class U1Module:
     """Roots of unity mu_N inside U(1), with trivial G-action.
 
-    Elements are complex numbers of unit modulus.  ``order`` is the root
-    order used when snapping values for exact solving.
+    Elements are complex numbers of unit modulus; a cochain holds each as
+    its exponent k mod N, the value exp(2 pi i k / N).  ``order`` is N.
     """
 
     kind = "u1"
@@ -155,25 +159,11 @@ class U1Module:
         self.factors = (order,)
         self.identity = complex(1.0)
 
-    def op(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return a.conjugate()
-
-    def act(self, g, a):
-        return a
-
     def action_matrix(self, g):
         return [[1]]
 
-    def close(self, a, b, tol=DEFAULT_TOL):
-        return abs(a - b) <= tol
-
-    def is_identity(self, a, tol=DEFAULT_TOL):
-        return abs(a - 1.0) <= tol
-
     def exponent_of(self, a):
+        """The exponent of the N-th root of unity within SNAP_TOL of ``a``."""
         k = round(math.atan2(a.imag, a.real) / TAU * self.order) % self.order
         if abs(a - self.value(k)) > SNAP_TOL:
             raise SnapFailure(
@@ -190,7 +180,7 @@ class U1Module:
         return self.value(vec[0])
 
     def validate_element(self, a):
-        if abs(abs(a) - 1.0) > SNAP_TOL:
+        if not abs(abs(a) - 1.0) <= SNAP_TOL:  # also refuses NaN
             raise InvalidInput(f"U(1) cochain value {a!r} is not a phase")
         return complex(a)
 
@@ -217,12 +207,6 @@ class AbelianModule:
         self.group = group
         self._action = action
 
-    def op(self, a, b):
-        return tuple((x + y) % m for x, y, m in zip(a, b, self.factors))
-
-    def inv(self, a):
-        return tuple((-x) % m for x, m in zip(a, self.factors))
-
     def act(self, g, a):
         if self._action is None:
             return a
@@ -235,15 +219,6 @@ class AbelianModule:
             basis = tuple(1 if i == j else 0 for i in range(k))
             cols.append(self.act(g, basis))
         return [[cols[j][i] for j in range(k)] for i in range(k)]
-
-    def close(self, a, b, tol=None):
-        return a == b
-
-    def is_identity(self, a, tol=None):
-        return a == self.identity
-
-    def elements(self):
-        return [tuple(v) for v in itertools.product(*[range(m) for m in self.factors])]
 
     def to_vec(self, a):
         return tuple(a)
@@ -266,38 +241,60 @@ class AbelianModule:
 
 
 class Cochain:
-    """A normalized n-cochain on a finite group with values in a module."""
+    """A normalized n-cochain on a finite group with values in a module.
+
+    ``vec`` holds k coordinates per tuple of non-identity elements, in
+    :func:`_tuple_index` order, for a module of k cyclic factors: the
+    exponent mod N of a U(1) value at root order N, or the residues of a
+    finite-module value.  ``entries`` and calls read the values back.
+    """
 
     def __init__(self, group, degree, module, entries=None):
         self.group = group
         self.degree = int(degree)
         self.module = module
-        data = {}
-        if entries:
-            for args, value in entries.items():
-                args = tuple(args)
-                if len(args) != self.degree:
-                    raise InvalidInput("entry arity does not match cochain degree")
-                if group.identity in args:
-                    if not module.is_identity(value):
-                        raise NormalizationError(
-                            f"non-identity value at identity-containing tuple {args}")
-                    continue
-                value = module.validate_element(value)
-                if not module.is_identity(value):
-                    data[args] = value
-        self.entries = data
+        k = len(module.factors)
+        vec = [0] * ((group.order - 1) ** self.degree * k)
+        coords = {}  # each distinct value is snapped once
+        for args, value in (entries or {}).items():
+            args = tuple(args)
+            if len(args) != self.degree:
+                raise InvalidInput("entry arity does not match cochain degree")
+            value = module.validate_element(value)
+            if value not in coords:
+                coords[value] = module.to_vec(value)
+            if group.identity in args:
+                if any(coords[value]):
+                    raise NormalizationError(
+                        f"non-identity value at identity-containing tuple {args}")
+                continue
+            i = _position(group, args) * k
+            vec[i:i + k] = coords[value]
+        self.vec = vec
 
     @classmethod
     def identity(cls, group, degree, module):
-        return cls(group, degree, module, {})
+        return cls(group, degree, module)
 
     @classmethod
     def from_function(cls, group, degree, module, fn):
-        entries = {}
-        for args in itertools.product(group.nonidentity(), repeat=degree):
-            entries[args] = fn(*args)
-        return cls(group, degree, module, entries)
+        return cls(group, degree, module,
+                   {args: fn(*args) for args in
+                    itertools.product(group.nonidentity(), repeat=degree)})
+
+    @classmethod
+    def from_vec(cls, group, degree, module, vec):
+        """The cochain with coordinates ``vec``, reduced modulo the factors."""
+        out = cls(group, degree, module)
+        out.vec = [x % m for x, m in zip(vec, itertools.cycle(module.factors))]
+        return out
+
+    @cached_property
+    def entries(self):
+        """{args: value} at each tuple whose value is not the identity."""
+        k, vec = len(self.module.factors), self.vec
+        return {args: self.module.from_vec(vec[i * k:i * k + k])
+                for i, args in enumerate(self.support()) if any(vec[i * k:i * k + k])}
 
     def __call__(self, *args):
         if len(args) != self.degree:
@@ -316,62 +313,95 @@ class Cochain:
         """
         if other.degree != self.degree:
             raise InvalidInput("cochain degrees differ")
-        module = self.module
-        if self.module.kind == "u1" and other.module.kind == "u1":
-            if other.module.order != self.module.order:
-                module = U1Module(math.lcm(self.module.order, other.module.order))
-        elif other.module is not self.module \
-                and other.module.factors != self.module.factors:
+        module, mine, theirs = self.module, self.vec, other.vec
+        if module.kind == other.module.kind == "u1" and other.module.order != module.order:
+            module = U1Module(math.lcm(module.order, other.module.order))
+            mine = [x * (module.order // self.module.order) for x in mine]
+            theirs = [x * (module.order // other.module.order) for x in theirs]
+        elif other.module is not module and other.module.factors != module.factors:
             raise InvalidInput("cochain shapes differ")
-        return Cochain.from_function(
-            self.group, self.degree, module,
-            lambda *args: module.op(self(*args), other(*args)))
+        return Cochain.from_vec(self.group, self.degree, module,
+                                [x + y for x, y in zip(mine, theirs)])
 
     def inverse(self):
-        return Cochain.from_function(
-            self.group, self.degree, self.module,
-            lambda *args: self.module.inv(self(*args)))
-
-    def equal(self, other, tol=DEFAULT_TOL):
-        for args in self.support():
-            if not self.module.close(self(*args), other(*args), tol):
-                return False
-        return True
-
-    def is_identity_cochain(self, tol=DEFAULT_TOL):
-        return all(self.module.is_identity(v, tol) for v in self.entries.values())
+        return Cochain.from_vec(self.group, self.degree, self.module,
+                                [-x for x in self.vec])
 
     def coboundary(self):
         """The degree n+1 coboundary, twisted by the module action."""
-        g = self.group
-        mod = self.module
-        n = self.degree
-
-        def value(*args):
-            acc = mod.act(args[0], self(*args[1:]))
-            for j in range(1, n + 1):
-                merged = args[:j - 1] + (g.op(args[j - 1], args[j]),) + args[j + 1:]
-                term = self(*merged)
-                acc = mod.op(acc, term if j % 2 == 0 else mod.inv(term))
-            last = self(*args[:n])
-            acc = mod.op(acc, last if (n + 1) % 2 == 0 else mod.inv(last))
-            return acc
-
-        return Cochain.from_function(g, n + 1, mod, value)
+        return Cochain.from_vec(self.group, self.degree + 1, self.module,
+                                [x for block in _coboundary_blocks(self) for x in block])
 
     def __repr__(self):
         return (f"Cochain(degree={self.degree}, group={self.group.name or self.group.order}, "
                 f"module={self.module.describe()}, nontrivial={len(self.entries)})")
 
 
-def coboundary(cochain):
-    """Functional form of :meth:`Cochain.coboundary`."""
-    return cochain.coboundary()
+def _position(group, args):
+    """Index of a tuple of non-identity elements in :func:`_tuple_index` order."""
+    pos, n, e = 0, len(group.mult), group.identity
+    for g in args:
+        if not 0 <= g < n:
+            raise InvalidInput(f"{g!r} is not an element of the group")
+        pos = pos * (n - 1) + g - (g > e)
+    return pos
 
 
-def is_cocycle(cochain, tol=DEFAULT_TOL):
+def _faces(group, degree):
+    """The one statement of d: C^degree -> C^{degree+1}, a block at a time.
+
+    Yields each non-identity g with the faces of the tuples (g, x_1, ..) in
+    :func:`_tuple_index` order, as (sign, positions): per tuple, the face's
+    position in C^degree, or -1 where it holds the identity.  The faces are
+    (x_1, ..) acted on by g, then g x_1, x_1 x_2, ... merged with signs
+    -1, +1, ..., then the tuple without its last element.
+    """
+    rests, pos = _tuple_index(group, degree)
+    _, inner = _tuple_index(group, max(degree - 1, 0))
+    m, mult = group.order - 1, group.mult
+    merged = [[inner.get(a[:j - 1] + (mult[a[j - 1]][a[j]],) + a[j + 1:], -1)
+               for a in rests] for j in range(1, degree)]
+    every = list(range(len(rests)))
+    for s, g in enumerate(group.nonidentity()):
+        off = s * m ** (degree - 1) if degree else 0
+        faces = [(1, every)]
+        if degree:
+            faces.append((-1, [pos.get((mult[g][a[0]],) + a[1:], -1) for a in rests]))
+        faces += [(1 if j % 2 else -1, [off + p if p >= 0 else -1 for p in face])
+                  for j, face in enumerate(merged, 1)]
+        faces.append((-1 if degree % 2 == 0 else 1, [off + r // m for r in every]))
+        yield g, faces
+
+
+def _terms(module, g, faces):
+    """(i, j, a, positions): coordinate j of a face adds a times into
+    coordinate i; the first face carries the action of g."""
+    act, k = module.action_matrix(g), len(module.factors)
+    for f, (sign, positions) in enumerate(faces):
+        for i in range(k):
+            for j in range(k):
+                a = sign * (act[i][j] if f == 0 else int(i == j))
+                if a:
+                    yield i, j, a, positions
+
+
+def _coboundary_blocks(cochain):
+    """d(cochain) along :func:`_faces`, one block of tuples at a time: k
+    integer coordinates per tuple, not yet reduced."""
+    k = len(cochain.module.factors)
+    padded = cochain.vec + [0] * k  # position -1 reads the zeros
+    for g, faces in _faces(cochain.group, cochain.degree):
+        coords = [[0] * len(faces[0][1]) for _ in range(k)]
+        for i, j, a, positions in _terms(cochain.module, g, faces):
+            coords[i] = [c + a * padded[p * k + j] for c, p in zip(coords[i], positions)]
+        yield [x for coord in zip(*coords) for x in coord]
+
+
+def is_cocycle(cochain):
     """True iff the coboundary of ``cochain`` is the identity cochain."""
-    return cochain.coboundary().is_identity_cochain(tol)
+    factors = cochain.module.factors
+    return not any(x % m for block in _coboundary_blocks(cochain)
+                   for x, m in zip(block, itertools.cycle(factors)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,55 +471,23 @@ def _coboundary_matrix(group, degree, module):
     """Integer matrix of d: C^degree -> C^{degree+1} on normalized coordinates.
 
     Coordinates are (tuple, factor) pairs, tuples ordered lexicographically.
-    Each row is a sparse ``{column: entry}`` dict of its nonzero entries.
+    Each row is a sparse ``{column: entry}`` dict of its nonzero entries,
+    filled along :func:`_faces`.
     """
     k = len(module.factors)
-    src_tuples, src_pos = _tuple_index(group, degree)
-    dst_tuples, _ = _tuple_index(group, degree + 1)
-    rows = len(dst_tuples) * k
-    cols = len(src_tuples) * k
+    rows = (group.order - 1) ** (degree + 1) * k
+    cols = (group.order - 1) ** degree * k
     mat = []
-    ident = group.identity
-    for args in dst_tuples:
-        block = [{} for _ in range(k)]
-
-        def add_block(src_args, sign, matrix=None):
-            if ident in src_args:
-                return
-            j0 = src_pos[src_args] * k
-            for i, row in enumerate(block):
-                for j in range(k):
-                    a = int(i == j) if matrix is None else matrix[i][j]
-                    if a:
-                        row[j0 + j] = row.get(j0 + j, 0) + sign * a
-
-        add_block(args[1:], 1, module.action_matrix(args[0]))
-        n = degree
-        for j in range(1, n + 1):
-            merged = args[:j - 1] + (group.op(args[j - 1], args[j]),) + args[j + 1:]
-            add_block(merged, 1 if j % 2 == 0 else -1)
-        add_block(args[:n], 1 if (n + 1) % 2 == 0 else -1)
-        mat += [{j: a for j, a in row.items() if a} for row in block]
+    for g, faces in _faces(group, degree):
+        terms = list(_terms(module, g, faces))
+        for t in range(len(faces[0][1])):
+            block = [{} for _ in range(k)]
+            for i, j, a, positions in terms:
+                col = positions[t] * k + j
+                if col >= 0:
+                    block[i][col] = block[i].get(col, 0) + a
+            mat += [{j: a for j, a in row.items() if a} for row in block]
     return mat, rows, cols
-
-
-def _cochain_to_vec(cochain):
-    tuples, _ = _tuple_index(cochain.group, cochain.degree)
-    k = len(cochain.module.factors)
-    vec = []
-    for args in tuples:
-        vec.extend(cochain.module.to_vec(cochain(*args)))
-    assert len(vec) == len(tuples) * k
-    return vec
-
-
-def _vec_to_cochain(group, degree, module, vec):
-    tuples, _ = _tuple_index(group, degree)
-    k = len(module.factors)
-    entries = {}
-    for i, args in enumerate(tuples):
-        entries[args] = module.from_vec(tuple(vec[i * k + j] for j in range(k)))
-    return Cochain(group, degree, module, entries)
 
 
 def _scale_rows_to_lcm(mat, out_factors, tuples_count):
@@ -528,8 +526,8 @@ class CohomologyGroup:
     def class_of(self, cocycle):
         """Coordinates of a U(1) cocycle's class in Z/d_1 x ... x Z/d_k.
 
-        The cocycle is snapped to exponents e at its own root order N.  It
-        is closed iff c = A e / N is integral, A the integer coboundary,
+        With e the cocycle's exponents at its root order N, it is closed
+        iff c = A e / N is integral, A the integer coboundary,
         and then coordinate i is (U c)_i mod d_i for the Smith form
         U A V = D that gave ``orders``: U c = D V^-1 e / N.  So the i-th
         representative has the i-th unit vector, coordinates add under
@@ -541,21 +539,16 @@ class CohomologyGroup:
         if cocycle.group.mult != self.group.mult or cocycle.degree != self.degree:
             raise InvalidInput("cocycle is not a cochain of this group and degree")
         n = cocycle.module.order
-        e = [cocycle.module.exponent_of(v) for v in _cochain_to_vec_u1(cocycle)]
         c = []
-        for row in self._coboundary_rows:
-            q, r = divmod(sum(a * e[j] for j, a in row.items()), n)
-            if r:
-                raise NotACocycle(f"{cocycle!r} has nontrivial coboundary")
-            c.append(q)
+        for block in _coboundary_blocks(cocycle):
+            for x in block:
+                q, r = divmod(x, n)
+                if r:
+                    raise NotACocycle(f"{cocycle!r} has nontrivial coboundary")
+                c.append(q)
         sf = _cached_snf(self.group, self.degree, self.module)
         c = sf.apply_u(c)
         return [c[i] % d for i, d in enumerate(sf.diag) if d > 1]
-
-    @cached_property
-    def _coboundary_rows(self):
-        """Sparse rows of the integer coboundary out of this degree."""
-        return _coboundary_matrix(self.group, self.degree, U1Module(1))[0]
 
 
 def cohomology(group, degree, module):
@@ -591,8 +584,8 @@ def _cohomology_u1(group, degree, module):
             f"root order {root_order} misses classes of H^{degree} = "
             f"{' x '.join(f'Z{d}' for d in orders)}; use a multiple of "
             f"{math.lcm(*orders)}")
-    reps = [_vec_to_cochain(group, degree, module,
-                            [(root_order // d) * row[i] for row in sf.v])
+    reps = [Cochain.from_vec(group, degree, module,
+                             [(root_order // d) * row[i] for row in sf.v])
             for i, d in factors]
     return CohomologyGroup(group, degree, module, orders, reps)
 
@@ -614,8 +607,7 @@ def _cohomology_abelian(group, degree, module):
     if 0 in orders:
         raise AssertionError("cohomology of a finite module came out infinite")
     pairs = sorted(zip(orders, vecs), key=lambda p: p[0])
-    reps = [_vec_to_cochain(group, degree, module,
-                            [x % m for x, m in zip(v, mods)]) for _, v in pairs]
+    reps = [Cochain.from_vec(group, degree, module, v) for _, v in pairs]
     return CohomologyGroup(group, degree, module, [o for o, _ in pairs], reps)
 
 
@@ -631,36 +623,24 @@ def cohomologous(first, second):
     group, degree, module = first.group, first.degree, first.module
     if degree == 0:
         raise InvalidInput("degree-0 cochains have no coboundary witnesses")
-    if module.kind == "u1":
-        ratio = first.combine(second.inverse())
-        target = [module.exponent_of(v) for v in _cochain_to_vec_u1(ratio)]
-        big = module.order * group.order
-        scale = group.order
-        witness_module = U1Module(big)
-        sf = _cached_snf(group, degree - 1, module)
-        y = intlin.solve_mod(sf, [scale * t for t in target], big)
+    diff = first.combine(second.inverse())
+    if diff.module.kind == "u1":
+        big = diff.module.order * group.order
+        sf = _cached_snf(group, degree - 1, diff.module)
+        y = intlin.solve_mod(sf, [group.order * e for e in diff.vec], big)
         if y is None:
             return None
-        return _vec_to_cochain(group, degree - 1, witness_module, y)
-    diff = first.combine(second.inverse())
-    target = _cochain_to_vec(diff)
+        return Cochain.from_vec(group, degree - 1, U1Module(big), y)
     k = len(module.factors)
     if k == 0:
         return Cochain.identity(group, degree - 1, module)
-    n_tuples = len(_tuple_index(group, degree)[0])
     lcm = math.lcm(*module.factors)
     sf = _cached_snf(group, degree - 1, module)
-    mods = [m for _ in range(n_tuples) for m in module.factors]
-    b = [(lcm // m) * t for m, t in zip(mods, target)]
+    b = [(lcm // m) * t for t, m in zip(diff.vec, itertools.cycle(module.factors))]
     y = intlin.solve_mod(sf, b, lcm)
     if y is None:
         return None
-    return _vec_to_cochain(group, degree - 1, module, y)
-
-
-def _cochain_to_vec_u1(cochain):
-    tuples, _ = _tuple_index(cochain.group, cochain.degree)
-    return [cochain(*args) for args in tuples]
+    return Cochain.from_vec(group, degree - 1, module, y)
 
 
 _SNF_CACHE = {}
@@ -800,10 +780,10 @@ def cochain_from_json(obj, group, module=None, degree=None):
         raise InvalidInput(f"malformed cochain JSON: {exc}") from exc
 
 
-def validate_cocycle(cochain, tol=DEFAULT_TOL, degree=None):
+def validate_cocycle(cochain, degree=None):
     """Raise NotACocycle unless ``cochain`` is closed (optionally of a degree)."""
     if degree is not None and cochain.degree != degree:
         raise InvalidInput(f"expected a degree-{degree} cochain")
-    if not is_cocycle(cochain, tol):
+    if not is_cocycle(cochain):
         raise NotACocycle(f"{cochain!r} has nontrivial coboundary")
     return cochain

@@ -7,17 +7,19 @@ triples.  The relative obstruction measures whether coefficients exist
 making the four-defect pentagon close; when its class is trivial,
 :func:`solve_cocycleator` produces canonical coefficients.
 
-The twisted F and U tables, the largest, are evaluated as arrays on the
-base theory's numpy index (:func:`gxbtc.consistency.theory_index`), bit
-for bit as the scalar formulas kept in ``tests/oracles.py``; the R and eta
-tables, a small share of a twist, stay loops.  As in ``consistency``, the
+The twisted F and U tables, the largest, and the relative obstruction are
+evaluated as arrays on the base theory's numpy index
+(:func:`gxbtc.consistency.theory_index`), bit for bit as the scalar
+formulas kept in ``tests/oracles.py``; the R and eta tables, a small share
+of a twist, stay loops.  The obstruction's phases are snapped to a U(1)
+cochain once; :func:`_twisted_obstruction` is the one place where phases
+off the roots of unity are kept as floats.  As in ``consistency``, the
 functions that build arrays import numpy themselves.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,7 +33,6 @@ from .errors import (
     InvalidInput,
     NotACocycle,
     RestrictionMismatch,
-    RootOrderTooSmall,
     SnapFailure,
 )
 from .groups import (
@@ -75,8 +76,6 @@ def validate_two_cocycle(theory, t):
         raise InvalidInput("fusion twist must be a 2-cochain valued in abelian charges")
     if t.group.mult != theory.group.mult:
         raise InvalidInput("fusion twist lives on the wrong group")
-    for args in t.support():
-        t.module.validate_element(t(*args))
     if not is_cocycle(t):
         raise NotACocycle("fusion twist is not a twisted 2-cocycle")
     return t
@@ -242,6 +241,9 @@ class _Lookups:
 
     def u(self, *labels):
         return self._get("U", self.index.u, labels)
+
+    def eta(self, *labels):
+        return self._get("eta", self.index.eta, labels)
 
     def f_line(self, a, b, c):
         tr = self.index.translate
@@ -482,41 +484,45 @@ def relative_obstruction(theory, t, root_order=None, tol=DEFAULT_TOL):
     module = root_module(theory, root_order)
     twist = Twist(theory, t)
     _require_torsorable(theory, tol)
-    return _obstruction(twist, module, tol)
+    return _obstruction_cochain(theory.group, module, _obstruction(twist))
 
 
-def _obstruction(twist, module, tol):
-    """Body of :func:`relative_obstruction` for a validated twist."""
-    theory, t = twist.theory, twist.t
-    grp = theory.group
-    f3 = theory.f_line
-    u2 = theory.u_line
+def _obstruction(twist):
+    """Phases {(g, h, k, l): complex} of :func:`relative_obstruction` over
+    G^4 in product order, for a validated twist, in one pass on the base's
+    index."""
+    import numpy as np
+    theory = twist.theory
+    ix = consistency.theory_index(theory)
+    t = _group_table(theory.group, twist.t)
+    mult, act = ix.mult, ix.act
+    g, h, k, l = np.indices((ix.order,) * 4).reshape(4, -1)
+    gh, hk, kl = mult[g, h], mult[h, k], mult[k, l]
+    t_gh = t[g, h]
+    ght_kl = act[gh, t[k, l]]
+    gt_h_kl = act[g, t[h, kl]]
+    gt_hk_l = act[g, t[hk, l]]
+    gt_hk = act[g, t[h, k]]
+    look = _Lookups(ix)
+    val = look.eta(ght_kl, g, h)
+    val = cmul(val, look.u_line(g, gt_h_kl, ght_kl))
+    val = cquot(val, look.u_line(g, gt_hk_l, gt_hk))
+    val = cmul(val, look.r_line(ght_kl, t_gh))
+    val = cmul(val, cquot(look.f_line(t[gh, kl], t_gh, ght_kl),
+                          look.f_line(t[gh, kl], ght_kl, t_gh)))
+    val = cmul(val, cquot(look.f_line(t[g, mult[h, kl]], gt_hk_l, gt_hk),
+                          look.f_line(t[g, mult[h, kl]], gt_h_kl, ght_kl)))
+    val = cmul(val, cquot(look.f_line(t[mult[g, hk], l], t[gh, k], t_gh),
+                          look.f_line(t[mult[g, hk], l], t[g, hk], gt_hk)))
+    look.check()
+    return _table_of((g, h, k, l), val)
 
-    def value(g, h, k, l):
-        gh = grp.op(g, h)
-        hk = grp.op(h, k)
-        kl = grp.op(k, l)
-        hkl = grp.op(h, kl)
-        ghk = grp.op(g, hk)
-        t_gh = t(g, h)
-        ght_kl = theory.act(gh, t(k, l))
-        val = theory.eta_symbol(ght_kl, g, h)
-        val = val * u2(g, theory.act(g, t(h, kl)), ght_kl)
-        val = val / u2(g, theory.act(g, t(hk, l)), theory.act(g, t(h, k)))
-        val = val * theory.r_line(ght_kl, t_gh)
-        val = val * (f3(t(gh, kl), t_gh, ght_kl) / f3(t(gh, kl), ght_kl, t_gh))
-        val = val * (f3(t(g, hkl), theory.act(g, t(hk, l)), theory.act(g, t(h, k)))
-                     / f3(t(g, hkl), theory.act(g, t(h, kl)), ght_kl))
-        val = val * (f3(t(ghk, l), t(gh, k), t_gh)
-                     / f3(t(ghk, l), t(g, hk), theory.act(g, t(h, k))))
-        return val
 
-    entries = {}
-    for args in itertools.product(grp.elements(), repeat=4):
-        entries[args] = value(*args)
-    cochain = Cochain(grp, 4, module, entries)
-    if not is_cocycle(cochain, max(tol, 1e-7)):
-        raise NotACocycle("relative obstruction came out non-closed; "
+def _obstruction_cochain(group, module, phases):
+    """Phases over G^4 as a U(1) 4-cochain, checked closed."""
+    cochain = Cochain(group, 4, module, phases)
+    if not is_cocycle(cochain):
+        raise NotACocycle("an obstruction came out non-closed; "
                           "the input theory is inconsistent")
     return cochain
 
@@ -556,34 +562,58 @@ def apply_torsor(theory, t, x=None, tol=DEFAULT_TOL, root_order=None,
     twist = Twist(theory, t, tol)
     if check_preconditions:
         _require_torsorable(theory, tol)
-    orr = _obstruction(twist, module, tol)
+    orr = _obstruction(twist)
     if x is None:
-        x = solve_coefficients_for(orr)
+        x = solve_coefficients_for(_obstruction_cochain(theory.group, module, orr))
         if x is None:
             raise NotACocycle(
                 "the relative obstruction class is nontrivial; "
                 "no coefficients make the twisted theory consistent")
 
-    def base_obstruction():
-        return consistency.defectification_obstruction(theory, tol,
-                                                       root_order=module.order)
-
-    return _assemble(twist, orr, x, base_obstruction)
+    return _assemble(twist, x, lambda: _twisted_obstruction(
+        theory.group, module, orr, consistency.defectification_obstruction(theory, tol)))
 
 
-def _assemble(twist, orr, x, base_obstruction):
-    """Twisted theory of ``twist`` (relative obstruction ``orr``) at ``x``:
-    ``twist.unit`` with ``x`` stacked on.  ``base_obstruction()`` gives the
-    untwisted defectification obstruction; it is called after ``twist.unit``.
+def _twisted_obstruction(group, module, orr, base):
+    """The relative obstruction's phases ``orr`` times the base theory's
+    defectification phases ``base``, as a closed U(1) 4-cochain.
+
+    This is the one float path of the U(1) cochains: on anomalous data, or
+    on data gauged by phases that are not roots of unity, a product does
+    not snap, and the products are returned as {args: complex} for
+    :func:`_assemble` to record as floats with a null class.
+    """
+    phases = {args: value * base.get(args, 1.0) for args, value in orr.items()}
+    try:
+        return _obstruction_cochain(group, module, phases)
+    except SnapFailure:
+        return phases
+
+
+def _assemble(twist, x, obstruction):
+    """Twisted theory of ``twist`` at ``x``: ``twist.unit`` with ``x``
+    stacked on, and in its metadata the nontrivial entries of its defect
+    obstruction d(x) * ``obstruction()`` (:func:`_twisted_obstruction`,
+    called after ``twist.unit``) and whether their class is trivial.
     """
     unit = twist.unit
-    hatted = x.coboundary().combine(orr).combine(base_obstruction())
+    obstruction = obstruction()
+    dx = x.coboundary()
+    if isinstance(obstruction, dict):  # the float path
+        values = [(args, dx(*args) * obstruction[args]) for args in dx.support()]
+        entries = [(args, v) for args, v in values if abs(v - 1.0) > DEFAULT_TOL]
+        trivial = None
+    else:
+        hatted = dx.combine(obstruction)
+        identity = Cochain.identity(hatted.group, 4, hatted.module)
+        entries = hatted.entries.items()
+        trivial = cohomologous(hatted, identity) is not None
     metadata = dict(twist.theory.metadata)
     metadata["name"] = metadata.get("name", "theory") + "~twisted"
     metadata["obstruction"] = {
-        "entries": [{"args": list(args), "value": phase_to_json(hatted(*args))}
-                    for args in sorted(hatted.entries)],
-        "trivial_class": _is_trivial_class(hatted),
+        "entries": [{"args": list(args), "value": phase_to_json(value)}
+                    for args, value in entries],
+        "trivial_class": trivial,
     }
     return stack_coefficients(unit, x, metadata=metadata)
 
@@ -612,9 +642,9 @@ def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
     Returns the H^2(G, A) and H^3(G, U(1)) results and the extensions in
     (fractionalization, defectification) order.  Each fractionalization
     class has one :class:`Twist`, so it validates its twist and builds its
-    relative obstruction and its tables at x = 1 once; each alpha only
-    stacks its coefficients on.  The base's defectification obstruction is
-    built once per call.
+    relative obstruction, its tables at x = 1 and its twisted obstruction
+    once; each alpha only stacks its coefficients on.  The base's
+    defectification obstruction is built once per call.
     """
     grp = base.group
     module = root_module(base, root_order)
@@ -625,26 +655,21 @@ def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
 
     @functools.cache
     def base_obstruction():
-        return consistency.defectification_obstruction(base, tol, root_order=module.order)
+        return consistency.defectification_obstruction(base, tol)
 
     extensions = []
     for it, t in enumerate(h2.all_classes()):
         twist = Twist(base, t, tol)
-        orr = _obstruction(twist, module, tol)
-        base_x = solve_coefficients_for(orr)
+        orr = _obstruction(twist)
+        base_x = solve_coefficients_for(_obstruction_cochain(grp, module, orr))
+
+        @functools.cache
+        def obstruction(orr=orr):
+            return _twisted_obstruction(grp, module, orr, base_obstruction())
+
         for ia, alpha in enumerate(alphas):
             theory = None
             if base_x is not None:
-                theory = _assemble(twist, orr, base_x.combine(alpha),
-                                   base_obstruction)
+                theory = _assemble(twist, base_x.combine(alpha), obstruction)
             extensions.append(Extension(it, ia, t, alpha, theory))
     return h2, h3, extensions
-
-
-def _is_trivial_class(cochain):
-    ident = Cochain.identity(cochain.group, cochain.degree, cochain.module)
-    try:
-        return cohomologous(cochain, ident) is not None
-    except (SnapFailure, RootOrderTooSmall):
-        # the class cannot be decided exactly at this root order
-        return None

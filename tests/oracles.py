@@ -7,11 +7,12 @@ Only usable for tiny groups and modules.
 """
 
 import cmath
+import functools
 import itertools
 import math
 from fractions import Fraction
 
-from gxbtc import equivalence, intlin
+from gxbtc import equivalence
 from gxbtc.category import GxTheory, abelian_subgroup
 from gxbtc.consistency import ConsistencyReport
 from gxbtc.equivalence import (
@@ -36,9 +37,7 @@ from gxbtc.groups import (
     _coboundary_matrix,
     _scale_rows_to_lcm,
     _tuple_index,
-    _vec_to_cochain,
     turn_phase,
-    validate_cocycle,
 )
 from gxbtc.torsor import apply_torsor, default_root_order
 
@@ -226,106 +225,158 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def dense_invariant_factors(matrix, rows=None, cols=None):
-    """Reference diagonal for intlin.smith_normal_form, by the textbook
-    dense elimination: the row-major first entry of least magnitude as the
-    pivot, and a remainder swapped in as the next pivot.
+def dense_smith_normal_form(matrix, rows=None, cols=None, left=True, right=True):
+    """Textbook dense Smith normal form U A V = D, independent of intlin.
 
-    The invariant factors are unique, so they must agree with any pivot
-    order.  The remainder swaps let entries grow on dense inputs with a
-    larger rank and larger entries, so callers keep to small or sparse
-    ones.  Accepts an empty list of rows if ``rows``/``cols`` are given.
+    Returns (diag, u, uinv, v): the invariant factors d_1 | d_2 | ... on the
+    min(rows, cols) diagonal, zeros last, and the dense unimodular
+    transforms, u and uinv only when ``left`` and v only when ``right``
+    (else empty).  The pivot is the row-major first entry of least
+    magnitude in the trailing block; a remainder is swapped in as the next
+    pivot, and a row holding a block entry the pivot does not divide is
+    added into the pivot row.  Entries grow on dense inputs with a larger
+    rank and larger entries, so callers keep to small or sparse ones.
+    Accepts an empty list of rows if ``rows``/``cols`` are given.
     """
     if rows is None:
         rows = len(matrix)
     if cols is None:
         cols = len(matrix[0]) if matrix else 0
     d = [list(row) for row in matrix]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-
-    def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
+    u, uinv = (identity_matrix(rows), identity_matrix(rows)) if left else ([], [])
+    v = identity_matrix(cols) if right else []
+    row_mats, col_mats = [d] + ([u] if left else []), [d] + ([v] if right else [])
 
     def add_row(dst, src, c):
-        # row_dst += c * row_src
-        rd, rs = d[dst], d[src]
-        for k in range(cols):
-            rd[k] += c * rs[k]
+        # row dst += c * row src; on U^-1, column src -= c * column dst
+        for m in row_mats:
+            m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
+        for r in uinv:
+            r[src] -= c * r[dst]
+
+    def swap_rows(i, j):
+        for m in row_mats:
+            m[i], m[j] = m[j], m[i]
+        for r in uinv:
+            r[i], r[j] = r[j], r[i]
 
     def add_col(dst, src, c):
-        # col_dst += c * col_src
-        for r in d:
-            r[dst] += c * r[src]
+        for m in col_mats:
+            for r in m:
+                r[dst] += c * r[src]
+
+    def swap_cols(i, j):
+        for m in col_mats:
+            for r in m:
+                r[i], r[j] = r[j], r[i]
 
     t = 0
     limit = min(rows, cols)
     while t < limit:
-        # locate a pivot of minimal magnitude in the trailing block
-        pivot = None
-        best = None
+        pivot, best = None, None
         for i in range(t, rows):
-            row = d[i]
             for j in range(t, cols):
-                a = row[j]
-                if a:
-                    a = abs(a)
-                    if best is None or a < best:
-                        best = a
-                        pivot = (i, j)
-                        if a == 1:
-                            break
+                a = abs(d[i][j])
+                if a and (best is None or a < best):
+                    pivot, best = (i, j), a
+                    if a == 1:
+                        break
             if best == 1:
                 break
         if pivot is None:
             break
-        pi, pj = pivot
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
         while True:
-            # clear the pivot column
-            dirty = False
+            done = True
             for i in range(t + 1, rows):
-                a = d[i][t]
-                if a:
-                    q = a // d[t][t]
-                    if q:
-                        add_row(i, t, -q)
+                if d[i][t]:
+                    add_row(i, t, -(d[i][t] // d[t][t]))
                     if d[i][t]:
                         swap_rows(t, i)
-                        dirty = True
-            # clear the pivot row
+                        done = False
             for j in range(t + 1, cols):
-                a = d[t][j]
-                if a:
-                    q = a // d[t][t]
-                    if q:
-                        add_col(j, t, -q)
+                if d[t][j]:
+                    add_col(j, t, -(d[t][j] // d[t][t]))
                     if d[t][j]:
                         swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                col_ok = all(d[i][t] == 0 for i in range(t + 1, rows))
-                row_ok = all(d[t][j] == 0 for j in range(t + 1, cols))
-                if col_ok and row_ok:
-                    break
+                        done = False
+            if done and abs(d[t][t]) != 1:
+                for i in range(t + 1, rows):
+                    if any(x % d[t][t] for x in d[i][t + 1:]):
+                        add_row(t, i, 1)
+                        done = False
+                        break
+            if done:
+                break
+        if d[t][t] < 0:  # negate row t, and column t of U^-1
+            for m in row_mats:
+                m[t] = [-x for x in m[t]]
+            for r in uinv:
+                r[t] = -r[t]
         t += 1
+    return [d[i][i] for i in range(t)] + [0] * (limit - t), u, uinv, v
 
-    # enforce the divisibility chain d_i | d_{i+1}
-    diag = [abs(d[i][i]) for i in range(t)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            a, b = diag[i], diag[i + 1]
-            if b % a:
-                changed = True
-                diag[i], diag[i + 1] = math.gcd(a, b), math.lcm(a, b)
-    return diag + [0] * (limit - t)
+
+def dense_invariant_factors(matrix, rows=None, cols=None):
+    """Reference diagonal for intlin.smith_normal_form: the invariant
+    factors are unique, so they must agree with any pivot order."""
+    return dense_smith_normal_form(matrix, rows, cols, left=False, right=False)[0]
+
+
+def _dense(sparse_rows, cols):
+    return [[row.get(j, 0) for j in range(cols)] for row in sparse_rows]
+
+
+def dense_integer_kernel(matrix, cols):
+    """Basis of {x : A x = 0}: the columns of V past the rank."""
+    diag, _, _, v = dense_smith_normal_form(matrix, len(matrix), cols, left=False)
+    rank = sum(1 for x in diag if x)
+    return [[row[j] for row in v] for j in range(rank, cols)]
+
+
+def dense_congruence_kernel(matrix, modulus, cols):
+    """Basis of {x : A x = 0 (mod modulus)} for a tuple of row tuples: the
+    columns of V, each scaled by modulus / gcd(d_j, modulus) where d_j is a
+    nonzero diagonal entry."""
+    diag, _, _, v = _smith_diagonal_and_v(matrix, cols)
+    scale = [modulus // math.gcd(x, modulus) if x else 1 for x in diag]
+    scale += [1] * (cols - len(scale))
+    return [[row[j] * scale[j] for row in v] for j in range(cols)]
+
+
+@functools.lru_cache(maxsize=None)
+def _smith_diagonal_and_v(matrix, cols):
+    """Kept per matrix: the lattice sweep asks for one coboundary's kernel
+    at several root orders."""
+    return dense_smith_normal_form(matrix, len(matrix), cols, left=False)
+
+
+def dense_quotient_group(ambient, gens):
+    """Invariant factors of L / S and a generating vector of L for each:
+    ``ambient`` is a basis of L, ``gens`` generate S <= L."""
+    r, dim = len(ambient), len(ambient[0])
+    diag, u, _, v = dense_smith_normal_form(
+        [[b[i] for b in ambient] for i in range(dim)], dim, r)
+    def times(columns, x):  # the matrix of ``columns`` times x
+        out = [0] * len(columns[0])
+        for col, xk in zip(columns, x):
+            if xk:
+                out = [a + xk * b for a, b in zip(out, col)]
+        return out
+
+    u_cols, v_cols = list(zip(*u)), list(zip(*v))
+    coeffs = []
+    for g in gens:  # g = L c: U g = D V^-1 c
+        ug = times(u_cols, g)
+        if any(ug[r:]) or any(x % e for x, e in zip(ug, diag)):
+            raise AssertionError("subgroup generator outside the ambient lattice")
+        coeffs.append(times(v_cols, [x // e for x, e in zip(ug, diag)]))
+    orders, _, uinv, _ = dense_smith_normal_form(
+        [[c[i] for c in coeffs] for i in range(r)], r, len(coeffs), right=False)
+    orders += [0] * (r - len(orders))
+    return [(e, [sum(uinv[j][i] * ambient[j][k] for j in range(r)) for k in range(dim)])
+            for i, e in enumerate(orders) if e != 1]
 
 
 # ---------------------------------------------------------------------------
@@ -694,10 +745,10 @@ def structure_matching_relabelings(source, target):
 # U(1) cohomology by lattices, the algorithm groups.cohomology used before
 # it read the answer off one Smith form: the cocycle lattice at root order
 # N modulo the coboundaries of mu_{N|G|} cochains that land in mu_N, through
-# an augmented integer kernel and quotient_group.  It runs on intlin's Smith
-# forms, but on other matrices than the coboundary's.  The mu_N answer is
-# compared with the answer at a multiple of the group exponent to detect a
-# root order that is too small.
+# an augmented integer kernel and a lattice quotient.  Every Smith form here
+# is dense_smith_normal_form, so none of it shares intlin's elimination.
+# The mu_N answer is compared with the answer at a multiple of the group
+# exponent to detect a root order that is too small.
 
 
 def lattice_u1_cohomology(group, degree, module):
@@ -731,7 +782,7 @@ def _boundary_lattice_u1(group, degree, root_order):
     # kernel of [D | K*I | -s*I] -> v-parts generate ((image(D) + K Z) /\ s Z) / s
     aug = [{**dmat[i], cols + i: big, cols + rows + i: -scale}
            for i in range(rows)]
-    kernel = intlin.integer_kernel(aug, rows, cols + 2 * rows)
+    kernel = dense_integer_kernel(_dense(aug, cols + 2 * rows), cols + 2 * rows)
     gens = [vec[cols + rows:] for vec in kernel]
     gens = [g for g in gens if any(g)]
     for i in range(n_coords):  # mu_N itself collapses, even when D is degenerate
@@ -758,18 +809,17 @@ def _cocycle_lattice(group, degree, module):
         raise AssertionError("coordinate bookkeeping mismatch")
     if rows == 0:
         return identity_matrix(n_coords), n_coords
-    basis = intlin.congruence_kernel_lattice(scaled, lcm, rows, cols)
-    return basis, n_coords
+    dense = tuple(map(tuple, _dense(scaled, cols)))
+    return dense_congruence_kernel(dense, lcm, cols), n_coords
 
 
 def _quotient_to_result(group, degree, module, ambient, gens, n_coords, reduce_vec):
     if n_coords == 0:
         return CohomologyGroup(group, degree, module, [], [])
-    orders, vecs = intlin.quotient_group(ambient, gens)
-    if any(o == 0 for o in orders):
+    pairs = sorted(dense_quotient_group(ambient, gens), key=lambda p: p[0])
+    if any(o == 0 for o, _ in pairs):
         raise AssertionError("cohomology of a finite module came out infinite")
-    pairs = sorted(zip(orders, vecs), key=lambda p: p[0])
-    reps = [_vec_to_cochain(group, degree, module, reduce_vec(v)) for _, v in pairs]
+    reps = [Cochain.from_vec(group, degree, module, reduce_vec(v)) for _, v in pairs]
     return CohomologyGroup(group, degree, module, [o for o, _ in pairs], reps)
 
 
@@ -808,16 +858,14 @@ def loop_check_pentagon(theory, max_nontrivial_defects=4, tol=DEFAULT_TOL):
     return rep
 
 
-def loop_defectification_obstruction(theory, tol=DEFAULT_TOL, rep_tol=None,
-                                root_order=1):
+def loop_defectification_obstruction(theory, tol=DEFAULT_TOL, rep_tol=None):
     """Phase by which the four-defect pentagon fails, per grade 4-tuple.
 
     The phase of one charge assignment is the pentagon's right side, summed
     over y, over its two-F side.  Every admissible charge assignment for a
     given grade tuple must produce the same phase; disagreement beyond
     ``rep_tol`` raises, since it means the three-defect consistency
-    precondition did not actually hold.  ``root_order`` only tags the root
-    order of the returned cochain's module for downstream exact solving.
+    precondition did not actually hold.  Returns {grade tuple: phase}.
     """
     if rep_tol is None:
         rep_tol = max(tol, 1e-9)
@@ -858,9 +906,7 @@ def loop_defectification_obstruction(theory, tol=DEFAULT_TOL, rep_tol=None,
                                                     f"depends on the charge assignment: "
                                                     f"{val} vs {found}")
         values[gt] = found if found is not None else complex(1.0)
-    cochain = Cochain(theory.group, 4, U1Module(root_order), values)
-    validate_cocycle(cochain, max(tol, 1e-7), degree=4)
-    return cochain
+    return values
 
 
 # Nested-loop references for the other array sweeps of gxbtc.consistency.
@@ -1048,3 +1094,104 @@ def loop_torsored_u(twist):
     theory, t, q = twist.theory, twist.t, twist.transfer
     return {(k, a, b, c): _loop_torsored_u_value(theory, t, q, k, a, b, c)
             for k in theory.group.elements() for a, b, c in twist.fusion[0]}
+
+
+# ---------------------------------------------------------------------------
+# Cochain arithmetic value by value, the closure forms gxbtc.groups used
+# before it held integer vectors: each returns {args: value} over the
+# tuples of non-identity elements, built from the cochains' values.
+
+
+def _element_ops(module):
+    """(op, inv, act) on the values a cochain of ``module`` returns."""
+    if module.kind == "u1":
+        return (lambda a, b: a * b), (lambda a: a.conjugate()), (lambda g, a: a)
+    if module.kind == "charges":
+        return module.theory.translate, module.theory.dual, module.act
+    factors = module.factors
+    return (lambda a, b: tuple((x + y) % m for x, y, m in zip(a, b, factors)),
+            lambda a: tuple((-x) % m for x, m in zip(a, factors)), module.act)
+
+
+def closure_coboundary(cochain):
+    """Reference for Cochain.coboundary."""
+    group, n = cochain.group, cochain.degree
+    op, inv, act = _element_ops(cochain.module)
+    out = {}
+    for args in itertools.product(group.nonidentity(), repeat=n + 1):
+        acc = act(args[0], cochain(*args[1:]))
+        for j in range(1, n + 1):
+            merged = args[:j - 1] + (group.op(args[j - 1], args[j]),) + args[j + 1:]
+            term = cochain(*merged)
+            acc = op(acc, term if j % 2 == 0 else inv(term))
+        last = cochain(*args[:n])
+        out[args] = op(acc, last if (n + 1) % 2 == 0 else inv(last))
+    return out
+
+
+def closure_combine(first, second):
+    """Reference for Cochain.combine."""
+    op, _, _ = _element_ops(first.module)
+    return {args: op(first(*args), second(*args)) for args in first.support()}
+
+
+def closure_inverse(cochain):
+    """Reference for Cochain.inverse."""
+    _, inv, _ = _element_ops(cochain.module)
+    return {args: inv(cochain(*args)) for args in cochain.support()}
+
+
+# Scalar references for the two cochains computed from float symbols on the
+# numpy index: torsor._obstruction and equivalence._relabel_phases.
+
+
+def loop_relative_obstruction(twist):
+    """Phases of the relative obstruction over G^4, in product order."""
+    theory, t = twist.theory, twist.t
+    grp = theory.group
+    f3 = theory.f_line
+    u2 = theory.u_line
+
+    def value(g, h, k, l):
+        gh = grp.op(g, h)
+        hk = grp.op(h, k)
+        kl = grp.op(k, l)
+        hkl = grp.op(h, kl)
+        ghk = grp.op(g, hk)
+        t_gh = t(g, h)
+        ght_kl = theory.act(gh, t(k, l))
+        val = theory.eta_symbol(ght_kl, g, h)
+        val = val * u2(g, theory.act(g, t(h, kl)), ght_kl)
+        val = val / u2(g, theory.act(g, t(hk, l)), theory.act(g, t(h, k)))
+        val = val * theory.r_line(ght_kl, t_gh)
+        val = val * (f3(t(gh, kl), t_gh, ght_kl) / f3(t(gh, kl), ght_kl, t_gh))
+        val = val * (f3(t(g, hkl), theory.act(g, t(hk, l)), theory.act(g, t(h, k)))
+                     / f3(t(g, hkl), theory.act(g, t(h, kl)), ght_kl))
+        val = val * (f3(t(ghk, l), t(gh, k), t_gh)
+                     / f3(t(ghk, l), t(g, hk), theory.act(g, t(h, k))))
+        return val
+
+    return {args: value(*args)
+            for args in itertools.product(grp.elements(), repeat=4)}
+
+
+def loop_relabel_phases(theory, z):
+    """Phases of omega_z over G^3, in product order."""
+    grp = theory.group
+    dual = theory.dual
+    act = theory.act
+    tr = theory.translate
+
+    def value(g, h, k):
+        gh = grp.op(g, h)
+        hk = grp.op(h, k)
+        ghk = grp.op(gh, k)
+        ghzbar_k = act(gh, dual(z(k)))
+        zk_zhk = act(g, tr(z(k), dual(z(hk))))
+        zhk_zghk = tr(act(g, z(hk)), dual(z(ghk)))
+        val = theory.eta_symbol(ghzbar_k, g, h)
+        val = val * theory.u_line(g, zk_zhk, ghzbar_k)
+        return val / theory.f_line(zhk_zghk, zk_zhk, ghzbar_k)
+
+    return {args: value(*args)
+            for args in itertools.product(grp.elements(), repeat=3)}

@@ -605,11 +605,12 @@ class TestBuild:
         ["build", "trivial-ext", "--c0", "c0.json", "--root-order", "8"],
         ["build", "trivial-ext", "--c0", "c0.json", "--alpha", "a.json"],
         ["build", "spt", "--c0", "c0.json"],
+        ["build", "spt", "--tol", "1e-9"],
         ["build", "trivial-ext"],
         ["build", "no-such-kind"],
     ], ids=["fixture-root-order", "fixture-tol", "fixture-group",
             "fixture-alpha", "fixture-c0", "trivial-ext-root-order",
-            "trivial-ext-alpha", "spt-c0", "trivial-ext-without-c0",
+            "trivial-ext-alpha", "spt-c0", "spt-tol", "trivial-ext-without-c0",
             "unknown-kind"])
     def test_options_of_other_builders_are_usage_errors(self, argv, capsys):
         # each builder takes only the options it reads
@@ -658,7 +659,7 @@ def test_orbit_collapse_matches_gauge_search(c0, group):
     expected = oracles.gauge_search_collapse(
         base, cat.abelian_subgroup(base),
         [(None, ext.theory) for ext in unobstructed], 1e-9)
-    assert cli._collapse_classes(base, h3, unobstructed, 1e-9) == expected
+    assert cli._collapse_classes(base, h3, unobstructed) == expected
 
 
 class TestRoundtrip:

@@ -33,8 +33,8 @@ class TestComposeTorsors:
         trivial = torsor_input(toric_z2, 0)
         other = torsor_input(toric_z2, E)
         composite, gauge = cmp.compose_torsors(toric_z2, trivial, other)
-        assert composite.t.equal(other.t)
-        assert composite.x.equal(other.x, 1e-12)
+        assert not any(composite.t.combine(other.t.inverse()).vec)
+        assert not any(composite.x.combine(other.x.inverse()).vec)
         assert oracles.gauge_is_trivial(gauge)
 
     def test_twists_multiply(self, toric_z2):
@@ -76,7 +76,7 @@ class TestComposeTorsors:
         second = torsor.TorsorInput(t2, torsor.solve_cocycleator(mid, t2))
         composite, _ = cmp.compose_torsors(toric_z2, first, second)
         orr = torsor.relative_obstruction(toric_z2, composite.t)
-        assert composite.x.coboundary().combine(orr).is_identity_cochain(1e-8)
+        assert not any(composite.x.coboundary().combine(orr).vec)
 
     def test_base_solved_second_coefficients_shift_the_obstruction(self, toric_z2):
         # solving the second coefficients on the base instead records the
@@ -86,7 +86,7 @@ class TestComposeTorsors:
         t2 = twist(toric_z2, M)
         base_orr = torsor.relative_obstruction(toric_z2, t2)
         mid_orr = torsor.relative_obstruction(mid, t2)
-        assert base_orr.is_identity_cochain()
+        assert not any(base_orr.vec)
         assert abs(mid_orr(1, 1, 1, 1) + 1.0) < TOL
 
 
@@ -96,7 +96,7 @@ class TestCommutator:
         te = twist(toric_z2, E)
         for a, b in [(t0, te), (te, t0), (t0, t0)]:
             result = cmp.commutator_class(toric_z2, a, b)
-            assert result.cochain.is_identity_cochain()
+            assert not any(result.cochain.vec)
             assert result.residual < TOL
 
     def test_toric_em_commutator_value(self, toric_z2):
@@ -109,7 +109,7 @@ class TestCommutator:
     def test_witness_identity(self, toric_z2, pair):
         ta, tb = twist(toric_z2, pair[0]), twist(toric_z2, pair[1])
         result = cmp.commutator_class(toric_z2, ta, tb)
-        assert is_cocycle(result.cochain, 1e-7)
+        assert is_cocycle(result.cochain)
         assert result.residual < TOL
 
     def test_witness_identity_on_z2xz2(self):
@@ -142,7 +142,7 @@ class TestAssociativity:
         left, _ = cmp.compose_torsors(toric_z2, left_pair, inputs[2])
         right_pair, _ = cmp.compose_torsors(toric_z2, inputs[1], inputs[2])
         right, _ = cmp.compose_torsors(toric_z2, inputs[0], right_pair)
-        assert left.t.equal(right.t)
+        assert not any(left.t.combine(right.t.inverse()).vec)
         out_left = torsor.apply_torsor(toric_z2, left.t, left.x)
         out_right = torsor.apply_torsor(toric_z2, right.t, right.x)
         witness = eq.theories_equivalent(out_left, out_right)

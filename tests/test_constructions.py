@@ -156,4 +156,4 @@ class TestClosedForms:
             t = (Cochain.identity(Z2, 2, module) if a == toric_z2.vacuum
                  else Cochain(Z2, 2, module, {(1, 1): a}))
             ob = oracles.trivial_action_obstruction(toric, Z2, t)
-            assert is_cocycle(ob, 1e-7)
+            assert is_cocycle(ob)

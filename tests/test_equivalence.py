@@ -200,7 +200,7 @@ class TestCoboundaryEquivalence:
     def test_trivial_cochain(self, toric_z2):
         coeffs, gauge = oracles.coboundary_equivalence(
             toric_z2, one_cochain(toric_z2, 0))
-        assert coeffs.is_identity_cochain()
+        assert not any(coeffs.vec)
         assert oracles.gauge_is_trivial(gauge)
 
     @pytest.mark.parametrize("value", [1, 2, 3])
@@ -218,21 +218,21 @@ class TestCoboundaryEquivalence:
         coeffs = oracles.boundary_coefficients(toric_z2, z)
         orr = torsor.relative_obstruction(toric_z2, z.coboundary())
         product = coeffs.coboundary().combine(orr)
-        assert product.is_identity_cochain(1e-8)
+        assert not any(product.vec)
 
 
 class TestCocycleRelabelClass:
     def test_trivial(self, toric_z2):
         z = one_cochain(toric_z2, 0)
         out = eq.cocycle_relabel_class(toric_z2, z)
-        assert out.is_identity_cochain()
+        assert not any(out.vec)
 
     def test_output_is_cocycle(self, toric_z2):
         for value in (1, 2, 3):
             z = one_cochain(toric_z2, value)
             assert is_cocycle(z), "toric Z2 1-cochains are closed"
             out = eq.cocycle_relabel_class(toric_z2, z)
-            assert is_cocycle(out, 1e-7)
+            assert is_cocycle(out)
 
     def test_trivial_action_reduction(self, toric_z2):
         # with unit U and eta the class is a pure F-quotient
@@ -324,7 +324,7 @@ class TestSemionDefectificationCollapse:
         for value in (1, 2, 3):
             z = Cochain(Z2, 1, module, {(1,): value})
             out = eq.cocycle_relabel_class(toric_z2, z)
-            assert out.is_identity_cochain()
+            assert not any(out.vec)
 
 
 def grade_preserving_relabeling(theory, rng):

@@ -79,13 +79,13 @@ class TestCochainBasics:
     def test_identity_coboundary_is_identity(self):
         mod = gr.U1Module(8)
         c = gr.Cochain.identity(Z3, 2, mod)
-        assert c.coboundary().is_identity_cochain()
+        assert not any(c.coboundary().vec)
 
     def test_z2_z2_coboundary_vanishes(self):
         # 1-cochain z over Z2 in Z2: dz(1,1) = z(1) + z(1) = 0
         mod = gr.AbelianModule([2], Z2)
         z = gr.Cochain(Z2, 1, mod, {(1,): (1,)})
-        assert z.coboundary().is_identity_cochain()
+        assert not any(z.coboundary().vec)
 
     def test_mu4_two_cochain_is_cocycle_by_oracle(self):
         # dw(1,1,1) = w(1,1) * w(1,0) / (w(0,1) * w(1,1)) = 1
@@ -116,7 +116,7 @@ def test_dd_is_identity(group, degree, data):
     for args in itertools.product(group.nonidentity(), repeat=degree):
         entries[args] = draw_value()
     c = gr.Cochain(group, degree, mod, entries)
-    assert c.coboundary().coboundary().is_identity_cochain(1e-7)
+    assert not any(c.coboundary().coboundary().vec)
 
 
 @settings(max_examples=25, deadline=None)
@@ -128,10 +128,10 @@ def test_coboundaries_are_cocycles_with_witness(group, degree, data):
         entries[args] = mod.value(data.draw(st.integers(0, 7)))
     mu = gr.Cochain(group, degree, mod, entries)
     omega = mu.coboundary()
-    assert gr.is_cocycle(omega, 1e-7)
+    assert gr.is_cocycle(omega)
     witness = gr.cohomologous(omega, gr.Cochain.identity(group, degree + 1, mod))
     assert witness is not None
-    assert witness.coboundary().equal(omega, 1e-7)
+    assert not any(witness.coboundary().combine(omega.inverse()).vec)
 
 
 SNAP_SETTINGS = dict(max_examples=300, deadline=None)
@@ -212,7 +212,7 @@ class TestCohomology:
             reps = h.all_classes()
             assert len(reps) == h.size
             for r in reps:
-                assert gr.is_cocycle(r, 1e-7)
+                assert gr.is_cocycle(r)
             for a, b in itertools.combinations(reps, 2):
                 assert gr.cohomologous(a, b) is None
 
@@ -296,11 +296,11 @@ def test_representatives_have_their_orders_and_unit_coordinates(case):
     h = _default_u1_cohomology(case)
     ident = gr.Cochain.identity(h.group, h.degree, h.module)
     for i, (order, rep) in enumerate(zip(h.orders, h.representatives)):
-        assert gr.is_cocycle(rep, 1e-7)
+        assert gr.is_cocycle(rep)
         assert h.class_of(rep) == [int(j == i) for j in range(len(h.orders))]
         for k in range(1, order):
             assert gr.cohomologous(_power(rep, k), ident) is None
-        assert _power(rep, order).is_identity_cochain(1e-7)
+        assert not any(_power(rep, order).vec)
 
 
 def _random_cocycle(h, data):
@@ -351,7 +351,7 @@ def test_h3_z2_cubed_u1():
     h = gr.cohomology(group, 3, gr.U1Module(8))
     assert h.orders == [2] * 7
     for i, rep in enumerate(h.representatives):
-        assert gr.is_cocycle(rep, 1e-7)
+        assert gr.is_cocycle(rep)
         assert h.class_of(rep) == [int(j == i) for j in range(7)]
 
 
@@ -361,7 +361,7 @@ def test_h3_z3_squared_u1():
     h = gr.cohomology(group, 3, gr.U1Module(9))
     assert h.orders == [3] * 3
     for i, rep in enumerate(h.representatives):
-        assert gr.is_cocycle(rep, 1e-7)
+        assert gr.is_cocycle(rep)
         assert h.class_of(rep) == [int(j == i) for j in range(3)]
 
 
@@ -371,7 +371,7 @@ class TestCohomologous:
         w = gr.Cochain(Z2, 3, mod, {(1, 1, 1): complex(-1.0)})
         witness = gr.cohomologous(w, w)
         assert witness is not None
-        assert witness.is_identity_cochain()
+        assert not any(witness.vec)
 
     def test_distinct_h3_classes_not_cohomologous(self):
         mod = gr.U1Module(8)
@@ -382,9 +382,9 @@ class TestCohomologous:
     def test_snap_failure(self):
         mod = gr.U1Module(4)
         val = gr.turn_phase(gr.Fraction(1, 3))
-        w = gr.Cochain(Z2, 2, mod, {(1, 1): val})
+        # a value enters a U(1) cochain as its exponent, so it fails there
         with pytest.raises(SnapFailure):
-            gr.cohomologous(w, gr.Cochain.identity(Z2, 2, mod))
+            gr.Cochain(Z2, 2, mod, {(1, 1): val})
 
     def test_underflowing_angle_fails_to_snap(self):
         # cmath.phase(2 + 5e-324j) raises OverflowError; the value is simply
@@ -399,7 +399,7 @@ class TestJson:
         c = gr.Cochain(Z2, 3, mod, {(1, 1, 1): mod.value(3)})
         blob = gr.cochain_to_json(c)
         back = gr.cochain_from_json(blob, Z2)
-        assert back.equal(c, 0.0)
+        assert not any(back.combine(c.inverse()).vec)
         assert blob["entries"][0]["value"] == {"turns": "3/8"}
 
     def test_cochain_roundtrip_abelian(self):
@@ -407,7 +407,7 @@ class TestJson:
         c = gr.Cochain(Z2, 2, mod, {(1, 1): (1, 0)})
         blob = gr.cochain_to_json(c)
         back = gr.cochain_from_json(blob, Z2, mod)
-        assert back.equal(c)
+        assert not any(back.combine(c.inverse()).vec)
 
     def test_cochain_degree_checked_when_given(self):
         mod = gr.U1Module(8)
