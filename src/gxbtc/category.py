@@ -10,6 +10,7 @@ use the internal ``*_or_zero`` variants when a genuine zero entry is meant.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from types import MappingProxyType
 
@@ -19,9 +20,8 @@ from .groups import (
     AbelianModule,
     FiniteGroup,
     is_index,
+    phase_encoder,
     phase_from_json,
-    snap_turns,
-    turns_to_json,
 )
 
 
@@ -549,16 +549,10 @@ def group_from_json(obj):
 
 
 def theory_to_json(theory):
-    # snap_turns once per distinct value: tables repeat a few phases many
-    # times.  Values equal up to the sign of a zero part share an entry;
-    # they snap alike, and each is still written from its own parts.
-    snapped = {}
-
-    def encode(value):
-        if value not in snapped:
-            snapped[value] = snap_turns(value)
-        return turns_to_json(value, snapped[value])
-
+    """The theory's JSON object.  Its tables repeat a few phases many
+    times, so entries share one value object per distinct written value
+    (:func:`~gxbtc.groups.phase_encoder`); each entry owns its key lists."""
+    encode = phase_encoder()
     return {
         "group": group_to_json(theory.group),
         "charges": [{"grade": g} for g in theory.grades],
@@ -632,20 +626,49 @@ def _check_indices(group, grades, vacuum, fusion, action):
 
 def _phase_table(entries, name, bounds, key_of):
     """{key: phase} for JSON table entries; raise InvalidInput unless each
-    key has one index below each of ``bounds`` and no key repeats."""
-    table = {key_of(e): phase_from_json(e["value"]) for e in entries}
+    key has one index below each of ``bounds`` and no key repeats.
+
+    Each distinct ``"p/q"`` text is parsed once.  The keys are checked a
+    column at a time; only a table that fails is walked key by key, to name
+    the first bad key.
+    """
+    phases, table = {}, {}   # "p/q" text -> phase; key -> phase
+    for e in entries:
+        key, obj = key_of(e), e["value"]
+        text = obj.get("turns") if type(obj) is dict else None
+        if type(text) is not str:
+            table[key] = phase_from_json(obj)
+        elif text in phases:
+            table[key] = phases[text]
+        else:
+            table[key] = phases[text] = phase_from_json(obj)
     if len(table) != len(entries):
         raise InvalidInput(f"malformed theory JSON: {name} lists a key "
                            "more than once")
+    if _keys_in_range(table, bounds):
+        return table
     arity = len(bounds)
     for key in table:
         if len(key) != arity:
             raise InvalidInput(f"malformed theory JSON: {name} key {list(key)} "
                                f"does not have {arity} indices")
         for index, size in zip(key, bounds):
-            # is_index inlined (a bool's type is not int): this runs once
-            # per index of every entry
             if type(index) is not int or not 0 <= index < size:
                 raise InvalidInput(f"malformed theory JSON: {name} key "
                                    f"{list(key)} has an index out of range")
     return table
+
+
+def _keys_in_range(keys, bounds):
+    """True iff every key is a tuple of ``len(bounds)`` ints (not bools),
+    each in ``range`` of its bound: one pass per column, in C."""
+    if not set(map(len, keys)) <= {len(bounds)}:
+        return False
+    for i, size in enumerate(bounds):
+        column = operator.itemgetter(i)
+        if not set(map(type, map(column, keys))) <= {int}:
+            return False
+        values = set(map(column, keys))
+        if values and not (min(values) >= 0 and max(values) < size):
+            return False
+    return True

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -672,15 +673,35 @@ def _cached_snf(group, degree, module):
 # JSON forms
 
 
-def phase_to_json(value):
-    return turns_to_json(value, snap_turns(value))
+def phase_encoder():
+    """``encode(value)``: the JSON form of a phase, for one JSON document.
 
+    Each distinct value is snapped once, and each distinct written form is
+    one shared object: ``{"turns": "p/q"}`` for a root of unity, else
+    ``{"re": ..., "im": ...}``.  A value off the roots of unity is keyed by
+    its exact parts, so values equal up to the sign of a zero part are each
+    written from their own parts.  The forms are shared: replace one, do
+    not mutate it.
+    """
+    snapped = {}   # value -> its shared "turns" form, or None
+    forms = {}     # "p/q" text, or the hex of both parts -> shared form
 
-def turns_to_json(value, turns):
-    """JSON form of ``value``, given ``turns = snap_turns(value)``."""
-    if turns is not None:
-        return {"turns": f"{turns.numerator}/{turns.denominator}"}
-    return {"re": value.real, "im": value.imag}
+    def encode(value):
+        if value not in snapped:
+            turns, form = snap_turns(value), None
+            if turns is not None:
+                text = f"{turns.numerator}/{turns.denominator}"
+                form = forms.setdefault(text, {"turns": text})
+            snapped[value] = form
+        form = snapped[value]
+        if form is None:
+            key = value.real.hex(), value.imag.hex()
+            form = forms.get(key)
+            if form is None:
+                form = forms[key] = {"re": value.real, "im": value.imag}
+        return form
+
+    return encode
 
 
 def phase_from_json(obj):
@@ -708,19 +729,21 @@ def phase_from_json(obj):
 
 @lru_cache(maxsize=None)
 def _turns_text_phase(text):
-    """The phase of a ``"p/q"`` turn text, parsed once per distinct text."""
-    num, _, den = text.partition("/")
-    try:
-        turns = Fraction(int(num), int(den or "1"))
-    except (ValueError, ZeroDivisionError):
-        raise InvalidInput(f"turns {text!r} is not a \"p/q\" text") from None
-    return turn_phase(turns)
+    """The phase of a ``"p/q"`` turn text, parsed once per distinct text:
+    ASCII ``[+-]?[0-9]+(/[0-9]+)?`` with q >= 1."""
+    match = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", text)
+    if match is not None:
+        try:  # q = 0, or more digits than int() reads
+            return turn_phase(Fraction(int(match[1]), int(match[2] or 1)))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidInput(f"turns {text!r} is not a \"p/q\" text")
 
 
 def cochain_to_json(cochain):
     mod = cochain.module
     if mod.kind == "u1":
-        encode = phase_to_json
+        encode = phase_encoder()
     elif mod.kind == "charges":
         encode = int
     else:

@@ -42,7 +42,7 @@ from .groups import (
     cohomologous,
     cohomology,
     is_cocycle,
-    phase_to_json,
+    phase_encoder,
 )
 
 
@@ -610,8 +610,9 @@ def _assemble(twist, x, obstruction):
         trivial = cohomologous(hatted, identity) is not None
     metadata = dict(twist.theory.metadata)
     metadata["name"] = metadata.get("name", "theory") + "~twisted"
+    encode = phase_encoder()
     metadata["obstruction"] = {
-        "entries": [{"args": list(args), "value": phase_to_json(value)}
+        "entries": [{"args": list(args), "value": encode(value)}
                     for args, value in entries],
         "trivial_class": trivial,
     }

@@ -327,6 +327,16 @@ BOUNDARY_CASES = {
         value={"re": "1", "im": "0"})),
     "f-value-beyond-float": ("theory", lambda blob: blob["F"][5].update(
         value={"re": 10 ** 400})),
+    # a turn text is ASCII [+-]?[0-9]+(/[0-9]+)? with q >= 1, not what int()
+    # reads: no digit separator, no space, no other digits, no sign on q
+    "f-turns-underscore": ("theory", lambda blob: blob["F"][5].update(
+        value={"turns": "1_0/3"})),
+    "f-turns-spaces": ("theory", lambda blob: blob["F"][5].update(
+        value={"turns": " 1/ 2"})),
+    "f-turns-arabic-indic": ("theory", lambda blob: blob["F"][5].update(
+        value={"turns": "\u0661/\u0662"})),
+    "f-turns-negative-denominator": ("theory", lambda blob: blob["F"][5].update(
+        value={"turns": "1/-4"})),
 }
 
 
@@ -353,6 +363,26 @@ class TestJsonBoundary:
         assert main(argv) == 65
         err = capsys.readouterr().err
         assert "input error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000,
+        b"[" + b"9" * 5000 + b"]"],
+        ids=["not-utf8", "nested-100000-deep", "int-of-5000-digits"])
+    @pytest.mark.parametrize("command", ["check", "equiv", "torsor-t"])
+    def test_unreadable_file_exits_65(self, tmp_path, toric_z2_file, capsys,
+                                      content, command):
+        # files are read as UTF-8, and a nesting too deep for the decoder or
+        # an int longer than int() reads is malformed input: one line that
+        # names the file, no traceback
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        argv = {"check": ["check", str(path)],
+                "equiv": ["equiv", toric_z2_file, str(path)],
+                "torsor-t": ["torsor", toric_z2_file, "--t", str(path)]}[command]
+        assert main(argv) == 65
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: cannot read {path}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestTorsorCommands:
@@ -718,7 +748,7 @@ class TestGoldenOutputs:
          "384a565727f49cb0fd00fc30ef411ce907d00ce9ca22ea660679d1ea02e06c1c"),
         ("Z2x2", "u1", 4,
          "6c21c05740b3e81b8ed0bda9565d6025a37709b34dd7c9c001003532099e989d"),
-    ])
+    ], ids=["Z2x2-u1-3", "Z4-u1-4", "Z2x2-z2x2-3", "Z6-u1-3", "Z2x2-u1-4"])
     def test_cohomology(self, capsys, group, coeff, degree, digest):
         argv = ["cohomology", "--group", group, "--coeff", coeff,
                 "--degree", str(degree)]
@@ -743,7 +773,7 @@ class TestGoldenOutputs:
          "049de608c46fa92794996202e7a6f659084f6ef878f8da6510446683af0e0015"),
         (cons.toric_code, "Z2",
          "b7cbcd02c207258fefecc7a7b0ca4b0b101df83f8b6b7277392aa1efe1ec90e0"),
-    ])
+    ], ids=["semion-Z2x2", "toric_code-Z2"])
     def test_enumerate_extensions(self, tmp_path, capsys, c0, group, digest):
         path = tmp_path / "c0.json"
         path.write_text(json.dumps(cat.theory_to_json(c0())))
@@ -991,6 +1021,33 @@ class TestJsonWriter:
     def test_matches_json_dumps(self, payload):
         assert written(payload).encode() == \
             (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_PAYLOADS, st.lists(st.integers(0, 3), min_size=2, max_size=6))
+    def test_object_written_at_several_places_and_indents(self, shared, depths):
+        # one dict or list object (or any payload) placed at several depths,
+        # under lists and dicts: a text kept for one indent is never reused
+        # at another
+        def wrap(value, depth):
+            for level in range(depth):
+                value = [value, 1] if level % 2 else {"k": value, "a": None}
+            return value
+
+        payload = {"items": [wrap(shared, d) for d in depths],
+                   "first": shared, "nested": {"again": [shared, shared]}}
+        assert written(payload).encode() == \
+            (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+    @pytest.mark.parametrize("kind", [dict, list])
+    def test_nesting_that_json_reads(self, kind):
+        # a theory's metadata passes into the output as read: a nesting
+        # json.loads takes (800 deep here) is written, as json.dumps writes it
+        payload = 1
+        for _ in range(800):
+            payload = {"k": payload, "a": 1} if kind is dict else [payload, 1]
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert json.loads(text) == payload
+        assert written(payload) == text
 
     @settings(max_examples=100, deadline=None)
     @given(_JSON_PAYLOADS,

@@ -131,7 +131,7 @@ class TestGaugeGolden:
          "f7c8166fd8199dbb7a5418e4c932917723b2f8ad5b52bcef246a34afa264224d"),
         ("semion x Z2xZ2",
          "2adf35f456ed2d494225245cb162cecfde1b08fb8fe9927d144f2e2542b91e94"),
-    ])
+    ], ids=["toric x Z2", "fibonacci x Z2", "semion x Z2xZ2"])
     def test_gauged_tables_and_witness(self, name, digest):
         theory = GOLDEN_GAUGE_THEORIES[name]
         parts = []
