@@ -10,7 +10,6 @@ use the internal ``*_or_zero`` variants when a genuine zero entry is meant.
 from __future__ import annotations
 
 import math
-import operator
 import weakref
 from types import MappingProxyType
 
@@ -626,49 +625,20 @@ def _check_indices(group, grades, vacuum, fusion, action):
 
 def _phase_table(entries, name, bounds, key_of):
     """{key: phase} for JSON table entries; raise InvalidInput unless each
-    key has one index below each of ``bounds`` and no key repeats.
-
-    Each distinct ``"p/q"`` text is parsed once.  The keys are checked a
-    column at a time; only a table that fails is walked key by key, to name
-    the first bad key.
-    """
-    phases, table = {}, {}   # "p/q" text -> phase; key -> phase
-    for e in entries:
-        key, obj = key_of(e), e["value"]
-        text = obj.get("turns") if type(obj) is dict else None
-        if type(text) is not str:
-            table[key] = phase_from_json(obj)
-        elif text in phases:
-            table[key] = phases[text]
-        else:
-            table[key] = phases[text] = phase_from_json(obj)
+    key has one index below each of ``bounds`` and no key repeats."""
+    table = {key_of(e): phase_from_json(e["value"]) for e in entries}
     if len(table) != len(entries):
         raise InvalidInput(f"malformed theory JSON: {name} lists a key "
                            "more than once")
-    if _keys_in_range(table, bounds):
-        return table
     arity = len(bounds)
     for key in table:
         if len(key) != arity:
             raise InvalidInput(f"malformed theory JSON: {name} key {list(key)} "
                                f"does not have {arity} indices")
         for index, size in zip(key, bounds):
+            # is_index inlined (a bool's type is not int): this runs once
+            # per index of every entry
             if type(index) is not int or not 0 <= index < size:
                 raise InvalidInput(f"malformed theory JSON: {name} key "
                                    f"{list(key)} has an index out of range")
     return table
-
-
-def _keys_in_range(keys, bounds):
-    """True iff every key is a tuple of ``len(bounds)`` ints (not bools),
-    each in ``range`` of its bound: one pass per column, in C."""
-    if not set(map(len, keys)) <= {len(bounds)}:
-        return False
-    for i, size in enumerate(bounds):
-        column = operator.itemgetter(i)
-        if not set(map(type, map(column, keys))) <= {int}:
-            return False
-        values = set(map(column, keys))
-        if values and not (min(values) >= 0 and max(values) < size):
-            return False
-    return True

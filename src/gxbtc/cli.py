@@ -43,7 +43,6 @@ EX_SOFTWARE = 70
 EX_IOERR = 74
 
 _FLUSH_PIECES = 4096   # buffered text pieces per write to the output
-_CONTAINERS = (list, tuple, dict)
 
 
 class _ArgumentError(Exception):
@@ -74,78 +73,33 @@ def _write_json(payload, stream):
     """Write ``json.dumps(payload, indent=2, sort_keys=True) + "\n"`` to
     ``stream``, a few thousand pieces at a time, never the whole text.
 
-    A dict or list whose items are all scalars is written as one text, and
-    the same object written again at the same indent reuses that text:
-    theory tables share their value objects
-    (:func:`~gxbtc.groups.phase_encoder`).  A list of ints is joined
-    afresh each time, since each table entry owns its key lists.
-
     Takes what ``json`` takes with str dict keys: any other key or value
     type raises TypeError.
     """
     quote = json.encoder.encode_basestring_ascii
     pieces = []
-    flat = {}   # (id, indent) -> text of a dict or list of scalars
-
-    def scalar(value):
-        if isinstance(value, str):
-            return quote(value)
-        if value is None:
-            return "null"
-        if value is True:
-            return "true"
-        if value is False:
-            return "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        if isinstance(value, float):
-            return _float_text(value)
-        raise TypeError(f"Object of type {type(value).__name__} "
-                        "is not JSON serializable")
 
     def encode(value, indent):
-        # one frame per level of nesting, as json.dumps takes
-        if len(pieces) >= _FLUSH_PIECES:
-            stream.write("".join(pieces))
-            pieces.clear()
-        if not isinstance(value, _CONTAINERS):
-            pieces.append(scalar(value))
-            return
-        if not value:
-            pieces.append("{}" if isinstance(value, dict) else "[]")
-            return
-        inner = indent + "  "
-        is_dict = isinstance(value, dict)
-        if not is_dict and all(type(item) is int for item in value):
-            # not kept: each table entry owns its key lists
-            pieces.append(f"[\n{inner}" + f",\n{inner}".join(
-                map(int.__repr__, value)) + f"\n{indent}]")
-            return
-        key = id(value), indent
-        if key in flat:
-            pieces.append(flat[key])
-        elif is_dict:
-            # sorted and quote raise TypeError on a key that is not a str
-            items = sorted(value.items())
-            for _, item in items:
-                if isinstance(item, _CONTAINERS):
-                    break
-            else:
-                keep(key, "{", [f"{quote(name)}: {scalar(item)}"
-                                for name, item in items], "}")
+        if isinstance(value, str):
+            pieces.append(quote(value))
+        elif value is None:
+            pieces.append("null")
+        elif value is True:
+            pieces.append("true")
+        elif value is False:
+            pieces.append("false")
+        elif isinstance(value, int):
+            pieces.append(int.__repr__(value))
+        elif isinstance(value, float):
+            pieces.append(_float_text(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                pieces.append("[]")
                 return
-            head = f"{{\n{inner}"
-            for name, item in items:
-                pieces.append(f"{head}{quote(name)}: ")
-                head = f",\n{inner}"
-                encode(item, inner)
-            pieces.append(f"\n{indent}}}")
-        else:
-            for item in value:
-                if isinstance(item, _CONTAINERS):
-                    break
-            else:
-                keep(key, "[", list(map(scalar, value)), "]")
+            inner = indent + "  "
+            if all(type(item) is int for item in value):
+                pieces.append(f"[\n{inner}" + f",\n{inner}".join(
+                    map(int.__repr__, value)) + f"\n{indent}]")
                 return
             head = f"[\n{inner}"
             for item in value:
@@ -153,16 +107,24 @@ def _write_json(payload, stream):
                 head = f",\n{inner}"
                 encode(item, inner)
             pieces.append(f"\n{indent}]")
-
-    def keep(key, begin, texts, end):
-        """Write a dict or list of scalars from the texts of its items, and
-        keep the text for the next time the object is written at ``key``,
-        its (id, indent)."""
-        indent = key[1]
-        inner = indent + "  "
-        text = flat[key] = (
-            f"{begin}\n{inner}" + f",\n{inner}".join(texts) + f"\n{indent}{end}")
-        pieces.append(text)
+        elif isinstance(value, dict):
+            if not value:
+                pieces.append("{}")
+                return
+            inner = indent + "  "
+            head = f"{{\n{inner}"
+            # quote raises TypeError on a key that is not a str
+            for key, item in sorted(value.items()):
+                pieces.append(f"{head}{quote(key)}: ")
+                head = f",\n{inner}"
+                encode(item, inner)
+            pieces.append(f"\n{indent}}}")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            "is not JSON serializable")
+        if len(pieces) >= _FLUSH_PIECES:
+            stream.write("".join(pieces))
+            pieces.clear()
 
     encode(payload, "")
     pieces.append("\n")

@@ -37,7 +37,6 @@ from gxbtc.groups import (
     _coboundary_matrix,
     _scale_rows_to_lcm,
     _tuple_index,
-    phase_from_json,
     turn_phase,
 )
 from gxbtc.torsor import apply_torsor, default_root_order
@@ -1196,22 +1195,3 @@ def loop_relabel_phases(theory, z):
 
     return {args: value(*args)
             for args in itertools.product(grp.elements(), repeat=3)}
-
-
-def loop_phase_table(entries, name, bounds, key_of):
-    """Reference for category._phase_table: every entry's value parsed on
-    its own, then every key checked index by index, in order."""
-    table = {key_of(e): phase_from_json(e["value"]) for e in entries}
-    if len(table) != len(entries):
-        raise InvalidInput(f"malformed theory JSON: {name} lists a key "
-                           "more than once")
-    arity = len(bounds)
-    for key in table:
-        if len(key) != arity:
-            raise InvalidInput(f"malformed theory JSON: {name} key {list(key)} "
-                               f"does not have {arity} indices")
-        for index, size in zip(key, bounds):
-            if type(index) is not int or not 0 <= index < size:
-                raise InvalidInput(f"malformed theory JSON: {name} key "
-                                   f"{list(key)} has an index out of range")
-    return table

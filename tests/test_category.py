@@ -1,5 +1,4 @@
 import cmath
-import copy
 import itertools
 import json
 import math
@@ -15,7 +14,7 @@ from gxbtc.errors import InadmissibleTuple, InvalidInput, NotAbelianMonodromy
 from gxbtc.groups import FiniteGroup
 
 import strategies
-from oracles import dense_fusion_violations, loop_phase_table
+from oracles import dense_fusion_violations
 
 GOLDEN = (1.0 + 5.0 ** 0.5) / 2.0
 
@@ -347,64 +346,3 @@ class TestIdentitySector:
             assert cat.validate(sector) == []
             assert con.check_pentagon(sector).passed(1e-9)
             assert con.check_hexagon(sector).passed(1e-9)
-
-
-# how theory_from_json reads each table's keys, and their index bounds, for
-# toric x Z2 (8 charges, 2 group elements)
-_TABLES = {
-    "F": (lambda e: tuple(e["charges"]), (8,) * 6),
-    "R": (lambda e: tuple(e["charges"]), (8,) * 3),
-    "U": (lambda e: (e["sheet"], *e["charges"]), (2, 8, 8, 8)),
-    "eta": (lambda e: (e["charge"], *e["pair"]), (8, 2, 2)),
-}
-_BAD_INDICES = [True, False, 1.0, "1", None, -1, 2, 8, 9, 10 ** 30, [1]]
-_VALUES = [{"turns": t} for t in (
-    "1_0/3", " 1/ 2", "\u0661/\u0662", "1/-4", "1/0", "", "1/2/3", "+1/2",
-    "-3/4", "007/008", "5", 5, None)] + [
-    True, 0.5, "1", {"re": "1"}, {"re": 10 ** 400}, {"re": math.nan},
-    {"re": 0.6, "im": -0.0}, {"im": 1.0}, [1]]
-
-
-@st.composite
-def table_mutations(draw):
-    """A table of toric x Z2 with one or two entries changed: an index of
-    the key, the key's length, a repeated key, or the value."""
-    name = draw(st.sampled_from(sorted(_TABLES)))
-    entries = copy.deepcopy(cat.theory_to_json(cons.trivial_extension(
-        cons.toric_code(), FiniteGroup.cyclic(2)))[name])
-    for _ in range(draw(st.integers(1, 2))):
-        entry = entries[draw(st.integers(0, len(entries) - 1))]
-        field = draw(st.sampled_from([k for k in entry if k != "value"]))
-        kind = draw(st.sampled_from(["index"] * 3 + ["arity", "repeat", "value"]))
-        if kind == "value":
-            entry["value"] = draw(st.sampled_from(_VALUES))
-        elif kind == "repeat":
-            entry.update(copy.deepcopy(
-                {k: v for k, v in entries[0].items() if k != "value"}))
-        elif not isinstance(entry[field], list):
-            entry[field] = draw(st.sampled_from(_BAD_INDICES))
-        elif kind == "arity" or not entry[field]:
-            entry[field] = entry[field][:-1] if draw(st.booleans()) \
-                else entry[field] + [0]
-        else:
-            i = draw(st.integers(0, len(entry[field]) - 1))
-            entry[field][i] = draw(st.sampled_from(_BAD_INDICES))
-    return name, entries
-
-
-class TestPhaseTable:
-    @settings(max_examples=200, deadline=None)
-    @given(table_mutations())
-    def test_matches_the_per_entry_rule(self, case):
-        # the column-at-a-time checks and the per-text parse give the
-        # per-entry rule's table, or its error with its message
-        name, entries = case
-        key_of, bounds = _TABLES[name]
-
-        def outcome(read):
-            try:
-                return repr(list(read(entries, name, bounds, key_of).items()))
-            except (InvalidInput, KeyError, TypeError) as exc:
-                return f"{type(exc).__name__}: {exc}"
-
-        assert outcome(cat._phase_table) == outcome(loop_phase_table)

@@ -1026,8 +1026,7 @@ class TestJsonWriter:
     @given(_JSON_PAYLOADS, st.lists(st.integers(0, 3), min_size=2, max_size=6))
     def test_object_written_at_several_places_and_indents(self, shared, depths):
         # one dict or list object (or any payload) placed at several depths,
-        # under lists and dicts: a text kept for one indent is never reused
-        # at another
+        # under lists and dicts, as theory tables share their value objects
         def wrap(value, depth):
             for level in range(depth):
                 value = [value, 1] if level % 2 else {"k": value, "a": None}
