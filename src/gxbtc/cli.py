@@ -392,8 +392,8 @@ def _cmd_enumerate(args):
         entry = {"fractionalization_class": ext.fractionalization,
                  "defectification_class": ext.defectification,
                  "twist": cochain_to_json(ext.t),
-                 "obstructed": ext.theory is None}
-        if ext.theory is not None:
+                 "obstructed": ext.obstructed}
+        if not ext.obstructed:
             entry["theory_index"] = len(unobstructed)
             unobstructed.append(ext)
         entries.append(entry)
@@ -414,7 +414,9 @@ def _collapse_classes(base, h3, extensions):
     """Group unobstructed extensions under 1-cochain relabel equivalence.
 
     ``extensions`` are the unobstructed ones, indexed by theory index, and
-    ``h3`` is the H^3(G, U(1)) their alphas come from.  A
+    ``h3`` is the H^3(G, U(1)) their alphas come from; the coordinates of
+    an alpha are those of its defectification index in
+    :meth:`~gxbtc.groups.CohomologyGroup.coordinates`.  A
     1-cochain z can carry T_{t,alpha_i} onto T_{t',alpha_j} only if its
     relabeling keeps the fusion triples.  ``base`` is a trivial extension,
     so every grade holds a copy of each abelian charge, and a nontrivial
@@ -424,8 +426,8 @@ def _collapse_classes(base, h3, extensions):
     omega_z (:func:`equivalence.cocycle_relabel_class`) decides the rest:
     the two are joined exactly when alpha_j ~ alpha_i * omega_z, that is
     when the H^3(G, U(1)) coordinates of alpha_j - alpha_i are those of
-    some omega_z.  Classes come in order of their smallest member, members
-    ascending.
+    some omega_z.  Only one theory per fractionalization class is read.
+    Classes come in order of their smallest member, members ascending.
     """
     grp = base.group
     module = category.abelian_subgroup(base)
@@ -437,12 +439,14 @@ def _collapse_classes(base, h3, extensions):
         if ext.fractionalization in shifts:
             continue
         theory = ext.theory
+        check = equivalence.structure_check(theory)
         shifts[ext.fractionalization] = {
             tuple(h3.class_of(equivalence.cocycle_relabel_class(
-                theory, z, h3.module.order)))
+                theory, z, h3.module.order, h3.faces)))
             for z in zs
-            if equivalence.relabeling_from_1cochain(theory, z).fixes(theory)}
-    coords = [h3.class_of(ext.alpha) for ext in extensions]
+            if check.carries(equivalence.relabeling_from_1cochain(theory, z))}
+    coordinates = h3.coordinates()
+    coords = [coordinates[ext.defectification] for ext in extensions]
     results = []
     joined = set()
     for idx, ext in enumerate(extensions):

@@ -146,11 +146,6 @@ class Relabeling:
             inv[p] = i
         return Relabeling(tuple(inv))
 
-    def fixes(self, theory):
-        """True when relabeling ``theory`` keeps its vacuum, fusion and action."""
-        check = _StructureCheck(theory, theory, theory.charges())
-        return all(check.admits(i, self.perm) for i in theory.charges())
-
     def validate(self, theory):
         """Check that this permutes ``theory``'s charges within each grade."""
         if sorted(self.perm) != list(theory.charges()):
@@ -294,23 +289,25 @@ def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
 # the closed-form relabel class
 
 
-def cocycle_relabel_class(theory, z, root_order=None):
+def cocycle_relabel_class(theory, z, root_order=None, faces=None):
     """The 3-cocycle omega_z that relabeling by a closed 1-cochain ``z`` adds.
 
     For a twist T_{t,x} of a theory and a closed ``z`` whose relabeling
-    keeps its vacuum, fusion triples and action (:meth:`Relabeling.fixes`),
+    keeps its vacuum, fusion triples and action (:func:`structure_check`),
     relabel_z(T_{t,x}) is gauge equivalent to T_{t,x*omega_z}.  So
     defectification classes alpha and alpha*omega_z of one fractionalization
     class t name the same theory.  omega_z reads only identity-graded
     symbols, which do not depend on x, so any T_{t,x} gives it.  Its phases
     (:func:`_relabel_phases`) are snapped to U(1) at ``root_order``
-    (default: :func:`default_root_order`).
+    (default: :func:`default_root_order`), and its closure is checked along
+    ``faces`` (:class:`~gxbtc.groups.Faces` of the group in degree 3, or
+    None).
     """
     if not is_cocycle(z):
         raise NotA1Cocycle("relabeling 1-cochain must be closed")
     module = root_module(theory, root_order)
     out = Cochain(theory.group, 3, module, _relabel_phases(theory, z))
-    validate_cocycle(out, degree=3)
+    validate_cocycle(out, degree=3, faces=faces)
     return out
 
 
@@ -369,6 +366,10 @@ class _StructureCheck:
                 b = source.act(g, a)
                 self.pairs_at[max(position[a], position[b])].append((g, a, b))
 
+    def carries(self, relabeling):
+        """True when ``relabeling`` passes every position."""
+        return all(self.admits(i, relabeling.perm) for i in range(len(self.order)))
+
     def admits(self, i, perm):
         """True unless placing charge ``order[i]`` breaks a condition."""
         if self.order[i] == self.vacuum and perm[self.vacuum] != self.target_vacuum:
@@ -382,6 +383,13 @@ class _StructureCheck:
             if perm[b] != action[g][perm[a]]:
                 return False
         return True
+
+
+def structure_check(theory):
+    """The :class:`_StructureCheck` of ``theory`` onto itself, built once:
+    its ``carries(relabeling)`` is True when relabeling ``theory`` keeps its
+    vacuum, fusion triples and action."""
+    return _StructureCheck(theory, theory, theory.charges())
 
 
 def _structure_preserving_permutations(source, target):

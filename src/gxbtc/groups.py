@@ -328,10 +328,12 @@ class Cochain:
         return Cochain.from_vec(self.group, self.degree, self.module,
                                 [-x for x in self.vec])
 
-    def coboundary(self):
-        """The degree n+1 coboundary, twisted by the module action."""
+    def coboundary(self, faces=None):
+        """The degree n+1 coboundary, twisted by the module action; ``faces``
+        as in :func:`_coboundary_blocks`."""
         return Cochain.from_vec(self.group, self.degree + 1, self.module,
-                                [x for block in _coboundary_blocks(self) for x in block])
+                                [x for block in _coboundary_blocks(self, faces)
+                                 for x in block])
 
     def __repr__(self):
         return (f"Cochain(degree={self.degree}, group={self.group.name or self.group.order}, "
@@ -374,6 +376,15 @@ def _faces(group, degree):
         yield g, faces
 
 
+class Faces:
+    """:func:`_faces` of one group and degree, built once and shared by the
+    coboundaries of many cochains of that group and degree."""
+
+    def __init__(self, group, degree):
+        self.mult, self.degree = group.mult, degree
+        self.blocks = list(_faces(group, degree))
+
+
 def _terms(module, g, faces):
     """(i, j, a, positions): coordinate j of a face adds a times into
     coordinate i; the first face carries the action of g."""
@@ -386,22 +397,30 @@ def _terms(module, g, faces):
                     yield i, j, a, positions
 
 
-def _coboundary_blocks(cochain):
+def _coboundary_blocks(cochain, faces=None):
     """d(cochain) along :func:`_faces`, one block of tuples at a time: k
-    integer coordinates per tuple, not yet reduced."""
+    integer coordinates per tuple, not yet reduced.  ``faces``, if given,
+    are the :class:`Faces` of the cochain's group and degree."""
+    if faces is None:
+        blocks = _faces(cochain.group, cochain.degree)
+    elif faces.mult == cochain.group.mult and faces.degree == cochain.degree:
+        blocks = faces.blocks
+    else:
+        raise InvalidInput("faces of another group or degree")
     k = len(cochain.module.factors)
     padded = cochain.vec + [0] * k  # position -1 reads the zeros
-    for g, faces in _faces(cochain.group, cochain.degree):
-        coords = [[0] * len(faces[0][1]) for _ in range(k)]
-        for i, j, a, positions in _terms(cochain.module, g, faces):
+    for g, g_faces in blocks:
+        coords = [[0] * len(g_faces[0][1]) for _ in range(k)]
+        for i, j, a, positions in _terms(cochain.module, g, g_faces):
             coords[i] = [c + a * padded[p * k + j] for c, p in zip(coords[i], positions)]
         yield [x for coord in zip(*coords) for x in coord]
 
 
-def is_cocycle(cochain):
-    """True iff the coboundary of ``cochain`` is the identity cochain."""
+def is_cocycle(cochain, faces=None):
+    """True iff the coboundary of ``cochain`` is the identity cochain;
+    ``faces`` as in :func:`_coboundary_blocks`."""
     factors = cochain.module.factors
-    return not any(x % m for block in _coboundary_blocks(cochain)
+    return not any(x % m for block in _coboundary_blocks(cochain, faces)
                    for x, m in zip(block, itertools.cycle(factors)))
 
 
@@ -514,8 +533,14 @@ class CohomologyGroup:
     def size(self):
         return math.prod(self.orders) if self.orders else 1
 
+    @cached_property
+    def faces(self):
+        """The :class:`Faces` of this group and degree, built on first use."""
+        return Faces(self.group, self.degree)
+
     def all_classes(self):
-        """One cocycle per cohomology class (products of the generators)."""
+        """One cocycle per cohomology class (products of the generators),
+        in the order of :meth:`coordinates`."""
         reps = [Cochain.identity(self.group, self.degree, self.module)]
         for order, gen in zip(self.orders, self.representatives):
             powers = [Cochain.identity(self.group, self.degree, self.module)]
@@ -523,6 +548,11 @@ class CohomologyGroup:
                 powers.append(powers[-1].combine(gen))
             reps = [r.combine(p) for r in reps for p in powers]
         return reps
+
+    def coordinates(self):
+        """The :meth:`class_of` coordinates of each class of
+        :meth:`all_classes`, in its order: the last one runs fastest."""
+        return list(itertools.product(*map(range, self.orders)))
 
     def class_of(self, cocycle):
         """Coordinates of a U(1) cocycle's class in Z/d_1 x ... x Z/d_k.
@@ -541,7 +571,7 @@ class CohomologyGroup:
             raise InvalidInput("cocycle is not a cochain of this group and degree")
         n = cocycle.module.order
         c = []
-        for block in _coboundary_blocks(cocycle):
+        for block in _coboundary_blocks(cocycle, self.faces):
             for x in block:
                 q, r = divmod(x, n)
                 if r:
@@ -803,10 +833,11 @@ def cochain_from_json(obj, group, module=None, degree=None):
         raise InvalidInput(f"malformed cochain JSON: {exc}") from exc
 
 
-def validate_cocycle(cochain, degree=None):
-    """Raise NotACocycle unless ``cochain`` is closed (optionally of a degree)."""
+def validate_cocycle(cochain, degree=None, faces=None):
+    """Raise NotACocycle unless ``cochain`` is closed (optionally of a
+    degree); ``faces`` as in :func:`_coboundary_blocks`."""
     if degree is not None and cochain.degree != degree:
         raise InvalidInput(f"expected a degree-{degree} cochain")
-    if not is_cocycle(cochain):
+    if not is_cocycle(cochain, faces):
         raise NotACocycle(f"{cochain!r} has nontrivial coboundary")
     return cochain

@@ -38,6 +38,7 @@ from .errors import (
 from .groups import (
     DEFAULT_TOL,
     Cochain,
+    Faces,
     U1Module,
     cohomologous,
     cohomology,
@@ -518,10 +519,11 @@ def _obstruction(twist):
     return _table_of((g, h, k, l), val)
 
 
-def _obstruction_cochain(group, module, phases):
-    """Phases over G^4 as a U(1) 4-cochain, checked closed."""
+def _obstruction_cochain(group, module, phases, faces=None):
+    """Phases over G^4 as a U(1) 4-cochain, checked closed along ``faces``
+    (:class:`~gxbtc.groups.Faces` of the group in degree 4, or None)."""
     cochain = Cochain(group, 4, module, phases)
-    if not is_cocycle(cochain):
+    if not is_cocycle(cochain, faces):
         raise NotACocycle("an obstruction came out non-closed; "
                           "the input theory is inconsistent")
     return cochain
@@ -570,35 +572,37 @@ def apply_torsor(theory, t, x=None, tol=DEFAULT_TOL, root_order=None,
                 "the relative obstruction class is nontrivial; "
                 "no coefficients make the twisted theory consistent")
 
-    return _assemble(twist, x, lambda: _twisted_obstruction(
+    unit = twist.unit  # its errors come before the obstruction's
+    return _assemble(unit, x, _twisted_obstruction(
         theory.group, module, orr, consistency.defectification_obstruction(theory, tol)))
 
 
-def _twisted_obstruction(group, module, orr, base):
+def _twisted_obstruction(group, module, orr, base, faces=None):
     """The relative obstruction's phases ``orr`` times the base theory's
     defectification phases ``base``, as a closed U(1) 4-cochain.
 
     This is the one float path of the U(1) cochains: on anomalous data, or
     on data gauged by phases that are not roots of unity, a product does
     not snap, and the products are returned as {args: complex} for
-    :func:`_assemble` to record as floats with a null class.
+    :func:`_assemble` to record as floats with a null class.  ``faces`` as
+    in :func:`_obstruction_cochain`.
     """
     phases = {args: value * base.get(args, 1.0) for args, value in orr.items()}
     try:
-        return _obstruction_cochain(group, module, phases)
+        return _obstruction_cochain(group, module, phases, faces)
     except SnapFailure:
         return phases
 
 
-def _assemble(twist, x, obstruction):
-    """Twisted theory of ``twist`` at ``x``: ``twist.unit`` with ``x``
-    stacked on, and in its metadata the nontrivial entries of its defect
-    obstruction d(x) * ``obstruction()`` (:func:`_twisted_obstruction`,
-    called after ``twist.unit``) and whether their class is trivial.
+def _assemble(unit, x, obstruction, faces=None):
+    """Twisted theory at ``x``: the twisted theory at x = 1, ``unit``
+    (:attr:`Twist.unit`), with ``x`` stacked on, and in its metadata the
+    nontrivial entries of its defect obstruction d(x) * ``obstruction``
+    (:func:`_twisted_obstruction`) and whether their class is trivial.
+    ``faces``, the :class:`~gxbtc.groups.Faces` of the group in degree 3
+    or None, give d(x).
     """
-    unit = twist.unit
-    obstruction = obstruction()
-    dx = x.coboundary()
+    dx = x.coboundary(faces)
     if isinstance(obstruction, dict):  # the float path
         values = [(args, dx(*args) * obstruction[args]) for args in dx.support()]
         entries = [(args, v) for args, v in values if abs(v - 1.0) > DEFAULT_TOL]
@@ -608,7 +612,7 @@ def _assemble(twist, x, obstruction):
         identity = Cochain.identity(hatted.group, 4, hatted.module)
         entries = hatted.entries.items()
         trivial = cohomologous(hatted, identity) is not None
-    metadata = dict(twist.theory.metadata)
+    metadata = dict(unit.metadata)
     metadata["name"] = metadata.get("name", "theory") + "~twisted"
     encode = phase_encoder()
     metadata["obstruction"] = {
@@ -619,22 +623,32 @@ def _assemble(twist, x, obstruction):
     return stack_coefficients(unit, x, metadata=metadata)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Extension:
     """One (fractionalization, defectification) pair of :func:`enumerate_extensions`.
 
     ``fractionalization`` and ``defectification`` index the classes of
     H^2(G, A) and H^3(G, U(1)); ``t`` and ``alpha`` are their
-    representatives.  ``theory`` is the twist of the base by ``t`` with
-    coefficients alpha times the canonical solution, or None when the
-    relative obstruction of ``t`` is nontrivial.
+    representatives.  ``obstructed`` tells whether the relative obstruction
+    of ``t`` is nontrivial.  ``theory`` is the twist of the base by ``t``
+    with coefficients alpha times the canonical solution, or None when
+    obstructed.  It is built on first access, by ``build(alpha)`` from the
+    data its fractionalization class shares, and kept.
     """
 
     fractionalization: int
     defectification: int
     t: Cochain
     alpha: Cochain
-    theory: GxTheory | None
+    build: object  # alpha -> twisted theory; None when obstructed
+
+    @property
+    def obstructed(self):
+        return self.build is None
+
+    @cached_property
+    def theory(self):
+        return None if self.build is None else self.build(self.alpha)
 
 
 def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
@@ -642,10 +656,14 @@ def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
 
     Returns the H^2(G, A) and H^3(G, U(1)) results and the extensions in
     (fractionalization, defectification) order.  Each fractionalization
-    class has one :class:`Twist`, so it validates its twist and builds its
-    relative obstruction, its tables at x = 1 and its twisted obstruction
-    once; each alpha only stacks its coefficients on.  The base's
-    defectification obstruction is built once per call.
+    class has one :class:`Twist`.  For each class, in order, this validates
+    the twist and builds its relative obstruction and canonical
+    coefficients, and for an unobstructed class its tables at x = 1 and
+    its twisted obstruction, so an error is raised here.  The base's
+    defectification obstruction is built once per call, and each
+    coboundary check of one degree reads faces built once per call.  An
+    :class:`Extension` only stacks its alpha on when its ``theory`` is
+    first read.
     """
     grp = base.group
     module = root_module(base, root_order)
@@ -653,6 +671,7 @@ def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
     h3 = cohomology(grp, 3, module)
     alphas = h3.all_classes()
     _require_torsorable(base, tol)
+    faces = Faces(grp, 4)
 
     @functools.cache
     def base_obstruction():
@@ -662,15 +681,15 @@ def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
     for it, t in enumerate(h2.all_classes()):
         twist = Twist(base, t, tol)
         orr = _obstruction(twist)
-        base_x = solve_coefficients_for(_obstruction_cochain(grp, module, orr))
+        base_x = solve_coefficients_for(_obstruction_cochain(grp, module, orr, faces))
+        build = None
+        if base_x is not None:
+            unit = twist.unit
+            obstruction = _twisted_obstruction(grp, module, orr, base_obstruction(), faces)
 
-        @functools.cache
-        def obstruction(orr=orr):
-            return _twisted_obstruction(grp, module, orr, base_obstruction())
+            def build(alpha, unit=unit, base_x=base_x, obstruction=obstruction):
+                return _assemble(unit, base_x.combine(alpha), obstruction, h3.faces)
 
-        for ia, alpha in enumerate(alphas):
-            theory = None
-            if base_x is not None:
-                theory = _assemble(twist, base_x.combine(alpha), obstruction)
-            extensions.append(Extension(it, ia, t, alpha, theory))
+        extensions += [Extension(it, ia, t, alpha, build)
+                       for ia, alpha in enumerate(alphas)]
     return h2, h3, extensions

@@ -666,6 +666,28 @@ class TestEnumerate:
         assert first == second
 
 
+    def test_one_theory_assembled_per_unobstructed_class(self, tmp_path,
+                                                         monkeypatch, capsys):
+        # the command emits no theory; the collapse reads one per class
+        stacked = []
+        real = torsor.stack_coefficients
+
+        def counting(theory, x, **changes):
+            stacked.append(x)
+            return real(theory, x, **changes)
+
+        monkeypatch.setattr(torsor, "stack_coefficients", counting)
+        path = tmp_path / "semion.json"
+        path.write_text(json.dumps(cat.theory_to_json(cons.semion())))
+        assert main(["enumerate-extensions", "--c0", str(path),
+                     "--group", "Z2x2"]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        unobstructed = {e["fractionalization_class"] for e in entries
+                        if not e["obstructed"]}
+        assert sum(not e["obstructed"] for e in entries) == 40
+        assert len(unobstructed) == 5
+        assert len(stacked) == 5
+
     def test_toric_z4_classes(self, toric_file, capsys):
         assert main(["enumerate-extensions", "--c0", toric_file,
                      "--group", "Z4"]) == 0

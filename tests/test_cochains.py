@@ -18,7 +18,7 @@ from gxbtc import constructions as cons
 from gxbtc import equivalence as eq
 from gxbtc import groups as gr
 from gxbtc import torsor
-from gxbtc.errors import GxError
+from gxbtc.errors import GxError, InvalidInput
 
 import oracles
 import strategies
@@ -76,6 +76,27 @@ def test_arithmetic_matches_closures(data):
                       oracles.closure_inverse(a)).vec == a.inverse().vec
     assert gr.is_cocycle(a) == all(
         not any(module.to_vec(v)) for v in oracles.closure_coboundary(a).values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_shared_faces_give_the_same_coboundary(data):
+    group = data.draw(st.sampled_from([Z2, Z3, Z2XZ2, S3]))
+    module = MODULES[data.draw(st.sampled_from(sorted(MODULES)))](group)
+    degree = data.draw(st.integers(1, 3))
+    faces = gr.Faces(group, degree)
+    for _ in range(2):  # read again, not used up
+        a = data.draw(cochains(group, degree, module))
+        assert a.coboundary(faces).vec == a.coboundary().vec
+        assert gr.is_cocycle(a, faces) == gr.is_cocycle(a)
+
+
+def test_faces_of_another_group_or_degree_are_refused():
+    # Z4 and Z2 x Z2 have equally many tuples in each degree
+    a = gr.Cochain.identity(gr.FiniteGroup.cyclic(4), 2, gr.U1Module(8))
+    for faces in (gr.Faces(Z2XZ2, 2), gr.Faces(a.group, 3)):
+        with pytest.raises(InvalidInput, match="faces of another group"):
+            gr.is_cocycle(a, faces)
 
 
 CASES = {

@@ -163,13 +163,14 @@ class TestRelabel:
         assert cat.tables_distance(out, toric_z2) == 0.0
 
     def test_fixes(self, toric_z2):
-        assert eq.Relabeling(tuple(range(8))).fixes(toric_z2)
+        check = eq.structure_check(toric_z2)
+        assert check.carries(eq.Relabeling(tuple(range(8))))
         # e <-> m in both grades is a symmetry of the toric code
-        assert eq.Relabeling((0, 2, 1, 3, 4, 6, 5, 7)).fixes(toric_z2)
+        assert check.carries(eq.Relabeling((0, 2, 1, 3, 4, 6, 5, 7)))
         # moves the vacuum
-        assert not eq.Relabeling((1, 0, 2, 3, 4, 5, 6, 7)).fixes(toric_z2)
+        assert not check.carries(eq.Relabeling((1, 0, 2, 3, 4, 5, 6, 7)))
         # e x vac_1 = e_1 becomes e x e_1 = e_1, not a fusion triple
-        assert not eq.Relabeling((0, 1, 2, 3, 5, 4, 6, 7)).fixes(toric_z2)
+        assert not check.carries(eq.Relabeling((0, 1, 2, 3, 5, 4, 6, 7)))
 
     def test_grade_violation(self, toric_z2):
         with pytest.raises(GradeViolation):

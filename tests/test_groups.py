@@ -339,6 +339,16 @@ def test_class_coordinates_add_and_kill_coboundaries(case, data):
         assert h.class_of(mu.coboundary()) == [0] * len(h.orders)
 
 
+@pytest.mark.parametrize("group", [Z2, Z3, Z2xZ2, Z4, S3],
+                         ids=["Z2", "Z3", "Z2xZ2", "Z4", "S3"])
+def test_coordinates_are_the_classes_of_all_classes(group):
+    # enumerate-extensions reads an alpha's coordinates off its index
+    h = gr.cohomology(group, 3, gr.U1Module(24))
+    classes = h.all_classes()
+    assert len(classes) == h.size
+    assert h.coordinates() == [tuple(h.class_of(alpha)) for alpha in classes]
+
+
 def test_class_of_rejects_an_unclosed_cochain():
     h = gr.cohomology(Z3, 3, gr.U1Module(24))
     bump = gr.Cochain(Z3, 3, h.module, {(1, 1, 1): h.module.value(1)})

@@ -11,7 +11,13 @@ from gxbtc import consistency as con
 from gxbtc import constructions as cons
 from gxbtc import equivalence as eq
 from gxbtc import torsor
-from gxbtc.errors import GxError, InvalidInput, NotACocycle, SnapFailure
+from gxbtc.errors import (
+    GxError,
+    InvalidInput,
+    NotACocycle,
+    RestrictionMismatch,
+    SnapFailure,
+)
 from gxbtc.groups import Cochain, FiniteGroup, U1Module, is_cocycle, turn_phase
 from oracles import boundary_coefficients, dense_fusion_violations, trivial_twist
 
@@ -416,6 +422,35 @@ class TestEnumerateExtensions:
         assert len(counted["torsored_action"]) == len(built)
         assert len(counted["torsored_r"]) == len(built)
         assert len(base_calls) == 1
+
+    def test_theory_built_on_first_access_and_kept(self, semion_z22,
+                                                  monkeypatch):
+        stacked = []
+        real = torsor.stack_coefficients
+
+        def counting(theory, x, **changes):
+            stacked.append(x)
+            return real(theory, x, **changes)
+
+        monkeypatch.setattr(torsor, "stack_coefficients", counting)
+        h2, h3, extensions = torsor.enumerate_extensions(semion_z22)
+        assert stacked == []
+        open_classes = {ext.fractionalization for ext in extensions
+                        if not ext.obstructed}
+        assert len(open_classes) == 5
+        for ext in extensions:
+            assert (ext.theory is None) == ext.obstructed
+            assert ext.theory is ext.theory
+        assert len(stacked) == len(open_classes) * h3.size
+
+    def test_class_errors_raise_in_the_call(self, toric_z2, monkeypatch):
+        # the tables at x = 1 are built for each class before returning
+        def failing(twist):
+            raise RestrictionMismatch("eta restriction failed")
+
+        monkeypatch.setattr(torsor, "torsored_eta", failing)
+        with pytest.raises(RestrictionMismatch):
+            torsor.enumerate_extensions(toric_z2)
 
     def test_theories_equal_apply_torsor(self, toric_z2):
         _, _, extensions = torsor.enumerate_extensions(toric_z2)
