@@ -442,7 +442,7 @@ def _collapse_classes(base, h3, extensions):
         check = equivalence.structure_check(theory)
         shifts[ext.fractionalization] = {
             tuple(h3.class_of(equivalence.cocycle_relabel_class(
-                theory, z, h3.module.order, h3.faces)))
+                theory, z, h3.module.order)))
             for z in zs
             if check.carries(equivalence.relabeling_from_1cochain(theory, z))}
     coordinates = h3.coordinates()

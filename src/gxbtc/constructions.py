@@ -199,10 +199,6 @@ def build_spt(group, alpha):
     ``alpha`` must be a normalized U(1) 3-cocycle on ``group``.
     """
     validate_cocycle(alpha, degree=3)
-    return _build_spt_unchecked(group, alpha)
-
-
-def _build_spt_unchecked(group, alpha):
     g = group
     charges = list(g.elements())
     fusion = [(a, b, g.op(a, b)) for a in charges for b in charges]

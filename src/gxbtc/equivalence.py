@@ -289,7 +289,7 @@ def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
 # the closed-form relabel class
 
 
-def cocycle_relabel_class(theory, z, root_order=None, faces=None):
+def cocycle_relabel_class(theory, z, root_order=None):
     """The 3-cocycle omega_z that relabeling by a closed 1-cochain ``z`` adds.
 
     For a twist T_{t,x} of a theory and a closed ``z`` whose relabeling
@@ -299,15 +299,14 @@ def cocycle_relabel_class(theory, z, root_order=None, faces=None):
     class t name the same theory.  omega_z reads only identity-graded
     symbols, which do not depend on x, so any T_{t,x} gives it.  Its phases
     (:func:`_relabel_phases`) are snapped to U(1) at ``root_order``
-    (default: :func:`default_root_order`), and its closure is checked along
-    ``faces`` (:class:`~gxbtc.groups.Faces` of the group in degree 3, or
-    None).
+    (default: :func:`default_root_order`), and its closure is checked on
+    the degree-3 faces that :func:`gxbtc.groups._faces` keeps.
     """
     if not is_cocycle(z):
         raise NotA1Cocycle("relabeling 1-cochain must be closed")
     module = root_module(theory, root_order)
     out = Cochain(theory.group, 3, module, _relabel_phases(theory, z))
-    validate_cocycle(out, degree=3, faces=faces)
+    validate_cocycle(out, degree=3)
     return out
 
 

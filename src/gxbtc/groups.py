@@ -7,9 +7,11 @@ or the N-th roots of unity in U(1), held as exponents mod N; a complex
 value enters only through :meth:`U1Module.exponent_of`, which snaps it or
 raises SnapFailure.  Products, inverses and coboundaries are integer vector
 operations, and one face rule (:func:`_faces`) states the coboundary for
-both the cochains and the integer matrix that the Smith forms read.
-Cohomology is computed by exact integer linear algebra on that matrix;
-enumeration never enters except in the test oracles.
+both the cochains and the integer matrix that the Smith forms read.  The
+faces are built once per group and degree and held as packed C ints, in
+one module memo as the Smith forms are.  Cohomology is computed by exact
+integer linear algebra on that matrix; enumeration never enters except in
+the test oracles.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import cmath
 import itertools
 import math
 import re
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -328,11 +331,10 @@ class Cochain:
         return Cochain.from_vec(self.group, self.degree, self.module,
                                 [-x for x in self.vec])
 
-    def coboundary(self, faces=None):
-        """The degree n+1 coboundary, twisted by the module action; ``faces``
-        as in :func:`_coboundary_blocks`."""
+    def coboundary(self):
+        """The degree n+1 coboundary, twisted by the module action."""
         return Cochain.from_vec(self.group, self.degree + 1, self.module,
-                                [x for block in _coboundary_blocks(self, faces)
+                                [x for block in _coboundary_blocks(self)
                                  for x in block])
 
     def __repr__(self):
@@ -350,39 +352,49 @@ def _position(group, args):
     return pos
 
 
+_FACES_CACHE = {}
+
+
+def _packed(values):
+    """``values`` as a read-only buffer of 4-byte C ints.  ``struct``,
+    unlike ``array``, is usually loaded already (numpy and the ``zipfile``
+    of site hooks import it), so packing adds no extension module."""
+    return memoryview(struct.pack(f"{len(values)}i", *values)).cast("i")
+
+
 def _faces(group, degree):
-    """The one statement of d: C^degree -> C^{degree+1}, a block at a time.
+    """The one statement of d: C^degree -> C^{degree+1}, one block per g.
 
-    Yields each non-identity g with the faces of the tuples (g, x_1, ..) in
-    :func:`_tuple_index` order, as (sign, positions): per tuple, the face's
-    position in C^degree, or -1 where it holds the identity.  The faces are
-    (x_1, ..) acted on by g, then g x_1, x_1 x_2, ... merged with signs
-    -1, +1, ..., then the tuple without its last element.
+    A list of (g, faces) for each non-identity g: the faces of the tuples
+    (g, x_1, ..) in :func:`_tuple_index` order, as (sign, positions), with
+    per tuple the face's position in C^degree, or -1 where it holds the
+    identity.  The faces are (x_1, ..) acted on by g, then g x_1, x_1 x_2,
+    ... merged with signs -1, +1, ..., then the tuple without its last
+    element.  The list is built once per group table and degree and kept
+    in ``_FACES_CACHE``, stored only once complete; positions are
+    :func:`_packed`, all below (|G| - 1)^degree.
     """
-    rests, pos = _tuple_index(group, degree)
-    _, inner = _tuple_index(group, max(degree - 1, 0))
-    m, mult = group.order - 1, group.mult
-    merged = [[inner.get(a[:j - 1] + (mult[a[j - 1]][a[j]],) + a[j + 1:], -1)
-               for a in rests] for j in range(1, degree)]
-    every = list(range(len(rests)))
-    for s, g in enumerate(group.nonidentity()):
-        off = s * m ** (degree - 1) if degree else 0
-        faces = [(1, every)]
-        if degree:
-            faces.append((-1, [pos.get((mult[g][a[0]],) + a[1:], -1) for a in rests]))
-        faces += [(1 if j % 2 else -1, [off + p if p >= 0 else -1 for p in face])
-                  for j, face in enumerate(merged, 1)]
-        faces.append((-1 if degree % 2 == 0 else 1, [off + r // m for r in every]))
-        yield g, faces
-
-
-class Faces:
-    """:func:`_faces` of one group and degree, built once and shared by the
-    coboundaries of many cochains of that group and degree."""
-
-    def __init__(self, group, degree):
-        self.mult, self.degree = group.mult, degree
-        self.blocks = list(_faces(group, degree))
+    blocks = _FACES_CACHE.get((group.mult, degree))
+    if blocks is None:
+        rests, pos = _tuple_index(group, degree)
+        _, inner = _tuple_index(group, max(degree - 1, 0))
+        m, mult = group.order - 1, group.mult
+        merged = [_packed([inner.get(a[:j - 1] + (mult[a[j - 1]][a[j]],) + a[j + 1:], -1)
+                           for a in rests]) for j in range(1, degree)]
+        every = _packed(range(len(rests)))
+        blocks = []
+        for s, g in enumerate(group.nonidentity()):
+            off = s * m ** (degree - 1) if degree else 0
+            faces = [(1, every)]
+            if degree:
+                faces.append((-1, _packed([pos.get((mult[g][a[0]],) + a[1:], -1)
+                                           for a in rests])))
+            faces += [(1 if j % 2 else -1, _packed([off + p if p >= 0 else -1 for p in face]))
+                      for j, face in enumerate(merged, 1)]
+            faces.append((-1 if degree % 2 == 0 else 1, _packed([off + r // m for r in every])))
+            blocks.append((g, faces))
+        _FACES_CACHE[group.mult, degree] = blocks
+    return blocks
 
 
 def _terms(module, g, faces):
@@ -397,30 +409,22 @@ def _terms(module, g, faces):
                     yield i, j, a, positions
 
 
-def _coboundary_blocks(cochain, faces=None):
+def _coboundary_blocks(cochain):
     """d(cochain) along :func:`_faces`, one block of tuples at a time: k
-    integer coordinates per tuple, not yet reduced.  ``faces``, if given,
-    are the :class:`Faces` of the cochain's group and degree."""
-    if faces is None:
-        blocks = _faces(cochain.group, cochain.degree)
-    elif faces.mult == cochain.group.mult and faces.degree == cochain.degree:
-        blocks = faces.blocks
-    else:
-        raise InvalidInput("faces of another group or degree")
+    integer coordinates per tuple, not yet reduced."""
     k = len(cochain.module.factors)
     padded = cochain.vec + [0] * k  # position -1 reads the zeros
-    for g, g_faces in blocks:
+    for g, g_faces in _faces(cochain.group, cochain.degree):
         coords = [[0] * len(g_faces[0][1]) for _ in range(k)]
         for i, j, a, positions in _terms(cochain.module, g, g_faces):
             coords[i] = [c + a * padded[p * k + j] for c, p in zip(coords[i], positions)]
         yield [x for coord in zip(*coords) for x in coord]
 
 
-def is_cocycle(cochain, faces=None):
-    """True iff the coboundary of ``cochain`` is the identity cochain;
-    ``faces`` as in :func:`_coboundary_blocks`."""
+def is_cocycle(cochain):
+    """True iff the coboundary of ``cochain`` is the identity cochain."""
     factors = cochain.module.factors
-    return not any(x % m for block in _coboundary_blocks(cochain, faces)
+    return not any(x % m for block in _coboundary_blocks(cochain)
                    for x, m in zip(block, itertools.cycle(factors)))
 
 
@@ -533,11 +537,6 @@ class CohomologyGroup:
     def size(self):
         return math.prod(self.orders) if self.orders else 1
 
-    @cached_property
-    def faces(self):
-        """The :class:`Faces` of this group and degree, built on first use."""
-        return Faces(self.group, self.degree)
-
     def all_classes(self):
         """One cocycle per cohomology class (products of the generators),
         in the order of :meth:`coordinates`."""
@@ -571,7 +570,7 @@ class CohomologyGroup:
             raise InvalidInput("cocycle is not a cochain of this group and degree")
         n = cocycle.module.order
         c = []
-        for block in _coboundary_blocks(cocycle, self.faces):
+        for block in _coboundary_blocks(cocycle):
             for x in block:
                 q, r = divmod(x, n)
                 if r:
@@ -833,11 +832,11 @@ def cochain_from_json(obj, group, module=None, degree=None):
         raise InvalidInput(f"malformed cochain JSON: {exc}") from exc
 
 
-def validate_cocycle(cochain, degree=None, faces=None):
+def validate_cocycle(cochain, degree=None):
     """Raise NotACocycle unless ``cochain`` is closed (optionally of a
-    degree); ``faces`` as in :func:`_coboundary_blocks`."""
+    degree)."""
     if degree is not None and cochain.degree != degree:
         raise InvalidInput(f"expected a degree-{degree} cochain")
-    if not is_cocycle(cochain, faces):
+    if not is_cocycle(cochain):
         raise NotACocycle(f"{cochain!r} has nontrivial coboundary")
     return cochain

@@ -38,7 +38,6 @@ from .errors import (
 from .groups import (
     DEFAULT_TOL,
     Cochain,
-    Faces,
     U1Module,
     cohomologous,
     cohomology,
@@ -519,11 +518,10 @@ def _obstruction(twist):
     return _table_of((g, h, k, l), val)
 
 
-def _obstruction_cochain(group, module, phases, faces=None):
-    """Phases over G^4 as a U(1) 4-cochain, checked closed along ``faces``
-    (:class:`~gxbtc.groups.Faces` of the group in degree 4, or None)."""
+def _obstruction_cochain(group, module, phases):
+    """Phases over G^4 as a U(1) 4-cochain, checked closed."""
     cochain = Cochain(group, 4, module, phases)
-    if not is_cocycle(cochain, faces):
+    if not is_cocycle(cochain):
         raise NotACocycle("an obstruction came out non-closed; "
                           "the input theory is inconsistent")
     return cochain
@@ -559,6 +557,8 @@ def apply_torsor(theory, t, x=None, tol=DEFAULT_TOL, root_order=None,
     condition; pass explicit coefficients (for example a 3-cocycle times a
     known solution) to land elsewhere on the coefficient torsor.  The
     resulting obstruction data is recorded in the metadata.
+    ``check_preconditions=False`` skips the torsorability check of
+    ``theory``, for a caller that has made it already.
     """
     module = root_module(theory, root_order)
     twist = Twist(theory, t, tol)
@@ -573,36 +573,34 @@ def apply_torsor(theory, t, x=None, tol=DEFAULT_TOL, root_order=None,
                 "no coefficients make the twisted theory consistent")
 
     unit = twist.unit  # its errors come before the obstruction's
-    return _assemble(unit, x, _twisted_obstruction(
-        theory.group, module, orr, consistency.defectification_obstruction(theory, tol)))
+    obstruction = _twisted_obstruction(
+        theory.group, module, orr, consistency.defectification_obstruction(theory, tol))
+    return stack_coefficients(unit, x, metadata=_metadata(unit, x.coboundary(), obstruction))
 
 
-def _twisted_obstruction(group, module, orr, base, faces=None):
+def _twisted_obstruction(group, module, orr, base):
     """The relative obstruction's phases ``orr`` times the base theory's
     defectification phases ``base``, as a closed U(1) 4-cochain.
 
     This is the one float path of the U(1) cochains: on anomalous data, or
     on data gauged by phases that are not roots of unity, a product does
     not snap, and the products are returned as {args: complex} for
-    :func:`_assemble` to record as floats with a null class.  ``faces`` as
-    in :func:`_obstruction_cochain`.
+    :func:`_metadata` to record as floats with a null class.  Its closure
+    check reads the degree-4 faces that :func:`gxbtc.groups._faces` keeps.
     """
     phases = {args: value * base.get(args, 1.0) for args, value in orr.items()}
     try:
-        return _obstruction_cochain(group, module, phases, faces)
+        return _obstruction_cochain(group, module, phases)
     except SnapFailure:
         return phases
 
 
-def _assemble(unit, x, obstruction, faces=None):
-    """Twisted theory at ``x``: the twisted theory at x = 1, ``unit``
-    (:attr:`Twist.unit`), with ``x`` stacked on, and in its metadata the
-    nontrivial entries of its defect obstruction d(x) * ``obstruction``
-    (:func:`_twisted_obstruction`) and whether their class is trivial.
-    ``faces``, the :class:`~gxbtc.groups.Faces` of the group in degree 3
-    or None, give d(x).
+def _metadata(unit, dx, obstruction):
+    """Metadata of the twisted theory at coefficients x: that of ``unit``
+    (:attr:`Twist.unit`, the theory at x = 1), with the nontrivial entries
+    of the defect obstruction ``dx`` * ``obstruction`` (d(x) times
+    :func:`_twisted_obstruction`) and whether their class is trivial.
     """
-    dx = x.coboundary(faces)
     if isinstance(obstruction, dict):  # the float path
         values = [(args, dx(*args) * obstruction[args]) for args in dx.support()]
         entries = [(args, v) for args, v in values if abs(v - 1.0) > DEFAULT_TOL]
@@ -620,7 +618,7 @@ def _assemble(unit, x, obstruction, faces=None):
                     for args, value in entries],
         "trivial_class": trivial,
     }
-    return stack_coefficients(unit, x, metadata=metadata)
+    return metadata
 
 
 @dataclass(frozen=True, eq=False)
@@ -658,10 +656,12 @@ def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
     (fractionalization, defectification) order.  Each fractionalization
     class has one :class:`Twist`.  For each class, in order, this validates
     the twist and builds its relative obstruction and canonical
-    coefficients, and for an unobstructed class its tables at x = 1 and
-    its twisted obstruction, so an error is raised here.  The base's
-    defectification obstruction is built once per call, and each
-    coboundary check of one degree reads faces built once per call.  An
+    coefficients, and for an unobstructed class its tables at x = 1, its
+    twisted obstruction and the metadata of its theories, so an error is
+    raised here.  The metadata is built from d(x) at the canonical x: each
+    alpha is closed, so d(x * alpha) = d(x).  The base's defectification
+    obstruction is built once per call, and every closure check reads the
+    faces that :func:`gxbtc.groups._faces` keeps per group and degree.  An
     :class:`Extension` only stacks its alpha on when its ``theory`` is
     first read.
     """
@@ -671,7 +671,6 @@ def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
     h3 = cohomology(grp, 3, module)
     alphas = h3.all_classes()
     _require_torsorable(base, tol)
-    faces = Faces(grp, 4)
 
     @functools.cache
     def base_obstruction():
@@ -681,14 +680,15 @@ def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
     for it, t in enumerate(h2.all_classes()):
         twist = Twist(base, t, tol)
         orr = _obstruction(twist)
-        base_x = solve_coefficients_for(_obstruction_cochain(grp, module, orr, faces))
+        base_x = solve_coefficients_for(_obstruction_cochain(grp, module, orr))
         build = None
         if base_x is not None:
             unit = twist.unit
-            obstruction = _twisted_obstruction(grp, module, orr, base_obstruction(), faces)
+            obstruction = _twisted_obstruction(grp, module, orr, base_obstruction())
+            metadata = _metadata(unit, base_x.coboundary(), obstruction)
 
-            def build(alpha, unit=unit, base_x=base_x, obstruction=obstruction):
-                return _assemble(unit, base_x.combine(alpha), obstruction, h3.faces)
+            def build(alpha, unit=unit, base_x=base_x, metadata=metadata):
+                return stack_coefficients(unit, base_x.combine(alpha), metadata=metadata)
 
         extensions += [Extension(it, ia, t, alpha, build)
                        for ia, alpha in enumerate(alphas)]

@@ -1,7 +1,8 @@
 """Cochains as integer vectors against the value-by-value closures of
-tests/oracles.py; the relative obstruction and omega_z, computed on the
-numpy index, against their scalar formulas; and untimed guards on the
-snaps and the memory the cochain paths take."""
+tests/oracles.py, with the faces memo read cold and warm; the relative
+obstruction and omega_z, computed on the numpy index, against their scalar
+formulas; and untimed guards on the snaps and the memory the cochain paths
+take."""
 
 import itertools
 import json
@@ -18,7 +19,7 @@ from gxbtc import constructions as cons
 from gxbtc import equivalence as eq
 from gxbtc import groups as gr
 from gxbtc import torsor
-from gxbtc.errors import GxError, InvalidInput
+from gxbtc.errors import GxError
 
 import oracles
 import strategies
@@ -84,19 +85,27 @@ def test_shared_faces_give_the_same_coboundary(data):
     group = data.draw(st.sampled_from([Z2, Z3, Z2XZ2, S3]))
     module = MODULES[data.draw(st.sampled_from(sorted(MODULES)))](group)
     degree = data.draw(st.integers(1, 3))
-    faces = gr.Faces(group, degree)
-    for _ in range(2):  # read again, not used up
+    gr._FACES_CACHE.clear()
+    for _ in range(2):  # built cold, then read from the memo, not used up
         a = data.draw(cochains(group, degree, module))
-        assert a.coboundary(faces).vec == a.coboundary().vec
-        assert gr.is_cocycle(a, faces) == gr.is_cocycle(a)
+        closure = oracles.closure_coboundary(a)
+        assert a.coboundary().vec == gr.Cochain(group, degree + 1, module, closure).vec
+        assert gr.is_cocycle(a) == all(not any(module.to_vec(v)) for v in closure.values())
 
 
-def test_faces_of_another_group_or_degree_are_refused():
-    # Z4 and Z2 x Z2 have equally many tuples in each degree
-    a = gr.Cochain.identity(gr.FiniteGroup.cyclic(4), 2, gr.U1Module(8))
-    for faces in (gr.Faces(Z2XZ2, 2), gr.Faces(a.group, 3)):
-        with pytest.raises(InvalidInput, match="faces of another group"):
-            gr.is_cocycle(a, faces)
+def test_faces_kept_apart_for_groups_of_one_size():
+    # Z4 and Z2 x Z2 have equally many tuples in each degree, so only
+    # their tables tell their faces apart
+    z4 = gr.FiniteGroup.cyclic(4)
+    module = gr.U1Module(8)
+    rng = random.Random(4)
+    gr._FACES_CACHE.clear()
+    for degree in (1, 2, 3, 2, 1):
+        for group in (z4, Z2XZ2, z4):
+            a = gr.Cochain.from_vec(group, degree, module,
+                                    [rng.randrange(8) for _ in range(3 ** degree)])
+            assert a.coboundary().vec == gr.Cochain(
+                group, degree + 1, module, oracles.closure_coboundary(a)).vec
 
 
 CASES = {
@@ -192,6 +201,7 @@ def test_cocycle_check_on_z13_stays_small():
     rng = random.Random(13)
     eps = gr.Cochain.from_vec(z13, 2, module, [rng.randrange(104) for _ in range(144)])
     alpha = alpha.combine(eps.coboundary())
+    gr._FACES_CACHE.clear()  # measure the faces' build too
     tracemalloc.start()
     try:
         closed = gr.is_cocycle(alpha)

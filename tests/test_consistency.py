@@ -79,7 +79,8 @@ class TestPentagon:
         # a 3-cochain valued in mu_4 that is not closed
         chi = Cochain(Z2, 3, U1Module(4), {(1, 1, 1): 1j})
         assert not is_cocycle(chi)
-        theory = cons._build_spt_unchecked(Z2, chi)
+        theory = cons.stack_coefficients(
+            cons.build_spt(Z2, Cochain.identity(Z2, 3, U1Module(4))), chi)
         rep = con.check_pentagon(theory)
         assert not rep.passed(TOL)
         defect = chi.coboundary()

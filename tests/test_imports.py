@@ -1,5 +1,6 @@
-"""Imports in fresh interpreters: each module loads on its own, and numpy is
-loaded only by the commands that build arrays.
+"""Imports in fresh interpreters: each module loads on its own, numpy is
+loaded only by the commands that build arrays, and every module-level
+container a run fills is named as a cache.
 
 ``cohomology``, ``equiv``, ``compose`` and ``build`` on abelian inputs
 never build an array, so a desk call of one of them does not pay for
@@ -33,6 +34,31 @@ for argv in json.loads(sys.argv[1]):
     code = gxbtc.cli.main(argv)
     out.append([argv[0], code, "numpy" in sys.modules])
 print(json.dumps(out))
+"""
+
+# the gxbtc module-level dicts, lists, sets and weak containers that grew
+# over main(argv) for each call in turn, with every module imported first
+GROWN = """
+import importlib, json, pkgutil, sys, weakref
+import gxbtc, gxbtc.cli
+for info in pkgutil.iter_modules(gxbtc.__path__):
+    importlib.import_module("gxbtc." + info.name)
+KINDS = (dict, list, set, weakref.WeakKeyDictionary, weakref.WeakValueDictionary,
+         weakref.WeakSet)
+
+
+def sizes():
+    return {f"{name}.{attr}": len(value)
+            for name, mod in list(sys.modules.items())
+            if name == "gxbtc" or name.startswith("gxbtc.")
+            for attr, value in vars(mod).items()
+            if not attr.startswith("__") and isinstance(value, KINDS)}
+
+
+before = sizes()
+for argv in json.loads(sys.argv[1]):
+    assert gxbtc.cli.main(argv) == 0
+print(json.dumps(sorted(k for k, n in sizes().items() if n > before.get(k, 0))))
 """
 
 
@@ -107,3 +133,17 @@ def test_kernel_calls_load_numpy(tmp_path, files, command):
             "torsor": ["torsor", files["toric_z2"], "--t", files["t2"],
                        "--solve-x"]}[command]
     assert calls(tmp_path, [argv]) == [[command, 0, True]]
+
+
+def test_every_memo_a_run_fills_is_named_a_cache(tmp_path, files, semion_theory):
+    # the benchmark starts each operation cold by emptying the module
+    # attributes named *CACHE*; a memo named otherwise would carry over
+    semion = tmp_path / "semion.json"
+    semion.write_text(json.dumps(cat.theory_to_json(semion_theory)))
+    argvs = [["enumerate-extensions", "--c0", str(semion), "--group", "Z2x2"],
+             ["torsor", files["toric_z2"], "--t", files["t2"], "--solve-x"]]
+    argvs = [[*argv, "-o", str(tmp_path / f"out{i}.json")]
+             for i, argv in enumerate(argvs)]
+    grown = json.loads(fresh("-c", GROWN, json.dumps(argvs)))
+    assert "gxbtc.groups._FACES_CACHE" in grown
+    assert [name for name in grown if "CACHE" not in name.upper()] == []

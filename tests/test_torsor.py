@@ -443,6 +443,21 @@ class TestEnumerateExtensions:
             assert ext.theory is ext.theory
         assert len(stacked) == len(open_classes) * h3.size
 
+    def test_metadata_built_once_per_class(self, semion_z22, monkeypatch):
+        # each alpha is closed, so the theories of one class share d(x)
+        calls = []
+        real = torsor._metadata
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(torsor, "_metadata", counting)
+        _, _, extensions = torsor.enumerate_extensions(semion_z22)
+        theories = [ext.theory for ext in extensions if not ext.obstructed]
+        assert len(theories) == 40
+        assert len(calls) == 5
+
     def test_class_errors_raise_in_the_call(self, toric_z2, monkeypatch):
         # the tables at x = 1 are built for each class before returning
         def failing(twist):
