@@ -426,7 +426,9 @@ def _collapse_classes(base, h3, extensions):
     omega_z (:func:`equivalence.cocycle_relabel_class`) decides the rest:
     the two are joined exactly when alpha_j ~ alpha_i * omega_z, that is
     when the H^3(G, U(1)) coordinates of alpha_j - alpha_i are those of
-    some omega_z.  Only one theory per fractionalization class is read.
+    some omega_z.  Each omega_z is built unchecked
+    (:func:`equivalence.relabel_cochain`) and its closure is tested once,
+    by ``h3.class_of``.  Only one theory per fractionalization class is read.
     Classes come in order of their smallest member, members ascending.
     """
     grp = base.group
@@ -441,7 +443,7 @@ def _collapse_classes(base, h3, extensions):
         theory = ext.theory
         check = equivalence.structure_check(theory)
         shifts[ext.fractionalization] = {
-            tuple(h3.class_of(equivalence.cocycle_relabel_class(
+            tuple(h3.class_of(equivalence.relabel_cochain(
                 theory, z, h3.module.order)))
             for z in zs
             if check.carries(equivalence.relabeling_from_1cochain(theory, z))}

@@ -10,13 +10,13 @@ the entry.
 Every sweep but the hexagon runs on one numpy index of the theory
 (:class:`TheoryIndex`): the pentagon sweeps (``check_pentagon``, and
 through it ``base_theory_torsorable``, and ``defectification_obstruction``),
-both heptagons, eta associativity and kappa sliding.  ``torsor`` builds its
-twisted F and U tables on the same index.  Complex arithmetic is written
-out on float64 parts as CPython's complex ``*``, ``/`` and ``abs``, sums
-add their terms from 0 in the loops' order, and results are put back in
-the nested-loop order, so reports and obstructions are bit-identical to the
-scalar loops kept in ``tests/oracles.py``.  The hexagon, a small share of a
-``check``, stays a loop.
+both heptagons, eta associativity and kappa sliding.  ``torsor`` builds
+its twisted F, R, U and eta tables on the same index.  Complex arithmetic
+is written out on float64 parts as CPython's complex ``*``, ``/`` and
+``abs``, sums add their terms from 0 in the loops' order, and results are
+put back in the nested-loop order, so reports and obstructions are
+bit-identical to the scalar loops kept in ``tests/oracles.py``.  The
+hexagon, a small share of a ``check``, stays a loop.
 
 Each function that builds arrays imports numpy itself, so a command that
 builds none, such as ``cohomology`` or ``equiv``, never loads it.

@@ -297,17 +297,26 @@ def cocycle_relabel_class(theory, z, root_order=None):
     relabel_z(T_{t,x}) is gauge equivalent to T_{t,x*omega_z}.  So
     defectification classes alpha and alpha*omega_z of one fractionalization
     class t name the same theory.  omega_z reads only identity-graded
-    symbols, which do not depend on x, so any T_{t,x} gives it.  Its phases
-    (:func:`_relabel_phases`) are snapped to U(1) at ``root_order``
-    (default: :func:`default_root_order`), and its closure is checked on
-    the degree-3 faces that :func:`gxbtc.groups._faces` keeps.
+    symbols, which do not depend on x, so any T_{t,x} gives it.  It is
+    :func:`relabel_cochain`, whose closure is checked here on the degree-3
+    faces that :func:`gxbtc.groups._faces` keeps.
+    """
+    return validate_cocycle(relabel_cochain(theory, z, root_order), degree=3)
+
+
+def relabel_cochain(theory, z, root_order=None):
+    """omega_z of :func:`cocycle_relabel_class` with its closure unchecked.
+
+    Its phases (:func:`_relabel_phases`) are snapped to U(1) at
+    ``root_order`` (default: :func:`default_root_order`).  This is for a
+    caller whose next step tests the closure anyway, as
+    :meth:`gxbtc.groups.CohomologyGroup.class_of` does with the same
+    NotACocycle, so that each omega_z is tested once.
     """
     if not is_cocycle(z):
         raise NotA1Cocycle("relabeling 1-cochain must be closed")
     module = root_module(theory, root_order)
-    out = Cochain(theory.group, 3, module, _relabel_phases(theory, z))
-    validate_cocycle(out, degree=3)
-    return out
+    return Cochain(theory.group, 3, module, _relabel_phases(theory, z))
 
 
 def _relabel_phases(theory, z):

@@ -7,14 +7,13 @@ triples.  The relative obstruction measures whether coefficients exist
 making the four-defect pentagon close; when its class is trivial,
 :func:`solve_cocycleator` produces canonical coefficients.
 
-The twisted F and U tables, the largest, and the relative obstruction are
+The twisted F, R, U and eta tables and the relative obstruction are
 evaluated as arrays on the base theory's numpy index
 (:func:`gxbtc.consistency.theory_index`), bit for bit as the scalar
-formulas kept in ``tests/oracles.py``; the R and eta tables, a small share
-of a twist, stay loops.  The obstruction's phases are snapped to a U(1)
-cochain once; :func:`_twisted_obstruction` is the one place where phases
-off the roots of unity are kept as floats.  As in ``consistency``, the
-functions that build arrays import numpy themselves.
+formulas kept in ``tests/oracles.py``.  The obstruction's phases are
+snapped to a U(1) cochain once; :func:`_twisted_obstruction` is the one
+place where phases off the roots of unity are kept as floats.  As in
+``consistency``, the functions that build arrays import numpy themselves.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import consistency
-from .category import GxTheory, abelian_subgroup, fusion_violations, monodromy
+from .category import GxTheory, abelian_subgroup, fusion_violations
 from .consistency import cconj, cmul, cquot
 from .constructions import stack_coefficients
 from .errors import (
@@ -129,7 +128,12 @@ class Twist:
 
     @cached_property
     def unit(self):
-        """The twisted theory at x = 1; see :func:`stack_coefficients` for x."""
+        """The twisted theory at x = 1; see :func:`stack_coefficients` for x.
+
+        Its four tables are array kernels on the base theory's index, so
+        reading it loads numpy; of the commands only ``torsor`` and
+        ``enumerate-extensions`` read it.
+        """
         theory, action = self.theory, self.action  # the action is checked first
         return GxTheory(theory.group, theory.grades, theory.vacuum,
                         self.fusion[0], torsored_f(self), torsored_r(self),
@@ -326,26 +330,33 @@ def torsored_f(twist):
 
 
 def torsored_r(twist):
-    """R table of the twisted theory."""
-    theory, t, q = twist.theory, twist.t, twist.transfer
-    grp = theory.group
-    dual = theory.dual
-    tr = theory.translate
-    table = {}
-    for a, b, c in twist.fusion[0]:
-        g, h = theory.grade(a), theory.grade(b)
-        hgh = grp.prod(grp.inverse(h), g, h)
-        q_gh = q[(g, h)]
-        t_gh = t(g, h)
-        a1 = tr(dual(q_gh), a)
-        c1 = tr(dual(t(h, hgh)), c)
-        c2 = tr(dual(t_gh), c)
-        value = theory.r_symbol(a1, b, c1)
-        value = value * theory.f_symbol(
-            t_gh, q_gh, c1, c, theory.fuse_abelian(t_gh, q_gh), tr(q_gh, c1))
-        value = value * theory.f_symbol(q_gh, a1, b, c2, a, c1).conjugate()
-        table[(a, b, c)] = value
-    return table
+    """R table of the twisted theory, keyed on the twisted triples in order.
+
+    Each value is a base R symbol times two F symbols on the twist line,
+    evaluated for all triples at once on the base theory's index.
+    """
+    import numpy as np
+    theory = twist.theory
+    ix = consistency.theory_index(theory)
+    a, b, c = np.array(twist.fusion[0], dtype=np.int64).reshape(-1, 3).T
+
+    t = _group_table(theory.group, twist.t)
+    q = _group_table(theory.group, lambda g, h: twist.transfer[(g, h)])
+    mult, dual, tr = ix.mult, ix.dual, ix.translate
+    g, h = ix.grade[a], ix.grade[b]
+    hgh = mult[mult[ix.inv[h], g], h]
+    q_gh = q[g, h]
+    t_gh = t[g, h]
+    a1 = tr(dual[q_gh], a)
+    c1 = tr(dual[t[h, hgh]], c)
+    c2 = tr(dual[t_gh], c)
+    look = _Lookups(ix)
+    value = look.r(a1, b, c1)
+    value = cmul(value, look.f(
+        t_gh, q_gh, c1, c, ix.fuse_abelian(t_gh, q_gh), tr(q_gh, c1)))
+    value = cmul(value, cconj(look.f(q_gh, a1, b, c2, a, c1)))
+    look.check()
+    return _table_of((a, b, c), value)
 
 
 def torsored_u(twist):
@@ -405,64 +416,75 @@ def torsored_u(twist):
     return _table_of((k, a, b, c), cmul(value, cquot(num, den)))
 
 
-def _torsored_eta_value(theory, t, q, xc, g, h):
-    grp = theory.group
-    k = theory.grade(xc)
-    gh = grp.op(g, h)
-    gkg = grp.prod(grp.inverse(g), k, g)
-    hgkgh = grp.prod(grp.inverse(h), gkg, h)
-    dual = theory.dual
-    tr = theory.translate
-    f3 = theory.f_line
-    t_gh = t(g, h)
-    x1 = tr(dual(q[(k, gh)]), xc)
-    x2 = tr(dual(q[(k, g)]), xc)
-    x3 = tr(t_gh, x1)
-    gt = theory.act(g, t(gkg, h))
-    gq = theory.act(g, q[(gkg, h)])
-    value = theory.eta_symbol(x1, g, h)
-    value = value * theory.u_symbol(g, gq, x1, tr(gq, x1))
-    value = value / theory.u_line(g, gt, gq)
-    value = value * theory.r_line(theory.act(k, t_gh), xc)
-    value = value * theory.r_line(x1, t_gh)
-    num = (f3(t(grp.op(k, g), h), t(k, g), q[(k, g)])
-           * f3(t(g, grp.op(gkg, h)), gt, gq)
-           * f3(t(gh, hgkgh), t_gh, x1)
-           * f3(t(k, gh), q[(k, gh)], x3))
-    den = (f3(t(k, gh), theory.act(k, t_gh), xc)
-           * f3(theory.fuse_abelian(t(grp.op(k, g), h), t(k, g)), q[(k, g)], x2)
-           * f3(theory.fuse_abelian(t(g, grp.op(gkg, h)), gt), gq, x1)
-           * f3(q[(k, gh)], x1, t_gh))
-    return value * (num / den)
-
-
 def torsored_eta(twist):
     """Local projective phases of the twisted theory at x = 1.
 
-    Identity-graded charges take the closed form eta * monodromy with the
-    twist value; the general contraction is still evaluated there and must
-    agree within ``twist.tol``.
+    Keys are (x, g, h) for each charge x, then g, then h.  The general
+    contraction, eta times U, R and F symbols on the twist line, is
+    evaluated for all keys at once on the base theory's index.
+    Identity-graded charges take the closed form eta * R^{xy} R^{yx} with
+    y = t(g, h); the contraction must agree with it there within
+    ``twist.tol``.  Errors come as in the loop over the keys: at the first
+    key with a missing base entry or a disagreement, and a missing entry
+    first at that key.
     """
-    theory, t, q = twist.theory, twist.t, twist.transfer
-    grp = theory.group
-    ident = grp.identity
-    table = {}
-    for xc in theory.charges():
-        trivially_graded = theory.grade(xc) == ident
-        for g in grp.elements():
-            for h in grp.elements():
-                general = _torsored_eta_value(theory, t, q, xc, g, h)
-                if trivially_graded:
-                    closed = theory.eta_symbol(xc, g, h) * monodromy(
-                        theory, xc, t(g, h))
-                    if abs(general - closed) > twist.tol:
-                        raise RestrictionMismatch(
-                            f"eta restriction failed at ({xc},{g},{h}): "
-                            f"{general} vs {closed}")
-                    table[(xc, g, h)] = closed
-                else:
-                    table[(xc, g, h)] = general
-    return table
+    import numpy as np
+    theory = twist.theory
+    ix = consistency.theory_index(theory)
+    x, g, h = np.indices((ix.n, ix.order, ix.order)).reshape(3, -1)
+
+    t = _group_table(theory.group, twist.t)
+    q = _group_table(theory.group, lambda g, h: twist.transfer[(g, h)])
+    mult, inv, act, dual, tr = ix.mult, ix.inv, ix.act, ix.dual, ix.translate
+    k = ix.grade[x]
+    gh = mult[g, h]
+    kg = mult[k, g]
+    gkg = mult[mult[inv[g], k], g]
+    gkg_h = mult[gkg, h]
+    t_gh = t[g, h]
+    x1 = tr(dual[q[k, gh]], x)
+    x2 = tr(dual[q[k, g]], x)
+    x3 = tr(t_gh, x1)
+    gt = act[g, t[gkg, h]]
+    gq = act[g, q[gkg, h]]
+    look = _Lookups(ix)
+    value = look.eta(x1, g, h)
+    value = cmul(value, look.u_line(g, gq, x1))
+    value = cquot(value, look.u_line(g, gt, gq))
+    value = cmul(value, look.r_line(act[k, t_gh], x))
+    value = cmul(value, look.r_line(x1, t_gh))
+    num = cmul(cmul(cmul(
+        look.f_line(t[kg, h], t[k, g], q[k, g]),
+        look.f_line(t[g, gkg_h], gt, gq)),
+        look.f_line(t[gh, mult[mult[inv[h], gkg], h]], t_gh, x1)),
+        look.f_line(t[k, gh], q[k, gh], x3))
+    den = cmul(cmul(cmul(
+        look.f_line(t[k, gh], act[k, t_gh], x),
+        look.f_line(ix.fuse_abelian(t[kg, h], t[k, g]), q[k, g], x2)),
+        look.f_line(ix.fuse_abelian(t[g, gkg_h], gt), gq, x1)),
+        look.f_line(q[k, gh], x1, t_gh))
+    general = cmul(value, cquot(num, den))
+
+    rows = np.flatnonzero(k == theory.group.identity)
+    xs, y = x[rows], t_gh[rows]
+    c = tr(xs, y)
+    # the contraction has looked up each entry of the closed form at the
+    # same key (x1 = x there, and x (x) y = y (x) x, which the twisted action
+    # checks), so a missing entry is recorded by ``look`` at its key
+    closed = cmul(ix.eta(xs, g[rows], h[rows]), cmul(ix.r(xs, y, c), ix.r(y, xs, c)))
+    general_r, general_i = general[0][rows], general[1][rows]
+    far = np.flatnonzero(
+        np.hypot(general_r - closed[0], general_i - closed[1]) > twist.tol)
+    if len(far) and (look.missing is None or rows[far[0]] < look.missing[0]):
+        i = int(far[0])
+        key = tuple(int(col[rows[i]]) for col in (x, g, h))
+        raise RestrictionMismatch(
+            f"eta restriction failed at ({key[0]},{key[1]},{key[2]}): "
+            f"{complex(general_r[i], general_i[i])} vs "
+            f"{complex(closed[0][i], closed[1][i])}")
+    look.check()
+    general[0][rows], general[1][rows] = closed
+    return _table_of((x, g, h), general)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +682,11 @@ def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
     twisted obstruction and the metadata of its theories, so an error is
     raised here.  The metadata is built from d(x) at the canonical x: each
     alpha is closed, so d(x * alpha) = d(x).  The base's defectification
-    obstruction is built once per call, and every closure check reads the
+    obstruction is snapped and checked closed once per call, at the first
+    unobstructed class.  A class's twisted obstruction is then the product
+    of two closed cochains, closed because d is additive, and is not
+    checked again; only base phases off the roots of unity take the float
+    path of :func:`_twisted_obstruction`.  Every closure check reads the
     faces that :func:`gxbtc.groups._faces` keeps per group and degree.  An
     :class:`Extension` only stacks its alpha on when its ``theory`` is
     first read.
@@ -674,17 +700,26 @@ def enumerate_extensions(base, root_order=None, tol=DEFAULT_TOL):
 
     @functools.cache
     def base_obstruction():
-        return consistency.defectification_obstruction(base, tol)
+        """The closed cochain of the base's phases, or on the float path
+        the phases themselves."""
+        phases = consistency.defectification_obstruction(base, tol)
+        try:
+            return _obstruction_cochain(grp, module, phases)
+        except SnapFailure:
+            return phases
 
     extensions = []
     for it, t in enumerate(h2.all_classes()):
         twist = Twist(base, t, tol)
         orr = _obstruction(twist)
-        base_x = solve_coefficients_for(_obstruction_cochain(grp, module, orr))
+        closed_orr = _obstruction_cochain(grp, module, orr)
+        base_x = solve_coefficients_for(closed_orr)
         build = None
         if base_x is not None:
             unit = twist.unit
-            obstruction = _twisted_obstruction(grp, module, orr, base_obstruction())
+            defect = base_obstruction()
+            obstruction = (_twisted_obstruction(grp, module, orr, defect)
+                           if isinstance(defect, dict) else closed_orr.combine(defect))
             metadata = _metadata(unit, base_x.coboundary(), obstruction)
 
             def build(alpha, unit=unit, base_x=base_x, metadata=metadata):

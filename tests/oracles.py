@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from gxbtc import equivalence
-from gxbtc.category import GxTheory, abelian_subgroup
+from gxbtc.category import GxTheory, abelian_subgroup, monodromy
 from gxbtc.consistency import ConsistencyReport
 from gxbtc.equivalence import (
     Relabeling,
@@ -27,6 +27,7 @@ from gxbtc.errors import (
     InvalidInput,
     MatchFailure,
     RepresentativeDependent,
+    RestrictionMismatch,
     RootOrderTooSmall,
 )
 from gxbtc.groups import (
@@ -1005,7 +1006,8 @@ def loop_check_kappa_sliding(theory, tol=DEFAULT_TOL):
     return rep
 
 
-# Nested-loop references for the twisted F and U tables of gxbtc.torsor.
+# Nested-loop references for the twisted F, R, U and eta tables of
+# gxbtc.torsor.
 
 
 def _loop_torsored_f_value(theory, t, a, b, c, d, e, f):
@@ -1094,6 +1096,89 @@ def loop_torsored_u(twist):
     theory, t, q = twist.theory, twist.t, twist.transfer
     return {(k, a, b, c): _loop_torsored_u_value(theory, t, q, k, a, b, c)
             for k in theory.group.elements() for a, b, c in twist.fusion[0]}
+
+
+def loop_torsored_r(twist):
+    """R table of the twisted theory."""
+    theory, t, q = twist.theory, twist.t, twist.transfer
+    grp = theory.group
+    dual = theory.dual
+    tr = theory.translate
+    table = {}
+    for a, b, c in twist.fusion[0]:
+        g, h = theory.grade(a), theory.grade(b)
+        hgh = grp.prod(grp.inverse(h), g, h)
+        q_gh = q[(g, h)]
+        t_gh = t(g, h)
+        a1 = tr(dual(q_gh), a)
+        c1 = tr(dual(t(h, hgh)), c)
+        c2 = tr(dual(t_gh), c)
+        value = theory.r_symbol(a1, b, c1)
+        value = value * theory.f_symbol(
+            t_gh, q_gh, c1, c, theory.fuse_abelian(t_gh, q_gh), tr(q_gh, c1))
+        value = value * theory.f_symbol(q_gh, a1, b, c2, a, c1).conjugate()
+        table[(a, b, c)] = value
+    return table
+
+
+def _loop_torsored_eta_value(theory, t, q, xc, g, h):
+    grp = theory.group
+    k = theory.grade(xc)
+    gh = grp.op(g, h)
+    gkg = grp.prod(grp.inverse(g), k, g)
+    hgkgh = grp.prod(grp.inverse(h), gkg, h)
+    dual = theory.dual
+    tr = theory.translate
+    f3 = theory.f_line
+    t_gh = t(g, h)
+    x1 = tr(dual(q[(k, gh)]), xc)
+    x2 = tr(dual(q[(k, g)]), xc)
+    x3 = tr(t_gh, x1)
+    gt = theory.act(g, t(gkg, h))
+    gq = theory.act(g, q[(gkg, h)])
+    value = theory.eta_symbol(x1, g, h)
+    value = value * theory.u_symbol(g, gq, x1, tr(gq, x1))
+    value = value / theory.u_line(g, gt, gq)
+    value = value * theory.r_line(theory.act(k, t_gh), xc)
+    value = value * theory.r_line(x1, t_gh)
+    num = (f3(t(grp.op(k, g), h), t(k, g), q[(k, g)])
+           * f3(t(g, grp.op(gkg, h)), gt, gq)
+           * f3(t(gh, hgkgh), t_gh, x1)
+           * f3(t(k, gh), q[(k, gh)], x3))
+    den = (f3(t(k, gh), theory.act(k, t_gh), xc)
+           * f3(theory.fuse_abelian(t(grp.op(k, g), h), t(k, g)), q[(k, g)], x2)
+           * f3(theory.fuse_abelian(t(g, grp.op(gkg, h)), gt), gq, x1)
+           * f3(q[(k, gh)], x1, t_gh))
+    return value * (num / den)
+
+
+def loop_torsored_eta(twist):
+    """Local projective phases of the twisted theory at x = 1.
+
+    Identity-graded charges take the closed form eta * monodromy with the
+    twist value; the general contraction is still evaluated there and must
+    agree within ``twist.tol``.
+    """
+    theory, t, q = twist.theory, twist.t, twist.transfer
+    grp = theory.group
+    ident = grp.identity
+    table = {}
+    for xc in theory.charges():
+        trivially_graded = theory.grade(xc) == ident
+        for g in grp.elements():
+            for h in grp.elements():
+                general = _loop_torsored_eta_value(theory, t, q, xc, g, h)
+                if trivially_graded:
+                    closed = theory.eta_symbol(xc, g, h) * monodromy(
+                        theory, xc, t(g, h))
+                    if abs(general - closed) > twist.tol:
+                        raise RestrictionMismatch(
+                            f"eta restriction failed at ({xc},{g},{h}): "
+                            f"{general} vs {closed}")
+                    table[(xc, g, h)] = closed
+                else:
+                    table[(xc, g, h)] = general
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ from gxbtc import category as cat
 from gxbtc import cli
 from gxbtc import constructions as cons
 from gxbtc import equivalence as eq
-from gxbtc import torsor
+from gxbtc import groups, torsor
 from gxbtc.cli import main
+from gxbtc.errors import NotACocycle
 from gxbtc.groups import (
     Cochain,
     FiniteGroup,
@@ -712,6 +713,53 @@ def test_orbit_collapse_matches_gauge_search(c0, group):
         base, cat.abelian_subgroup(base),
         [(None, ext.theory) for ext in unobstructed], 1e-9)
     assert cli._collapse_classes(base, h3, unobstructed) == expected
+
+
+class TestCollapseClosure:
+    """The collapse tests each omega_z closed once, through h3.class_of."""
+
+    @pytest.fixture(scope="class")
+    def semion_z22_collapse(self):
+        base = cons.trivial_extension(
+            cons.semion(), FiniteGroup.from_cyclic_factors([2, 2]))
+        _, h3, extensions = torsor.enumerate_extensions(base)
+        return base, h3, [ext for ext in extensions if not ext.obstructed]
+
+    def test_each_omega_tested_closed_once(self, semion_z22_collapse,
+                                           monkeypatch):
+        built, passes = [], []
+        real_build = eq.relabel_cochain
+        real_blocks = groups._coboundary_blocks
+
+        def building(*args):
+            built.append(real_build(*args))
+            return built[-1]
+
+        def counting(cochain):
+            passes.append(cochain)
+            return real_blocks(cochain)
+
+        monkeypatch.setattr(eq, "relabel_cochain", building)
+        monkeypatch.setattr(groups, "_coboundary_blocks", counting)
+        cli._collapse_classes(*semion_z22_collapse)
+        assert len(built) == 20
+        assert [id(c) for c in passes if c.degree == 3] == [id(c) for c in built]
+
+    def test_non_closed_omega_raises(self, semion_z22_collapse, monkeypatch):
+        base, h3, unobstructed = semion_z22_collapse
+        real = eq._relabel_phases
+
+        def broken(theory, z):
+            phases = real(theory, z)
+            phases[(1, 1, 1)] = -phases[(1, 1, 1)]
+            return phases
+
+        monkeypatch.setattr(eq, "_relabel_phases", broken)
+        with pytest.raises(NotACocycle, match="has nontrivial coboundary"):
+            cli._collapse_classes(base, h3, unobstructed)
+        z = Cochain.identity(base.group, 1, cat.abelian_subgroup(base))
+        with pytest.raises(NotACocycle, match="has nontrivial coboundary"):
+            eq.cocycle_relabel_class(unobstructed[0].theory, z)
 
 
 class TestRoundtrip:

@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from gxbtc import compose as cmp
 from gxbtc import consistency as con
 from gxbtc import constructions as cons
 from gxbtc import equivalence as eq
-from gxbtc import torsor
+from gxbtc import groups, torsor
 from gxbtc.errors import (
     GxError,
     InvalidInput,
@@ -18,7 +19,14 @@ from gxbtc.errors import (
     RestrictionMismatch,
     SnapFailure,
 )
-from gxbtc.groups import Cochain, FiniteGroup, U1Module, is_cocycle, turn_phase
+from gxbtc.groups import (
+    DEFAULT_TOL,
+    Cochain,
+    FiniteGroup,
+    U1Module,
+    is_cocycle,
+    turn_phase,
+)
 from oracles import boundary_coefficients, dense_fusion_violations, trivial_twist
 
 import oracles
@@ -458,6 +466,41 @@ class TestEnumerateExtensions:
         assert len(theories) == 40
         assert len(calls) == 5
 
+    def test_each_obstruction_checked_closed_once(self, semion_z22,
+                                                  monkeypatch):
+        # one closure pass per relative obstruction and one for the base's
+        # defect obstruction; a class's product of the two is not checked
+        passes = []
+        real = groups._coboundary_blocks
+
+        def counting(cochain):
+            passes.append(cochain.degree)
+            return real(cochain)
+
+        monkeypatch.setattr(groups, "_coboundary_blocks", counting)
+        h2, _, extensions = torsor.enumerate_extensions(semion_z22)
+        assert len({ext.fractionalization for ext in extensions
+                    if not ext.obstructed}) == 5
+        assert passes.count(4) == h2.size + 1
+
+    def test_base_phases_off_the_roots_take_the_float_path(self, toric_z2,
+                                                          monkeypatch):
+        real = con.defectification_obstruction
+
+        def turned(*args, **kwargs):
+            return {args: value * cmath.exp(0.1j)
+                    for args, value in real(*args, **kwargs).items()}
+
+        monkeypatch.setattr(con, "defectification_obstruction", turned)
+        _, _, extensions = torsor.enumerate_extensions(toric_z2)
+        metas = [ext.theory.metadata["obstruction"] for ext in extensions
+                 if not ext.obstructed]
+        assert metas
+        for meta in metas:
+            assert meta["trivial_class"] is None
+            assert meta["entries"] and all(
+                set(e["value"]) == {"re", "im"} for e in meta["entries"])
+
     def test_class_errors_raise_in_the_call(self, toric_z2, monkeypatch):
         # the tables at x = 1 are built for each class before returning
         def failing(twist):
@@ -711,9 +754,15 @@ def _table_outcome(build, twist):
 
 
 class TestTwistedTableKernels:
-    """torsored_f and torsored_u on the numpy index against the loops of
-    tests/oracles.py, compared through repr: the same keys in the same
-    order with the same values, or the same error for a dropped entry."""
+    """The twisted tables and the relative obstruction on the numpy index
+    against the loops of tests/oracles.py, compared through repr: the same
+    keys in the same order with the same values, or the same error for a
+    dropped or perturbed entry."""
+
+    KERNELS = (torsor.torsored_f, torsor.torsored_r, torsor.torsored_u,
+               torsor.torsored_eta)
+    LOOPS = (oracles.loop_torsored_f, oracles.loop_torsored_r,
+             oracles.loop_torsored_u, oracles.loop_torsored_eta)
 
     @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
     @given(perturbed_twists())
@@ -729,19 +778,47 @@ class TestTwistedTableKernels:
 
     @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
     @given(perturbed_twists())
+    def test_r_matches_loops(self, twist):
+        assert _table_outcome(torsor.torsored_r, twist) == \
+            _table_outcome(oracles.loop_torsored_r, twist)
+
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+    @given(perturbed_twists())
+    def test_eta_matches_loops(self, twist):
+        assert _table_outcome(torsor.torsored_eta, twist) == \
+            _table_outcome(oracles.loop_torsored_eta, twist)
+
+    @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
+    @given(perturbed_twists())
     def test_obstruction_matches_loops(self, twist):
         assert _table_outcome(torsor._obstruction, twist) == \
             _table_outcome(oracles.loop_relative_obstruction, twist)
 
     @pytest.mark.parametrize("table, key", [
-        ("f", (5, 5, 1, 1, 0, 4)), ("r", (3, 5, 6)), ("u", (1, 1, 2, 3))])
+        ("f", (5, 5, 1, 1, 0, 4)), ("r", (3, 5, 6)), ("u", (1, 1, 2, 3)),
+        ("u", (1, 0, 1, 1)), ("eta", (5, 1, 1)), ("eta", (1, 1, 1))])
     def test_missing_base_entry_names_first_lookup(self, table, key):
         base, t = strategies.toric_z2_twist()
         entries = dict(getattr(base, f"{table}_entries")())
         del entries[key]
         twist = torsor.Twist(base.replace(**{table: entries}), t)
-        outcomes = [_table_outcome(build, twist) for build in (
-            torsor.torsored_f, torsor.torsored_u)]
-        assert outcomes == [_table_outcome(loop, twist) for loop in (
-            oracles.loop_torsored_f, oracles.loop_torsored_u)]
+        outcomes = [_table_outcome(build, twist) for build in self.KERNELS]
+        assert outcomes == [_table_outcome(loop, twist) for loop in self.LOOPS]
         assert any(out.startswith("InadmissibleTuple: ") for out in outcomes)
+
+    @pytest.mark.parametrize("turn, outcome", [
+        (10 * DEFAULT_TOL, "RestrictionMismatch: eta restriction failed at "
+                           "(1,1,0): (1+1e-08j) vs (1+0j)"),
+        (DEFAULT_TOL / 10, "[((0, 0, 0), (1+0j)), ")],
+        ids=["beyond-tol", "within-tol"])
+    def test_identity_graded_eta_restriction(self, turn, outcome):
+        # U(1, 0; 1, 1) enters the general contraction at the identity-graded
+        # key (1, 1, 0) but not the closed form; turning an eta entry of an
+        # identity-graded charge would turn both sides alike
+        base, t = strategies.toric_z2_twist()
+        entries = dict(base.u_entries())
+        entries[(1, 0, 1, 1)] *= cmath.exp(1j * turn)
+        twist = torsor.Twist(base.replace(u=entries), t)
+        got = _table_outcome(torsor.torsored_eta, twist)
+        assert got == _table_outcome(oracles.loop_torsored_eta, twist)
+        assert got.startswith(outcome)
