@@ -25,6 +25,7 @@ builds none, such as ``cohomology`` or ``equiv``, never loads it.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -104,8 +105,16 @@ def _record(rep, labels, lhs, rhs, tol, loop_keys=None):
 
 class _Table:
     """One symbol table: int64 codes of its keys in the mixed radix
-    ``sizes``, sorted, with the float64 parts of their values.  A lookup is a
-    ``searchsorted``; a missing key reads as 0."""
+    ``sizes``, sorted, with the float64 parts of their values; a missing
+    key reads as 0.
+
+    A lookup is direct.  ``start`` holds, for each value of the key's first
+    ``lead`` labels, the position of its first code; ``lead`` is as large
+    as keeps ``start`` within four slots per entry, so (a, b, c) for a
+    complete F table and the whole key for eta.  From there a lookup moves
+    forward ``steps`` times, the widest block less one: 0 when the leading
+    labels fix the key, as for abelian fusion.
+    """
 
     def __init__(self, entries, sizes):
         import numpy as np
@@ -114,12 +123,20 @@ class _Table:
         values = np.array(list(entries.values()), dtype=complex)
         codes = self.code(*keys.T)
         order = np.argsort(codes, kind="stable")
-        # a last, zero entry past every code: each searchsorted position is
-        # valid, and a missing key is sent there
+        # a last, zero entry past every code: each lookup position is valid,
+        # and a missing key is sent there
         self.codes = np.append(codes[order], np.iinfo(np.int64).max)
         self.re = np.append(values.real[order], 0.0)
         self.im = np.append(values.imag[order], 0.0)
         self.absent = len(self.codes) - 1
+        self.lead, heads = 0, 1
+        while self.lead < len(sizes) and heads * sizes[self.lead] <= 4 * len(self.codes):
+            heads *= sizes[self.lead]
+            self.lead += 1
+        bounds = self.codes[:-1].searchsorted(
+            np.arange(heads + 1) * math.prod(sizes[self.lead:]))
+        self.start = bounds[:-1]
+        self.steps = max(int(np.diff(bounds).max()) - 1, 0)
 
     def code(self, *labels):
         acc = 0
@@ -129,10 +146,14 @@ class _Table:
 
     def at(self, *labels):
         """Positions of the keys; ``absent`` for a missing one."""
-        code = self.code(*labels)
-        pos = self.codes.searchsorted(code)
-        pos[self.codes[pos] != code] = self.absent
-        return pos
+        import numpy as np
+        code = self.code(*labels[:self.lead])
+        pos = self.start[code]
+        for x, size in zip(labels[self.lead:], self.sizes[self.lead:]):
+            code = code * size + x
+        for _ in range(self.steps):
+            pos = pos + (self.codes[pos] < code)
+        return np.where(self.codes[pos] == code, pos, self.absent)
 
     def __call__(self, *labels):
         """(re, im) arrays of the values; 0 off the table."""
@@ -207,7 +228,8 @@ class FusionIndex:
 
 class TheoryIndex(FusionIndex):
     """A theory's fusion, grades, duals, group and action as arrays, and its
-    F, R, U and eta tables as :class:`_Table` lookups built on first use.
+    F, R, U and eta tables as :class:`_Table` lookups built on first use,
+    each with its dense array of block starts.
 
     Group elements index ``mult``, ``inv`` and the rows of ``act``
     (``act[g, a]`` is g acting on a).  Table keys are coded in the radix of
@@ -258,6 +280,9 @@ class TheoryIndex(FusionIndex):
         with between ``fewest`` and ``most`` nontrivial grades among
         a, b, c, d.  Rows are pruned as each of b, c, d is placed, so one
         call holds about n**3 rows for multiplicity-free abelian fusion.
+        Each join spreads its rows in order over sorted outcomes and each
+        mask keeps order, so the rows ascend in (b, f, c, g, d, e, l, k),
+        the nested loops' order.
         """
         import numpy as np
         nt = self.nontrivial
@@ -533,9 +558,10 @@ def defectification_obstruction(theory, tol=DEFAULT_TOL):
     right side, summed over h, over its two-F side.  Every assignment for a
     given grade tuple must produce the same phase; disagreement beyond
     max(tol, 1e-9) raises, since it means the three-defect consistency
-    precondition did not actually hold.  An
-    assignment whose two-F side |F(a,b,r;p) F(x,c,d;p)| is below 1e-12 gives
-    no phase and is skipped.
+    precondition did not actually hold.  An assignment whose two-F side
+    |F(a,b,r;p) F(x,c,d;p)| is below 1e-12 gives no phase; a grade tuple
+    with admissible assignments but no phase raises too.  A grade tuple
+    with no admissible assignment reads as 1.
     """
     import numpy as np
     group = theory.group
@@ -546,22 +572,26 @@ def defectification_obstruction(theory, tol=DEFAULT_TOL):
     index = theory_index(theory)
     # grade tuples are numbered in itertools.product order; per number, the
     # first phase in the loop order a, b, x, c, z, d, p, r, q of the
-    # pentagon labels (x, z, p, r, q) = (f, g, e, l, k)
+    # pentagon labels (x, z, p, r, q) = (f, g, e, l, k).  pentagon_tuples
+    # gives each charge a's rows in that order, so a stable sort by number
+    # keeps it within each number.
     found = {}
     clash = {}
+    assigned = np.zeros(m ** 4, dtype=bool)
     for a in theory.charges():
         b, c, d, f, g, e, l, k = index.pentagon_tuples(a, 4, 4)
         b, c, d, f, g, e, l, k = _take(index.admissible(f, l, e),
                                        b, c, d, f, g, e, l, k)
+        grade_no = ((slots[a] * m + slots[b]) * m + slots[c]) * m + slots[d]
+        assigned[grade_no] = True
         num = _h_sum(index, a, b, c, d, f, g, e, l, k)
         den = cmul(index.f(a, b, l, e, f, k), index.f(f, c, d, e, g, l))
         keep = ~(np.hypot(*den) < 1e-12)
         if not keep.any():
             continue
-        b, c, d, f, g, e, l, k = _take(keep, b, c, d, f, g, e, l, k)
+        grade_no = grade_no[keep]
         num, den = _take(keep, *num), _take(keep, *den)
-        grade_no = ((slots[a] * m + slots[b]) * m + slots[c]) * m + slots[d]
-        order = np.lexsort((k, l, e, d, g, c, f, b, grade_no))
+        order = np.argsort(grade_no, kind="stable")
         grade_no = grade_no[order]
         val_r, val_i = cquot(_take(order, *num), _take(order, *den))
         head = _heads(grade_no)
@@ -576,9 +606,14 @@ def defectification_obstruction(theory, tol=DEFAULT_TOL):
         for i in far[_heads(grade_no[far])].tolist():
             clash.setdefault(int(grade_no[i]), complex(val_r[i], val_i[i]))
     grade_tuples = list(itertools.product(nonidentity, repeat=4))
-    if clash:
-        no = min(clash)
+    unset = set(np.flatnonzero(assigned).tolist()) - found.keys()
+    no = min(clash.keys() | unset, default=None)
+    if no in clash:
         raise RepresentativeDependent(
             f"pentagon defect at grades {grade_tuples[no]} "
             f"depends on the charge assignment: {clash[no]} vs {found[no]}")
+    if no is not None:
+        raise RepresentativeDependent(
+            f"pentagon defect at grades {grade_tuples[no]} is undefined: "
+            f"the two-F side of every charge assignment is below 1e-12")
     return {gt: found.get(no, complex(1.0)) for no, gt in enumerate(grade_tuples)}

@@ -44,8 +44,9 @@ class RestrictionMismatch(GxError):
 
 
 class RepresentativeDependent(GxError):
-    """The pentagon-defect phase differs between representative tuples,
-    so the obstruction is not well defined on this input."""
+    """The pentagon-defect phase differs between representative tuples, or
+    no representative defines it, so the obstruction is not well defined
+    on this input."""
 
 
 class GradeViolation(GxError):

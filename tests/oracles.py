@@ -824,6 +824,18 @@ def _quotient_to_result(group, degree, module, ambient, gens, n_coords, reduce_v
     return CohomologyGroup(group, degree, module, [o for o, _ in pairs], reps)
 
 
+# The symbol lookup gxbtc.consistency._Table made before its lookups were
+# direct: a binary search over the table's sorted codes.
+
+
+def searchsorted_at(table, *labels):
+    """Positions of the keys in ``table``; ``table.absent`` for a missing one."""
+    code = table.code(*labels)
+    pos = table.codes.searchsorted(code)
+    pos[table.codes[pos] != code] = table.absent
+    return pos
+
+
 # Nested-loop references for the pentagon kernel of gxbtc.consistency.
 
 
@@ -866,7 +878,9 @@ def loop_defectification_obstruction(theory, tol=DEFAULT_TOL, rep_tol=None):
     over y, over its two-F side.  Every admissible charge assignment for a
     given grade tuple must produce the same phase; disagreement beyond
     ``rep_tol`` raises, since it means the three-defect consistency
-    precondition did not actually hold.  Returns {grade tuple: phase}.
+    precondition did not actually hold.  An assignment whose two-F side is
+    below 1e-12 gives no phase, and a grade tuple with assignments but no
+    phase raises.  Returns {grade tuple: phase}.
     """
     if rep_tol is None:
         rep_tol = max(tol, 1e-9)
@@ -876,6 +890,7 @@ def loop_defectification_obstruction(theory, tol=DEFAULT_TOL, rep_tol=None):
     for gt in itertools.product(group.nonidentity(), repeat=4):
         g1, g2, g3, g4 = gt
         found = None
+        assigned = False
         for a in theory.charges_of_grade(g1):
             for b in theory.charges_of_grade(g2):
                 for x in theory.fusion_outcomes(a, b):
@@ -896,6 +911,7 @@ def loop_defectification_obstruction(theory, tol=DEFAULT_TOL, rep_tol=None):
                                                         * fz(b, c, d, q, y, r))
                                             den = (fz(a, b, r, p, x, q)
                                                    * fz(x, c, d, p, z, r))
+                                            assigned = True
                                             if abs(den) < 1e-12:
                                                 continue
                                             val = num / den
@@ -906,6 +922,10 @@ def loop_defectification_obstruction(theory, tol=DEFAULT_TOL, rep_tol=None):
                                                     f"pentagon defect at grades {gt} "
                                                     f"depends on the charge assignment: "
                                                     f"{val} vs {found}")
+        if assigned and found is None:
+            raise RepresentativeDependent(
+                f"pentagon defect at grades {gt} is undefined: the two-F side "
+                f"of every charge assignment is below 1e-12")
         values[gt] = found if found is not None else complex(1.0)
     return values
 

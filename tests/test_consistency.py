@@ -2,9 +2,12 @@ import cmath
 import functools
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gxbtc import category as cat
 from gxbtc import consistency as con
@@ -223,6 +226,28 @@ class TestRepresentativeDependence:
         with pytest.raises(RepresentativeDependent):
             con.defectification_obstruction(broken)
 
+    @pytest.mark.parametrize("zeroed", [(1, 1, 0), (2, 3, 3)])
+    def test_grade_tuple_without_phase_raises(self, zeroed):
+        # the F entries whose first three charges have the grades ``zeroed``
+        # read 0: each charge assignment of a grade tuple (g, h, k, l) with
+        # (g, h, kl) or (gh, k, l) equal to ``zeroed`` has a two-F side of 0
+        from gxbtc.errors import RepresentativeDependent
+
+        base = strategies.semion_z2xz2_twist()[0]
+        mult = base.group.mult
+        broken = base.replace(f={
+            key: 0j if tuple(base.grade(x) for x in key[:3]) == zeroed else value
+            for key, value in base.f_entries().items()})
+        gt = next(gt for gt in itertools.product(base.group.nonidentity(), repeat=4)
+                  if zeroed in ((gt[0], gt[1], mult[gt[2]][gt[3]]),
+                                (mult[gt[0]][gt[1]], gt[2], gt[3])))
+        con.defectification_obstruction(base)
+        with pytest.raises(RepresentativeDependent,
+                           match=re.escape(f"grades {gt} is undefined")):
+            con.defectification_obstruction(broken)
+        assert _defect_outcome(con.defectification_obstruction, broken) == \
+            _defect_outcome(oracles.loop_defectification_obstruction, broken)
+
 
 def _toric_z2_twisted():
     # unit coefficients leave the relative obstruction in the four-defect
@@ -280,6 +305,74 @@ class TestPentagonKernel:
         # equal entries, or the same RepresentativeDependent message
         assert _defect_outcome(con.defectification_obstruction, theory) == \
             _defect_outcome(oracles.loop_defectification_obstruction, theory)
+
+
+@st.composite
+def _tables(draw):
+    """Table sizes of one of the four shapes; keys drawn as one to four
+    leading-label prefixes with up to twelve keys under each, so a block can
+    hold several keys or the table none; then the keys as queries, and keys
+    drawn at random."""
+    n, order = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    sizes = draw(st.sampled_from([(n,) * 6, (n,) * 3, (order, n, n, n), (n, order, order)]))
+    labels = [st.integers(0, size - 1) for size in sizes]
+    cut = draw(st.integers(0, len(sizes)))
+    keys = set()
+    for head in draw(st.lists(st.tuples(*labels[:cut]), min_size=1, max_size=4)):
+        keys |= {head + tail for tail in
+                 draw(st.sets(st.tuples(*labels[cut:]), max_size=12))}
+    queries = sorted(keys) + draw(st.lists(st.tuples(*labels), max_size=30))
+    return sizes, {key: complex(i + 1, -i) for i, key in enumerate(sorted(keys))}, queries
+
+
+class TestTableLookup:
+    """_Table.at against the binary search of tests/oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_tables())
+    def test_positions_match_binary_search(self, drawn):
+        sizes, entries, queries = drawn
+        table = con._Table(entries, sizes)
+        columns = np.array(queries, dtype=np.int64).reshape(-1, len(sizes)).T
+        assert table.at(*columns).tolist() == \
+            oracles.searchsorted_at(table, *columns).tolist()
+        re_, im_ = table(*columns)
+        assert [complex(r, i) for r, i in zip(re_, im_)] == \
+            [entries.get(key, 0j) for key in queries]
+
+    @pytest.mark.parametrize("name, lead, steps", [("toric x S3", 3, 0),
+                                                   ("fibonacci x Z3", 4, 3)])
+    def test_fixture_tables(self, name, lead, steps):
+        # F of abelian toric x S3 is keyed on (a, b, c), which fixes the rest
+        # of the key; Fibonacci's F blocks hold several keys.  Queries: each
+        # key with its last label set to every value, present or not
+        theory = SWEEP_THEORIES[name]()
+        index = con.theory_index(theory)
+        assert (index.f.lead, index.f.steps) == (lead, steps)
+        for table, entries in [(index.f, theory.f_entries()), (index.r, theory.r_entries()),
+                               (index.u, theory.u_entries()), (index.eta, theory.eta_entries())]:
+            last = table.sizes[-1]
+            keys = np.repeat(np.array(list(entries), dtype=np.int64), last, axis=0)
+            keys[:, -1] = np.tile(np.arange(last), len(entries))
+            assert table.at(*keys.T).tolist() == \
+                oracles.searchsorted_at(table, *keys.T).tolist()
+
+
+@pytest.mark.parametrize("window", [(0, 3), (4, 4), (0, 4)])
+@pytest.mark.parametrize("name", ["toric x S3", "fibonacci x Z3", "semion x Z2xZ2"])
+def test_pentagon_tuples_in_loop_order(name, window):
+    # each first charge's rows ascend strictly in (b, f, c, g, d, e, l, k),
+    # the order of the nested loops; defectification_obstruction relies on it
+    index = con.theory_index(SWEEP_THEORIES[name]())
+    rows = 0
+    for a in range(index.n):
+        b, c, d, f, g, e, l, k = index.pentagon_tuples(a, *window)
+        code = 0
+        for x in (b, f, c, g, d, e, l, k):
+            code = code * index.n + x
+        assert (np.diff(code) > 0).all()
+        rows += len(code)
+    assert rows
 
 
 class TestSweepKernels:
