@@ -3,8 +3,8 @@
 A theory is a finite set of charges graded by group elements, a
 multiplicity-free fusion tensor, sparse F/R/U/eta symbol tables, and a
 symmetry action permuting charges.  Symbol lookups on tuples without a
-fusion channel raise instead of returning zero; the consistency checkers
-use the internal ``*_or_zero`` variants when a genuine zero entry is meant.
+fusion channel raise instead of returning zero; only the hexagon checker
+reads F through ``f_or_zero``, where a missing entry is a genuine zero.
 """
 
 from __future__ import annotations
@@ -137,33 +137,24 @@ class GxTheory:
 
     # -- symbol lookups ----------------------------------------------------
 
-    def f_symbol(self, a, b, c, d, e, f):
-        key = (a, b, c, d, e, f)
+    @staticmethod
+    def _lookup(name, table, key):
         try:
-            return self._f[key]
+            return table[key]
         except KeyError:
-            raise InadmissibleTuple(f"F{key} is not an admissible tuple") from None
+            raise InadmissibleTuple(f"{name}{key} is not an admissible tuple") from None
+
+    def f_symbol(self, a, b, c, d, e, f):
+        return self._lookup("F", self._f, (a, b, c, d, e, f))
 
     def r_symbol(self, a, b, c):
-        key = (a, b, c)
-        try:
-            return self._r[key]
-        except KeyError:
-            raise InadmissibleTuple(f"R{key} is not an admissible tuple") from None
+        return self._lookup("R", self._r, (a, b, c))
 
     def u_symbol(self, k, a, b, c):
-        key = (k, a, b, c)
-        try:
-            return self._u[key]
-        except KeyError:
-            raise InadmissibleTuple(f"U{key} is not an admissible tuple") from None
+        return self._lookup("U", self._u, (k, a, b, c))
 
     def eta_symbol(self, x, g, h):
-        key = (x, g, h)
-        try:
-            return self._eta[key]
-        except KeyError:
-            raise InadmissibleTuple(f"eta{key} is not an admissible tuple") from None
+        return self._lookup("eta", self._eta, (x, g, h))
 
     # -- scalar symbols on lines with unique fusion channels -----------------
 
@@ -259,6 +250,34 @@ def fusion_violations(n, outcomes):
                             yield a, b, c, d
 
 
+def action_violations(group, grades, triples, action):
+    """Yield a message per broken rule of ``action`` (k -> charge images),
+    in this order: the identity acts trivially; then per k, k permutes the
+    charges (else k's other rules are skipped), moves ``grades`` by
+    conjugation, acts after each h as kh does (the first failing h is
+    named), and keeps each fusion triple of the sequence ``triples``."""
+    charges = range(len(grades))
+    kept = set(triples)
+    if action[group.identity] != tuple(charges):
+        yield "identity group element does not act trivially"
+    for k in group.elements():
+        perm = action[k]
+        if sorted(perm) != list(charges):
+            yield f"action of {k} is not a permutation"
+            continue
+        for a in charges:
+            if grades[perm[a]] != group.prod(k, grades[a], group.inverse(k)):
+                yield f"action of {k} violates grade covariance on charge {a}"
+        for h in group.elements():
+            combo = tuple(perm[action[h][a]] for a in charges)
+            if combo != action[group.op(k, h)]:
+                yield f"action is not a homomorphism at ({k},{h})"
+                break
+        for a, b, c in triples:
+            if (perm[a], perm[b], perm[c]) not in kept:
+                yield f"action of {k} does not preserve N({a},{b};{c})"
+
+
 def validate(theory, tol=DEFAULT_TOL):
     """Structural checks; returns a list of human-readable violations.
 
@@ -280,36 +299,15 @@ def validate(theory, tol=DEFAULT_TOL):
     for a in theory.charges():
         if theory.n(theory.vacuum, a, a) != 1 or theory.n(a, theory.vacuum, a) != 1:
             note(f"vacuum does not fuse trivially with charge {a}")
-        for b in theory.charges():
-            expected = 1 if b == theory.dual(a) else 0
-            if theory.n(a, b, theory.vacuum) != expected:
-                note(f"vacuum channel of ({a},{b}) contradicts the dual map")
         ga, gd = theory.grade(a), theory.grade(theory.dual(a))
         if gd != g.inverse(ga):
             note(f"dual of charge {a} has grade {gd}, expected inverse of {ga}")
     # associativity of the fusion ring
     for a, b, c, d in fusion_violations(n, theory._outcomes):
         note(f"fusion not associative at ({a},{b},{c};{d})")
-    # action: homomorphism, grade covariance, fusion preservation
+    out.extend(action_violations(g, theory.grades, theory.fusion_triples(),
+                                 theory.action))
     ident = g.identity
-    if theory.action[ident] != tuple(theory.charges()):
-        note("identity group element does not act trivially")
-    for k in g.elements():
-        perm = theory.action[k]
-        if sorted(perm) != list(theory.charges()):
-            note(f"action of {k} is not a permutation")
-            continue
-        for a in theory.charges():
-            if theory.grade(perm[a]) != g.prod(k, theory.grade(a), g.inverse(k)):
-                note(f"action of {k} violates grade covariance on charge {a}")
-        for h in g.elements():
-            combo = tuple(perm[theory.action[h][a]] for a in theory.charges())
-            if combo != theory.action[g.op(k, h)]:
-                note(f"action is not a homomorphism at ({k},{h})")
-                break
-        for a, b, c in theory.fusion_triples():
-            if (perm[a], perm[b], perm[c]) not in theory._n:
-                note(f"action of {k} does not preserve N({a},{b};{c})")
     # normalization conventions
     for (k, a, b, c), val in theory.u_entries().items():
         if k == ident and abs(val - 1.0) > tol:

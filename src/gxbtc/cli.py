@@ -423,13 +423,13 @@ def _collapse_classes(base, h3, extensions):
     d(z)(g, h) moves the fusion triple of two such copies.  So z is closed,
     t' = t, and the relabeling must also keep the vacuum and the action;
     none of that depends on alpha.  For each such z the closed form
-    omega_z (:func:`equivalence.cocycle_relabel_class`) decides the rest:
-    the two are joined exactly when alpha_j ~ alpha_i * omega_z, that is
-    when the H^3(G, U(1)) coordinates of alpha_j - alpha_i are those of
-    some omega_z.  Each omega_z is built unchecked
-    (:func:`equivalence.relabel_cochain`) and its closure is tested once,
-    by ``h3.class_of``.  Only one theory per fractionalization class is read.
-    Classes come in order of their smallest member, members ascending.
+    omega_z (:func:`equivalence.relabel_cochain`) decides the rest: the
+    two are joined exactly when alpha_j ~ alpha_i * omega_z, that is when
+    the H^3(G, U(1)) coordinates of alpha_j - alpha_i are those of some
+    omega_z.  Each omega_z is built unchecked and its closure is tested
+    once, by ``h3.class_of``.  Only one theory per fractionalization class
+    is read.  Classes come in order of their smallest member, members
+    ascending.
     """
     grp = base.group
     module = category.abelian_subgroup(base)

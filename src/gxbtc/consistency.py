@@ -538,13 +538,14 @@ def check_kappa_sliding(theory, tol=DEFAULT_TOL):
 _TORSORABLE_CACHE = weakref.WeakKeyDictionary()
 
 
-def base_theory_torsorable(theory, tol=DEFAULT_TOL):
-    """Residual of the conditions a torsor application needs of its input."""
+def base_theory_torsorable(theory):
+    """Worst residual of the pentagon (at most three nontrivial defects)
+    and both heptagons: what a torsor application needs of its input."""
     cached = _TORSORABLE_CACHE.get(theory)
     if cached is not None:
         return cached
-    worst = check_pentagon(theory, 3, tol).worst_residual
-    for rep in check_heptagons(theory, tol):
+    worst = check_pentagon(theory, 3).worst_residual
+    for rep in check_heptagons(theory):
         worst = max(worst, rep.worst_residual)
     _TORSORABLE_CACHE[theory] = worst
     return worst

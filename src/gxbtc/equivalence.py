@@ -27,7 +27,6 @@ from .groups import (
     is_cocycle,
     snap_turns,
     turn_phase,
-    validate_cocycle,
 )
 from .torsor import _Lookups, _table_of, root_module
 
@@ -50,7 +49,9 @@ class GaugeTransform:
     def phase(self, a, g):
         return self.sheet.get((a, g), complex(1.0))
 
-    def validate(self, theory, tol=DEFAULT_TOL):
+    def validate(self, theory):
+        """Raise InvalidInput unless the vacuum-line rules hold to DEFAULT_TOL."""
+        tol = DEFAULT_TOL
         vac = theory.vacuum
         ident = theory.group.identity
         ref = self.gamma(vac, vac, vac)
@@ -105,9 +106,10 @@ def _tables(theory):
             "u": theory.u_entries(), "eta": theory.eta_entries()}
 
 
-def apply_gauge(theory, gauge, tol=DEFAULT_TOL):
-    """Transform all symbol tables by a gauge; fusion and action unchanged."""
-    gauge.validate(theory, tol)
+def apply_gauge(theory, gauge):
+    """Transform all symbol tables by a gauge that keeps the vacuum-line
+    rules (:meth:`GaugeTransform.validate`); fusion and action unchanged."""
+    gauge.validate(theory)
     phases = {"v": gauge.vertex, "s": gauge.sheet}
     one = complex(1.0)
     old = _tables(theory)
@@ -289,29 +291,21 @@ def solve_gauge_matching(source, target, tol=DEFAULT_TOL):
 # the closed-form relabel class
 
 
-def cocycle_relabel_class(theory, z, root_order=None):
-    """The 3-cocycle omega_z that relabeling by a closed 1-cochain ``z`` adds.
+def relabel_cochain(theory, z, root_order=None):
+    """The 3-cochain omega_z that relabeling by a closed 1-cochain ``z`` adds.
 
     For a twist T_{t,x} of a theory and a closed ``z`` whose relabeling
     keeps its vacuum, fusion triples and action (:func:`structure_check`),
     relabel_z(T_{t,x}) is gauge equivalent to T_{t,x*omega_z}.  So
     defectification classes alpha and alpha*omega_z of one fractionalization
     class t name the same theory.  omega_z reads only identity-graded
-    symbols, which do not depend on x, so any T_{t,x} gives it.  It is
-    :func:`relabel_cochain`, whose closure is checked here on the degree-3
-    faces that :func:`gxbtc.groups._faces` keeps.
-    """
-    return validate_cocycle(relabel_cochain(theory, z, root_order), degree=3)
-
-
-def relabel_cochain(theory, z, root_order=None):
-    """omega_z of :func:`cocycle_relabel_class` with its closure unchecked.
+    symbols, which do not depend on x, so any T_{t,x} gives it.
 
     Its phases (:func:`_relabel_phases`) are snapped to U(1) at
-    ``root_order`` (default: :func:`default_root_order`).  This is for a
-    caller whose next step tests the closure anyway, as
-    :meth:`gxbtc.groups.CohomologyGroup.class_of` does with the same
-    NotACocycle, so that each omega_z is tested once.
+    ``root_order`` (default: :func:`gxbtc.torsor.default_root_order`).  Its
+    closure is not checked here: ``cli._collapse_classes`` tests it once, in
+    :meth:`gxbtc.groups.CohomologyGroup.class_of`, which raises NotACocycle;
+    ``validate_cocycle(relabel_cochain(...), degree=3)`` checks it alone.
     """
     if not is_cocycle(z):
         raise NotA1Cocycle("relabeling 1-cochain must be closed")

@@ -26,11 +26,7 @@ class NotA1Cocycle(NotACocycle):
     """A 1-cochain required to be closed has a nontrivial coboundary."""
 
 
-class NotAbelian(GxError):
-    """A charge required to be abelian has quantum dimension > 1."""
-
-
-class NotAbelianMonodromy(NotAbelian):
+class NotAbelianMonodromy(GxError):
     """A monodromy lookup involved a pair with no abelian member."""
 
 

@@ -789,11 +789,12 @@ def is_index(value, size):
         and 0 <= value < size
 
 
-def cochain_from_json(obj, group, module=None, degree=None):
-    """Cochain from its JSON object; raise InvalidInput unless the degree,
-    every argument and every charge or residue is an int (not a bool) in
-    range (:class:`Cochain` checks each entry's arity), and unless the
-    degree is ``degree`` when that is given."""
+def cochain_from_json(obj, group, module, degree=None):
+    """Cochain in ``module`` from its JSON object; raise InvalidInput
+    unless the degree, every argument and every charge or residue is an int
+    (not a bool) in range (:class:`Cochain` checks each entry's arity), and
+    unless the degree is ``degree`` when that is given.  The object's own
+    module description is not read."""
     def index(value, size, what):
         if not is_index(value, size):
             raise InvalidInput(f"malformed cochain JSON: {what} {value!r} is "
@@ -805,14 +806,6 @@ def cochain_from_json(obj, group, module=None, degree=None):
         if degree is not None and found != degree:
             raise InvalidInput(f"expected a degree-{degree} cochain, "
                                f"got degree {found}")
-        desc = obj.get("module")
-        if module is None:
-            if isinstance(desc, dict) and "roots_of_unity" in desc:
-                module = U1Module(int(desc["roots_of_unity"]))
-            elif isinstance(desc, dict) and "cyclic" in desc:
-                module = AbelianModule(desc["cyclic"], group)
-            else:
-                raise InvalidInput(f"unknown module description {desc!r}")
         entries = {}
         for item in obj.get("entries", []):
             args = tuple(index(g, group.order, "group element")

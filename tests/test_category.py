@@ -57,6 +57,17 @@ class TestValidate:
         msgs = cat.validate(broken)
         assert any("associative" in m for m in msgs)
 
+    def test_action_rules_in_order(self, toric_z2):
+        # the identity swaps e and m, and the generator repeats a charge
+        action = {0: (0, 2, 1, 3, 4, 6, 5, 7), 1: (0, 1, 2, 3, 4, 5, 6, 6)}
+        assert list(cat.action_violations(
+            toric_z2.group, toric_z2.grades, toric_z2.fusion_triples(),
+            action)) == [
+            "identity group element does not act trivially",
+            "action is not a homomorphism at (0,0)",
+            "action of 1 is not a permutation",
+        ]
+
     def test_tables_are_read_only(self, toric_z2):
         for table in (toric_z2.f_entries(), toric_z2.r_entries(),
                       toric_z2.u_entries(), toric_z2.eta_entries()):

@@ -454,6 +454,34 @@ class TestTorsorCommands:
         assert entries[(1, 1)] == 3  # e fused with m
 
 
+class TestActionRules:
+    """``category.validate`` and ``torsor.torsored_action`` report the same
+    action rules (``category.action_violations``)."""
+
+    @pytest.fixture()
+    def cycled_file(self, tmp_path, toric_z2):
+        # the generator cycles e -> m -> f -> e in both grades: fusion and
+        # grades are kept, but acting twice is not acting by the identity
+        cycled = toric_z2.replace(
+            action={0: tuple(range(8)), 1: (0, 2, 3, 1, 4, 6, 7, 5)})
+        path = tmp_path / "cycled.json"
+        path.write_text(json.dumps(cat.theory_to_json(cycled)))
+        return str(path)
+
+    def test_check_lists_the_rule(self, cycled_file, capsys):
+        assert main(["check", cycled_file]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["reports"]["structure"] == [
+            "action is not a homomorphism at (1,1)"]
+
+    def test_compose_names_the_rule(self, tmp_path, toric_z2, cycled_file,
+                                    capsys):
+        t = write_twist(tmp_path, toric_z2, toric_z2.vacuum)
+        assert main(["compose", cycled_file, "--t1", t, "--t2", t]) == 65
+        assert capsys.readouterr().err == (
+            "input error: twisted action is not a homomorphism at (1,1)\n")
+
+
 class TestEquiv:
     def test_self_equivalence(self, toric_z2_file, capsys):
         assert main(["equiv", toric_z2_file, toric_z2_file]) == 0
@@ -759,7 +787,8 @@ class TestCollapseClosure:
             cli._collapse_classes(base, h3, unobstructed)
         z = Cochain.identity(base.group, 1, cat.abelian_subgroup(base))
         with pytest.raises(NotACocycle, match="has nontrivial coboundary"):
-            eq.cocycle_relabel_class(unobstructed[0].theory, z)
+            groups.validate_cocycle(
+                eq.relabel_cochain(unobstructed[0].theory, z), degree=3)
 
 
 class TestRoundtrip:

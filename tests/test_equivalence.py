@@ -12,7 +12,14 @@ from gxbtc import constructions as cons
 from gxbtc import equivalence as eq
 from gxbtc import torsor
 from gxbtc.errors import BudgetExceeded, GradeViolation, NotA1Cocycle
-from gxbtc.groups import Cochain, FiniteGroup, U1Module, cohomologous, is_cocycle
+from gxbtc.groups import (
+    Cochain,
+    FiniteGroup,
+    U1Module,
+    cohomologous,
+    is_cocycle,
+    validate_cocycle,
+)
 
 import oracles
 
@@ -225,20 +232,20 @@ class TestCoboundaryEquivalence:
 class TestCocycleRelabelClass:
     def test_trivial(self, toric_z2):
         z = one_cochain(toric_z2, 0)
-        out = eq.cocycle_relabel_class(toric_z2, z)
+        out = validate_cocycle(eq.relabel_cochain(toric_z2, z), degree=3)
         assert not any(out.vec)
 
     def test_output_is_cocycle(self, toric_z2):
         for value in (1, 2, 3):
             z = one_cochain(toric_z2, value)
             assert is_cocycle(z), "toric Z2 1-cochains are closed"
-            out = eq.cocycle_relabel_class(toric_z2, z)
+            out = validate_cocycle(eq.relabel_cochain(toric_z2, z), degree=3)
             assert is_cocycle(out)
 
     def test_trivial_action_reduction(self, toric_z2):
         # with unit U and eta the class is a pure F-quotient
         z = one_cochain(toric_z2, 3)
-        out = eq.cocycle_relabel_class(toric_z2, z)
+        out = validate_cocycle(eq.relabel_cochain(toric_z2, z), degree=3)
         grp = toric_z2.group
         tr = toric_z2.translate
         dual = toric_z2.dual
@@ -258,7 +265,7 @@ class TestCocycleRelabelClass:
         module = cat.abelian_subgroup(ext)
         z = Cochain(z22, 1, module, {(1,): 1, (2,): 0, (3,): 3})
         with pytest.raises(NotA1Cocycle):
-            eq.cocycle_relabel_class(ext, z)
+            validate_cocycle(eq.relabel_cochain(ext, z), degree=3)
 
 
 class TestTheoriesEquivalent:
@@ -302,7 +309,7 @@ class TestSemionDefectificationCollapse:
         module = cat.abelian_subgroup(semion_z2)
         z = Cochain(Z2, 1, module, {(1,): 1})
         assert is_cocycle(z)
-        out = eq.cocycle_relabel_class(semion_z2, z)
+        out = validate_cocycle(eq.relabel_cochain(semion_z2, z), degree=3)
         assert abs(out(1, 1, 1) + 1.0) < TOL
         trivial = Cochain.identity(Z2, 3, out.module)
         assert cohomologous(out, trivial) is None
@@ -324,7 +331,7 @@ class TestSemionDefectificationCollapse:
         module = cat.abelian_subgroup(toric_z2)
         for value in (1, 2, 3):
             z = Cochain(Z2, 1, module, {(1,): value})
-            out = eq.cocycle_relabel_class(toric_z2, z)
+            out = validate_cocycle(eq.relabel_cochain(toric_z2, z), degree=3)
             assert not any(out.vec)
 
 

@@ -408,7 +408,7 @@ class TestJson:
         mod = gr.U1Module(8)
         c = gr.Cochain(Z2, 3, mod, {(1, 1, 1): mod.value(3)})
         blob = gr.cochain_to_json(c)
-        back = gr.cochain_from_json(blob, Z2)
+        back = gr.cochain_from_json(blob, Z2, mod)
         assert not any(back.combine(c.inverse()).vec)
         assert blob["entries"][0]["value"] == {"turns": "3/8"}
 

@@ -1,6 +1,6 @@
-"""Imports in fresh interpreters: each module loads on its own, numpy is
-loaded only by the commands that build arrays, and every module-level
-container a run fills is named as a cache.
+"""Imports in fresh interpreters: each module loads on its own and only
+the modules it imports, numpy is loaded only by the commands that build
+arrays, and every module-level container a run fills is named as a cache.
 
 ``cohomology``, ``equiv``, ``compose`` and ``build`` on abelian inputs
 never build an array, so a desk call of one of them does not pay for
@@ -24,6 +24,26 @@ from gxbtc.groups import Cochain, cochain_to_json, turn_phase
 SRC = Path(cat.__file__).parents[1]
 MODULES = sorted(p.stem for p in (SRC / "gxbtc").glob("*.py")
                  if p.stem != "__init__")
+
+# module -> the gxbtc modules that importing it loads; the package itself
+# imports none
+LOADS = {"errors": {"errors"}, "intlin": {"intlin"}}
+LOADS["groups"] = {"groups", "intlin", "errors"}
+LOADS["category"] = LOADS["groups"] | {"category"}
+LOADS["consistency"] = LOADS["groups"] | {"consistency"}
+LOADS["constructions"] = LOADS["category"] | {"constructions"}
+LOADS["torsor"] = LOADS["constructions"] | {"consistency", "torsor"}
+LOADS["equivalence"] = LOADS["torsor"] | {"equivalence"}
+LOADS["compose"] = LOADS["equivalence"] | {"compose"}
+LOADS["cli"] = set(MODULES)
+
+# the gxbtc modules loaded after importing the module named in argv[1]
+LOADED = """
+import importlib, json, sys
+importlib.import_module("gxbtc." + sys.argv[1])
+print(json.dumps(sorted(name[len("gxbtc."):] for name in sys.modules
+                        if name.startswith("gxbtc."))))
+"""
 
 # main(argv) for each call in turn, then whether numpy has been loaded
 CALLS = """
@@ -81,7 +101,7 @@ def calls(tmp_path, argvs):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_on_its_own(module):
-    fresh("-c", f"import gxbtc.{module}")
+    assert json.loads(fresh("-c", LOADED, module)) == sorted(LOADS[module])
 
 
 @pytest.fixture()

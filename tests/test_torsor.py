@@ -84,7 +84,7 @@ class TestRootOrderZero:
         "correction_coefficients": lambda th, t: cmp.correction_coefficients(
             th, t, t, root_order=0),
         "commutator_class": lambda th, t: cmp.commutator_class(th, t, t, root_order=0),
-        "cocycle_relabel_class": lambda th, t: eq.cocycle_relabel_class(
+        "relabel_cochain": lambda th, t: eq.relabel_cochain(
             th, Cochain(th.group, 1, cat.abelian_subgroup(th), {(1,): E}),
             root_order=0),
     }

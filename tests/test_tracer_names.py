@@ -1,5 +1,7 @@
-"""The benchmark tracer's span targets all exist in the package."""
+"""The benchmark tracer's span targets, and the caches its counting hooks
+read, all exist in the package."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -26,4 +28,21 @@ def test_every_span_target_resolves():
             found = hasattr(owner, attr)
         if not found:
             missing.append(f"{span}: {modname}.{attr}")
+    assert missing == []
+
+
+def hook_caches():
+    """(module, attribute) of each ``module._...CACHE`` the tracer reads."""
+    tree = ast.parse(TRACER.read_text())
+    return sorted({(node.value.id, node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.value, ast.Name)
+                   and node.attr.startswith("_") and node.attr.endswith("CACHE")})
+
+
+def test_every_hook_cache_resolves():
+    caches = hook_caches()
+    assert ("groups", "_SNF_CACHE") in caches
+    missing = [f"{modname}.{attr}" for modname, attr in caches
+               if not hasattr(importlib.import_module(f"gxbtc.{modname}"), attr)]
     assert missing == []
