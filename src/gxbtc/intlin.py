@@ -9,7 +9,12 @@ with the fewest nonzeros, in that row's column with the fewest nonzeros,
 and only when no unit is left the entry of least magnitude, reduced by
 extended-gcd (Bezout) 2x2 steps so that no entry grows by repeated
 remainders (Dumas, Saunders and Villard, J. Symbolic Comput. 32 (2001);
-Cohen, GTM 138, section 2.4).  V is carried as sparse columns and made
+Cohen, GTM 138, section 2.4).  The candidates of that rule are read from
+sets kept up to date by every row and column operation, not from a scan
+of the rows at each pivot: the holders of each column (the rows with an
+entry there) and, for each row size, the bucket of unfinished rows that
+hold +-1.  They only find the pivots the rule names, so the operations and
+their order do not depend on them.  V is carried as sparse columns and made
 dense once, at the end; U is kept as the log of the row operations that
 produced it, which is replayed to apply U to a vector or to read a column
 of its inverse.  Kernels, integer solves, solves modulo N, and solves over
@@ -19,9 +24,8 @@ the circle group (rational turns) are derived from it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, repeat
-from math import gcd
-from operator import contains
+from math import gcd, lcm
+from operator import mul
 
 
 # row operations of the Smith-form log, as (kind, i, j, c) tuples
@@ -83,7 +87,7 @@ class SmithForm:
 
     def apply_v(self, y):
         """Right transform of a length-``cols`` vector."""
-        return [sum(r[k] * y[k] for k in range(self.cols)) for r in self.v]
+        return [sum(map(mul, row, y)) for row in self.v]
 
 
 def smith_normal_form(matrix, rows, cols):
@@ -95,20 +99,35 @@ def smith_normal_form(matrix, rows, cols):
           if a} for row in matrix]
     ops = []
     vcols = [{j: 1} for j in range(cols)]  # V by columns, made dense at the end
-    count = [0] * cols  # nonzeros of each column in the rows t..
-    for row in d:
+    holders = [set() for _ in range(cols)]  # the rows with an entry in each column
+    for i, row in enumerate(d):
         for j in row:
-            count[j] += 1
+            holders[j].add(i)
+    units = {}          # size -> the rows t.. of that many nonzeros that hold +-1
+    filed = [0] * rows  # the size each row is filed under in ``units``, or 0
 
-    def put(row, k, y):
-        # set one entry of a row, keeping the column counts
+    def refile(r):
+        # file row r again after it changed; a finished row is filed nowhere
+        vals = d[r].values()
+        n = len(vals) if r >= t and (1 in vals or -1 in vals) else 0
+        old = filed[r]
+        if n != old:
+            if old:
+                units[old].remove(r)
+                if not units[old]:
+                    del units[old]
+            if n:
+                units.setdefault(n, set()).add(r)
+            filed[r] = n
+
+    def put(r, k, y):
+        # set one entry of row r, keeping the holders of column k
         if y:
-            if k not in row:
-                count[k] += 1
-            row[k] = y
-        elif k in row:
-            del row[k]
-            count[k] -= 1
+            d[r][k] = y
+            holders[k].add(r)
+        else:
+            d[r].pop(k, None)
+            holders[k].discard(r)
 
     def add_entries(dst, src, c):
         # dst += c * src on sparse dicts, dropping the entries that cancel
@@ -127,7 +146,12 @@ def smith_normal_form(matrix, rows, cols):
         return out
 
     def swap_rows(i, j):
+        # a column held by one of the two rows moves to the other
+        for k in d[i].keys() ^ d[j].keys():
+            holders[k] ^= {i, j}
         d[i], d[j] = d[j], d[i]
+        refile(i)
+        refile(j)
         ops.append((SWAP, i, j, 0))
 
     def add_row(dst, src, c):
@@ -137,19 +161,20 @@ def smith_normal_form(matrix, rows, cols):
             y = row.get(k)
             if y is None:
                 row[k] = c * x
-                count[k] += 1
+                holders[k].add(dst)
             elif y + c * x:
                 row[k] = y + c * x
             else:
                 del row[k]
-                count[k] -= 1
+                holders[k].remove(dst)
+        refile(dst)
         ops.append((ADD, dst, src, c))
 
     def add_col(dst, src, c, among):
-        # col dst += c * col src; ``among`` holds every row with an entry at src
+        # col dst += c * col src; ``among`` holds every row with an entry at
+        # src, which is row t or finished rows, so no filing goes stale
         for r in among:
-            row = d[r]
-            put(row, dst, row.get(dst, 0) + c * row[src])
+            put(r, dst, d[r].get(dst, 0) + c * d[r][src])
         add_entries(vcols[dst], vcols[src], c)
 
     def negate_row(i):
@@ -163,13 +188,11 @@ def smith_normal_form(matrix, rows, cols):
         g, s, u = _xgcd(a, b)
         v, w = -(b // g), a // g
         ri, rj = d[i], d[j]
-        for row in (ri, rj):
-            for m in row:
-                count[m] -= 1
         d[i], d[j] = combine(ri, rj, s, u), combine(ri, rj, v, w)
-        for row in (d[i], d[j]):
-            for m in row:
-                count[m] += 1
+        for r, old in ((i, ri), (j, rj)):
+            for m in old.keys() ^ d[r].keys():
+                holders[m] ^= {r}
+            refile(r)
         ops.append((BEZOUT, i, j, (s, u, v, w)))
 
     def bezout_cols(i, j):
@@ -177,57 +200,41 @@ def smith_normal_form(matrix, rows, cols):
         a, b = d[t][i], d[t][j]
         g, s, u = _xgcd(a, b)
         v, w = -(b // g), a // g
-        for r in live:
-            row = d[r]
-            x, y = row.get(i, 0), row.get(j, 0)
-            if x or y:
-                put(row, i, s * x + u * y)
-                put(row, j, v * x + w * y)
+        for r in holders[i] | holders[j]:
+            x, y = d[r].get(i, 0), d[r].get(j, 0)
+            put(r, i, s * x + u * y)
+            put(r, j, v * x + w * y)
+            refile(r)
         ci, cj = vcols[i], vcols[j]
         vcols[i], vcols[j] = combine(ci, cj, s, u), combine(ci, cj, v, w)
-
-    def lightest(m):
-        # the live row with the fewest nonzeros among those holding +-m,
-        # the first one on a tie; the scans over ``live`` run in C
-        sizes = list(map(len, map(d.__getitem__, live)))
-        for n in sorted(set(sizes) - {0}):
-            k = -1
-            for _ in range(sizes.count(n)):
-                k = sizes.index(n, k + 1)
-                vals = d[live[k]].values()
-                if m in vals or -m in vals:
-                    return live[k]
-        return -1
 
     # Row t is moved to index t by row swaps.  Its pivot column pcol[t] keeps
     # its index, and V's columns are put in pivot order at the end.  Rows t..
     # have no entry in the pivot columns of the finished rows ..t-1, each of
-    # which holds its pivot alone, so every scan below looks at rows t..
-    # alone, and of those only at ``live``: a row that empties stays empty.
-    live = list(range(rows))  # a superset of the nonempty rows t.., in order
+    # which holds its pivot alone, so the holders of a column that is not a
+    # pivot column yet are rows t.., and ``units`` files rows t.. alone.
     pcol = []
     t = 0
+    for r in range(rows):
+        refile(r)
     limit = min(rows, cols)
     while t < limit:
-        # a unit in the sparsest row if there is one, else the least
-        # magnitude; within the row, the column with the fewest nonzeros
-        m, pi = 1, lightest(1)
-        if pi < 0:
-            m = min((min(map(abs, d[i].values())) for i in live if d[i]), default=0)
+        # a unit in the sparsest row if there is one, the first such row on
+        # a tie, else the least magnitude; within the row, the column with
+        # the fewest nonzeros
+        if units:
+            m, pi = 1, min(units[min(units)])
+        else:
+            m, _, pi = min(((min(map(abs, d[i].values())), len(d[i]), i)
+                            for i in range(t, rows) if d[i]), default=(0, 0, 0))
             if not m:
                 break
-            pi = lightest(m)
-        c = min((count[j], j) for j, a in d[pi].items() if abs(a) == m)[1]
+        c = min((len(holders[j]), j) for j, a in d[pi].items() if abs(a) == m)[1]
         if pi != t:
             swap_rows(t, pi)
-        # index t now holds the pivot row, and pi the old row t
-        live = list(compress(live, map(d.__getitem__, live)))
-        if live[:1] != [t]:
-            live.insert(0, t)
         while True:
             # clear the pivot column; a remainder takes a Bezout step
-            for i in compress(live[1:], map(contains, map(d.__getitem__, live[1:]),
-                                            repeat(c))):
+            for i in sorted(holders[c] - {t}):
                 q, r = divmod(d[i][c], d[t][c])
                 if r:
                     bezout_rows(t, i, c)
@@ -246,11 +253,13 @@ def smith_normal_form(matrix, rows, cols):
         if d[t][c] < 0:
             negate_row(t)
         pcol.append(c)
-        del live[0]
+        holders[c] = {t}  # a new set: clearing never shrinks a set's table
         t += 1
+        refile(t - 1)  # row t - 1 is finished and leaves ``units``
 
     # pivot columns first, in pivot order, then the others in index order
     vcols = [vcols[j] for j in pcol + sorted(set(range(cols)).difference(pcol))]
+    # the holders still name the old columns: nothing below reads them
     for i, j in enumerate(pcol):
         d[i] = {i: d[i][j]}
     # enforce the divisibility chain d_i | d_{i+1}: the block a, b of rows
@@ -352,16 +361,13 @@ def solve_turns(sf: SmithForm, b):
             if ci != 0:
                 return None
         elif ci:
-            y[i] = Fraction(ci, denom * di)
-    x = [Fraction(0)] * sf.cols
-    for i in range(sf.cols):
-        acc = Fraction(0)
-        row = sf.v[i]
-        for k, yk in y.items():
-            if k < sf.cols and row[k]:
-                acc += row[k] * yk
-        x[i] = acc - (acc.numerator // acc.denominator)
-    return x
+            y[i] = (ci, di)
+    # y_k = c_k / (denom d_k); each x_i is summed as one numerator over
+    # denom * lcm(d_k), then reduced into [0, 1)
+    lcm_d = lcm(*(di for _, di in y.values()))
+    terms = [(k, ci * (lcm_d // di)) for k, (ci, di) in y.items()]
+    whole = denom * lcm_d
+    return [Fraction(sum(row[k] * yk for k, yk in terms) % whole, whole) for row in sf.v]
 
 
 def congruence_kernel_lattice(matrix, modulus, rows, cols):

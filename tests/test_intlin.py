@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gxbtc.groups import FiniteGroup, U1Module, _coboundary_matrix
+from gxbtc.groups import (
+    AbelianModule,
+    FiniteGroup,
+    U1Module,
+    _coboundary_matrix,
+    _scale_rows_to_lcm,
+)
 from gxbtc.intlin import (
     congruence_kernel_lattice,
     integer_kernel,
@@ -196,23 +204,70 @@ DENSE_BLOWUP = [[-2, -5, -6, 5, 6, -6, 4, 3], [-1, -6, -1, -1, -5, -2, 5, 1],
                 [-5, -3, -3, 5, 0, -4, 5, 6]]
 
 
+def log_digest(sf):
+    """sha256 of the exact Smith form: its diagonal, row-operation log and V."""
+    return hashlib.sha256(repr((sf.diag, sf.ops, sf.v)).encode()).hexdigest()
+
+
 def test_dense_input_keeps_entries_small():
     sf = assert_smith_form(DENSE_BLOWUP)
     assert sf.diag == [1] * 7
+    assert log_digest(sf) == \
+        "6c0194948bd2185f293e1f1f5230d85d57a94d39527751f210af317c9a660f7d"
     coefficients = [x for _, _, _, c in sf.ops
                     for x in (c if isinstance(c, tuple) else (c,))]
     assert max(abs(x) for row in sf.v for x in row + coefficients) < 2 ** 32
 
 
-@pytest.mark.parametrize("a, diag", [
-    ([[2], [3]], [1]),            # a row Bezout step
-    ([[2, 3]], [1]),              # a column Bezout step
-    ([[4, 0], [0, 6]], [2, 12]),  # the divisibility chain
-    ([[6, 10], [10, 15]], [1, 10]),
-    ([[0, 0], [0, 0]], [0, 0]),
+@pytest.mark.parametrize("a, diag, digest", [
+    ([[2], [3]], [1],             # a row Bezout step
+     "b3a8d106fbf1cc10deecf8a05586d6ce5e9698b44875ea2dbfd557f200e8e1f9"),
+    ([[2, 3]], [1],               # a column Bezout step
+     "09d89e1bd12490f5283bc9a24586f49ea76bd552cc557bc724b7132281fb4bca"),
+    ([[4, 0], [0, 6]], [2, 12],   # the divisibility chain
+     "b180821ebf20f4153fee0557131e048db796592a67b98887d92c5e808e136137"),
+    ([[6, 10], [10, 15]], [1, 10],
+     "fc3b510736159b2bd1ed17cf525061f9d172cb4cba5f60106787d9516a7a5fa5"),
+    ([[0, 0], [0, 0]], [0, 0],
+     "b0203f29ad5754b2798e8f8ab736f866b99649dab3f9cd78cef3cf6bda5c5e7a"),
 ], ids=["row-bezout", "column-bezout", "chain", "det-10", "zero"])
-def test_snf_without_units(a, diag):
-    assert assert_smith_form(a).diag == diag
+def test_snf_without_units(a, diag, digest):
+    sf = assert_smith_form(a)
+    assert sf.diag == diag
+    assert log_digest(sf) == digest
+
+
+_PERMS = list(itertools.permutations(range(3)))
+S3 = FiniteGroup.from_table(
+    [[_PERMS.index(tuple(p[q[i]] for i in range(3))) for q in _PERMS] for p in _PERMS],
+    "S3")
+
+
+def lcm_scaled_coboundary(group, degree, module):
+    mat, rows, cols = _coboundary_matrix(group, degree, module)
+    mat, _ = _scale_rows_to_lcm(mat, module.factors, rows // len(module.factors))
+    return mat, rows, cols
+
+
+@pytest.mark.parametrize("matrix, digest", [
+    (lambda: _coboundary_matrix(FiniteGroup.cyclic(6), 3, U1Module(1)),
+     "36a7819f438044b2bd1577466c669876f5c4582494ed1a1e34e3670dbf5d5f69"),
+    (lambda: _coboundary_matrix(S3, 3, U1Module(1)),
+     "1f40f9a3dfd7d915212cc885ab32d36236123e636dd743d6efe72bde612d9d50"),
+    (lambda: _coboundary_matrix(FiniteGroup.from_cyclic_factors([2, 2]), 4, U1Module(1)),
+     "c69d8c66a4c28b53aa11707ab63a5c5d4e97f975fae4839b166f6cb0ae58af7a"),
+    (lambda: _coboundary_matrix(FiniteGroup.cyclic(4), 4, U1Module(1)),
+     "f95faf0775dd1abd970f5f53195a8441cff2d6f309a59f4a069ebcb5f2346c5c"),
+    (lambda: _coboundary_matrix(FiniteGroup.from_cyclic_factors([3, 3]), 3, U1Module(1)),
+     "aa4150aec513f065345f6487d37e24a392e2e4de5b84dda4809a2a8916b17594"),
+    (lambda: lcm_scaled_coboundary(FiniteGroup.from_cyclic_factors([2, 2]), 3,
+                                   AbelianModule([2, 2])),
+     "733b0dbdb28db9670d931ef2fc36db8ce475d20706a93a68d6b29f6cd9241a2c"),
+], ids=["Z6-u1-3", "S3-u1-3", "Z2x2-u1-4", "Z4-u1-4", "Z3x3-u1-3", "Z2x2-z2x2-3"])
+def test_coboundary_smith_form_pinned(matrix, digest):
+    # the exact pivot order, not only the invariant factors: a change in it
+    # would otherwise show only as changed cohomology representatives
+    assert log_digest(smith_normal_form(*matrix())) == digest
 
 
 def test_coboundary_elimination_stays_short():
